@@ -12,27 +12,21 @@ per domain error class (see errors.py).
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import fileio
-from .errors import DegenerateInput, EcomplexError, ParseError
+from .errors import EcomplexError, ParseError
 from .matrix import BinaryMatrix, ExportMatrix, binarize, prune_degenerate, rca_binarize
-from .metrics import (
-    CountryMetrics,
-    ProductMetrics,
-    eci_pci,
-    fitness_complexity,
-    tdi,
-    tsi,
-)
+from .metrics import compute_metrics, eci_pci, fitness_complexity, tdi, tsi
 from .model import ModelParams, estimate_tau, simulate_world, world_distribution
-from .validation import join_panel, rank_transform, run_paper_regressions
+from .validation import run_paper_regressions
 
 __all__ = ["RunConfig", "main", "entry",
            "cmd_ingest", "cmd_metrics", "cmd_simulate", "cmd_validate", "cmd_fit_tau"]
@@ -113,26 +107,21 @@ def _resolve_input(path: str) -> str:
     return str(p)
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
+def _json_default(obj):
+    """Dataclasses are written as their fields, numpy values as Python ones."""
+    if is_dataclass(obj):
+        return asdict(obj)
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    text = json.dumps(_jsonable(payload), indent=2, sort_keys=True)
+    text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default)
     path.write_text(text + "\n", encoding="utf-8")
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, header: list[str], rows) -> None:
     def cell(v) -> str:
         if v is None:
             return ""
@@ -142,12 +131,13 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
             return str(int(v))
         return repr(float(v))
 
-    lines = [",".join(header)]
-    lines.extend(",".join(cell(v) for v in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([cell(v) for v in row] for row in rows)
 
 
-def _write_table(path_stem: Path, fmt: str, header: list[str], rows: list[list]) -> Path:
+def _write_table(path_stem: Path, fmt: str, header: list[str], rows) -> Path:
     if fmt == "csv":
         path = path_stem.with_suffix(".csv")
         _write_csv(path, header, rows)
@@ -162,10 +152,6 @@ def _out_dir(config: RunConfig) -> Path:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _config_echo(config: RunConfig) -> dict:
-    return asdict(config)
 
 
 def _load_binary(config: RunConfig, matrix_path: str) -> tuple[BinaryMatrix, str]:
@@ -194,7 +180,7 @@ def cmd_ingest(args) -> int:
     cells = x.n_countries * x.n_products
     fill = len(x.vals) / cells if cells else 0.0
     report = {
-        "config": _config_echo(config),
+        "config": config,
         "inputs": {resolved: fileio.sha256_file(resolved)},
         "matrix": {
             "countries": x.n_countries,
@@ -216,52 +202,37 @@ def cmd_metrics(args) -> int:
     out = _out_dir(config)
     bm, resolved = _load_binary(config, args.matrix)
 
+    families = {
+        "tdi": lambda: tdi(bm),
+        "tsi": lambda: tsi(bm),
+        "eci_pci": lambda: eci_pci(bm),
+        "fitness": lambda: fitness_complexity(bm, tol=config.tol, max_iter=config.max_iter),
+    }
+    results: dict = {}
     errors: dict[str, str] = {}
-    tdi_v = tsi_v = eci_v = pci_v = f_v = q_v = None
-    eigen = None
-    iters = None
-    first_error: EcomplexError | None = None
+    failures: list[EcomplexError] = []
+    for name, run in families.items():
+        try:
+            results[name] = run()
+        except EcomplexError as exc:
+            errors[name] = f"{type(exc).__name__}: {exc}"
+            failures.append(exc)
 
-    try:
-        tdi_v = tdi(bm)
-    except EcomplexError as exc:
-        errors["tdi"] = f"{type(exc).__name__}: {exc}"
-        first_error = first_error or exc
-    try:
-        tsi_v = tsi(bm)
-    except EcomplexError as exc:
-        errors["tsi"] = f"{type(exc).__name__}: {exc}"
-        first_error = first_error or exc
-    try:
-        eci_v, pci_v, eigen = eci_pci(bm)
-    except EcomplexError as exc:
-        errors["eci_pci"] = f"{type(exc).__name__}: {exc}"
-        first_error = first_error or exc
-    try:
-        f_v, q_v, iters = fitness_complexity(bm, tol=config.tol,
-                                             max_iter=config.max_iter)
-    except EcomplexError as exc:
-        errors["fitness"] = f"{type(exc).__name__}: {exc}"
-        first_error = first_error or exc
-
-    def col(vec, i):
-        return None if vec is None else float(vec[i])
-
-    c_rows = [
-        [lab, int(bm.diversification[i]), col(tdi_v, i), col(eci_v, i), col(f_v, i)]
-        for i, lab in enumerate(bm.country_labels)
-    ]
-    p_rows = [
-        [lab, int(bm.ubiquity[j]), col(tsi_v, j), col(pci_v, j), col(q_v, j)]
-        for j, lab in enumerate(bm.product_labels)
-    ]
+    # A failed family leaves its columns blank.
+    blank_c, blank_p = [None] * bm.n_countries, [None] * bm.n_products
+    tdi_v = results.get("tdi", blank_c)
+    tsi_v = results.get("tsi", blank_p)
+    eci_v, pci_v, eigen = results.get("eci_pci", (blank_c, blank_p, None))
+    f_v, q_v, iters = results.get("fitness", (blank_c, blank_p, None))
     c_path = _write_table(out / "countries", config.format,
-                          ["country", "d", "tdi", "eci", "fitness"], c_rows)
+                          ["country", "d", "tdi", "eci", "fitness"],
+                          zip(bm.country_labels, bm.diversification, tdi_v, eci_v, f_v))
     p_path = _write_table(out / "products", config.format,
-                          ["product", "u", "tsi", "pci", "q"], p_rows)
+                          ["product", "u", "tsi", "pci", "q"],
+                          zip(bm.product_labels, bm.ubiquity, tsi_v, pci_v, q_v))
 
     report = {
-        "config": _config_echo(config),
+        "config": config,
         "inputs": {resolved: fileio.sha256_file(resolved)},
         "matrix": {
             "countries": bm.n_countries,
@@ -269,23 +240,16 @@ def cmd_metrics(args) -> int:
             "entries": bm.n_entries,
         },
         "errors": errors,
-        "eigen": None if eigen is None else {
-            "leading_eigenvalue": eigen.leading_eigenvalue,
-            "second_eigenvalue": eigen.second_eigenvalue,
-            "eci_sign_flipped": eigen.eci_sign_flipped,
-            "pci_sign_flipped": eigen.pci_sign_flipped,
-            "solver": eigen.solver,
-        },
+        "eigen": eigen,
         "fitness_iterations": iters,
         "outputs": [c_path.name, p_path.name],
     }
     _write_json(out / "metrics_report.json", report)
     print(f"wrote {c_path} {p_path}")
 
-    all_failed = all(v is None for v in (tdi_v, tsi_v, eci_v, f_v))
-    if all_failed and first_error is not None:
-        print(f"error: every metric family failed: {first_error}", file=sys.stderr)
-        return first_error.exit_code
+    if not results:
+        print(f"error: every metric family failed: {failures[0]}", file=sys.stderr)
+        return failures[0].exit_code
     return 0
 
 
@@ -293,8 +257,8 @@ def cmd_simulate(args) -> int:
     config = _merge_config(args)
     out = _out_dir(config)
     params = ModelParams(tau=config.tau, K=config.K)
-    world = simulate_world(params, mode="exact" if config.mode == "exact" else "monte_carlo",
-                           samples=config.samples, seed=config.seed)
+    world = simulate_world(params, mode=config.mode, samples=config.samples,
+                           seed=config.seed)
     matrix_path = out / "world.txt"
     fileio.write_matrix(world.matrix, matrix_path)
 
@@ -315,7 +279,7 @@ def cmd_simulate(args) -> int:
                rows)
 
     report = {
-        "config": _config_echo(config),
+        "config": config,
         "inputs": {},
         "world": {
             "countries": world.matrix.n_countries,
@@ -337,95 +301,42 @@ def cmd_validate(args) -> int:
     resolved_income = _resolve_input(args.income_csv)
     panel = fileio.read_income_csv(resolved_income)
 
-    tdi_v = tdi(bm)
-    tsi_v = tsi(bm)
-    eci_v, pci_v, eigen = eci_pci(bm)
-    f_v, q_v, iters = fitness_complexity(bm, tol=config.tol, max_iter=config.max_iter)
-    cm = CountryMetrics(bm.country_labels, bm.diversification.copy(),
-                        tdi_v, eci_v, f_v)
-    pm = ProductMetrics(bm.product_labels, bm.ubiquity.copy(), tsi_v, pci_v, q_v)
-
+    cm, pm, eigen, iters = compute_metrics(bm, tol=config.tol, max_iter=config.max_iter)
     rep = run_paper_regressions(bm, panel, cm, pm)
 
-    def reg_block(block: dict) -> dict:
-        payload = {}
-        for key, val in block.items():
-            if key == "closer_to_benchmark":
-                payload[key] = val
-            else:
-                payload[key] = {
-                    "coefficients": val.coefficients,
-                    "standard_errors": val.standard_errors,
-                    "p_values": val.p_values,
-                    "r_squared": val.r_squared,
-                    "intercept_included": val.intercept_included,
-                }
-        return payload
-
-    def corr_block(c) -> dict:
-        return {"statistic": c.statistic, "method": c.method, "n": c.n}
-
     report = {
-        "config": _config_echo(config),
+        "config": config,
         "inputs": {
             resolved_matrix: fileio.sha256_file(resolved_matrix),
             resolved_income: fileio.sha256_file(resolved_income),
         },
-        "join": {
-            "matched": list(rep.join.matched),
-            "unmatched_matrix": list(rep.join.unmatched_matrix),
-            "unmatched_panel": list(rep.join.unmatched_panel),
-        },
+        "join": rep.join,
         "rent_offset": rep.rent_offset,
         "regressions": {
-            "rank_rank": reg_block(rep.rank_rank),
-            "log_log": reg_block(rep.log_log),
-            "eci_on_tdi": reg_block(rep.eci_on_tdi),
-            "fitness_on_dlogd": reg_block(rep.fitness_on_dlogd),
+            "rank_rank": rep.rank_rank,
+            "log_log": rep.log_log,
+            "eci_on_tdi": rep.eci_on_tdi,
+            "fitness_on_dlogd": rep.fitness_on_dlogd,
         },
-        "spearman_gdp_d": corr_block(rep.spearman_gdp_d),
-        "product_spearman": {k: corr_block(v) for k, v in rep.product_spearman.items()},
-        "eigen": {
-            "leading_eigenvalue": eigen.leading_eigenvalue,
-            "second_eigenvalue": eigen.second_eigenvalue,
-        },
+        "spearman_gdp_d": rep.spearman_gdp_d,
+        "product_spearman": rep.product_spearman,
+        "eigen": eigen,
         "fitness_iterations": iters,
     }
     _write_json(out / "validation_report.json", report)
 
     # Scatter tables for the joined sample, plot-ready.
-    m_idx, p_idx, _ = join_panel(bm, panel)
-    labels = [bm.country_labels[i] for i in m_idx]
-    d = bm.diversification[m_idx].astype(float)
-    gdp = np.asarray(panel.gdp, dtype=float)[p_idx]
-    rents = np.asarray(panel.natural_rents, dtype=float)[p_idx]
-    rank_gdp = rank_transform(gdp, reversed=True)
-    rank_d = rank_transform(d, reversed=True)
-    rank_rents = rank_transform(rents, reversed=True)
-    _write_csv(out / "rank_rank.csv",
-               ["country", "rank_gdp", "rank_d", "rank_rents"],
-               [[lab, float(rank_gdp[i]), float(rank_d[i]), float(rank_rents[i])]
-                for i, lab in enumerate(labels)])
-    _write_csv(out / "log_log.csv",
-               ["country", "log_gdp", "log_d", "log_rents_offset"],
-               [[lab, float(np.log(gdp[i])), float(np.log(d[i])),
-                 float(np.log(rents[i] + rep.rent_offset))]
-                for i, lab in enumerate(labels)])
-    _write_csv(out / "eci_tdi.csv",
-               ["country", "tdi", "eci"],
-               [[lab, float(cm.tdi[m_idx[i]]), float(cm.eci[m_idx[i]])]
-                for i, lab in enumerate(labels)])
-    dlogd = d * np.log(d)
-    if dlogd.mean() > 0:
-        dlogd = dlogd / dlogd.mean()
-    _write_csv(out / "fitness_dlogd.csv",
-               ["country", "dlogd_norm", "fitness"],
-               [[lab, float(dlogd[i]), float(cm.fitness[m_idx[i]])]
-                for i, lab in enumerate(labels)])
-    _write_csv(out / "product_scatter.csv",
-               ["product", "tsi", "pci", "q"],
-               [[lab, float(pm.tsi[j]), float(pm.pci[j]), float(pm.q[j])]
-                for j, lab in enumerate(bm.product_labels)])
+    scatter = {
+        "rank_rank": ["rank_gdp", "rank_d", "rank_rents"],
+        "log_log": ["log_gdp", "log_d", "log_rents_offset"],
+        "eci_tdi": ["tdi", "eci"],
+        "fitness_dlogd": ["dlogd_norm", "fitness"],
+    }
+    for name, columns in scatter.items():
+        _write_csv(out / f"{name}.csv", ["country", *columns],
+                   zip(rep.join.matched, *(rep.design[c] for c in columns)))
+    _write_csv(out / "product_scatter.csv", ["product", "tsi", "pci", "q"],
+               zip(pm.product_labels, pm.tsi, pm.pci, pm.q))
     print(f"wrote {out / 'validation_report.json'} and scatter tables")
     return 0
 
@@ -434,7 +345,7 @@ def cmd_fit_tau(args) -> int:
     config = _merge_config(args)
     out = _out_dir(config)
     resolved = _resolve_input(args.metrics_csv)
-    tsi_values = _read_tsi_column(resolved)
+    tsi_values = fileio.read_tsi_column(resolved)
     tau_hat, ks = estimate_tau(tsi_values, config.K)
 
     dist = world_distribution(ModelParams(tau=tau_hat, K=config.K))
@@ -448,7 +359,7 @@ def cmd_fit_tau(args) -> int:
                 for s in range(len(x))])
 
     report = {
-        "config": _config_echo(config),
+        "config": config,
         "inputs": {resolved: fileio.sha256_file(resolved)},
         "tau_hat": tau_hat,
         "ks_distance": ks,
@@ -458,47 +369,6 @@ def cmd_fit_tau(args) -> int:
     _write_json(out / "tau_report.json", report)
     print(f"tau_hat={tau_hat} ks={ks:.6f}")
     return 0
-
-
-def _read_tsi_column(path: str) -> np.ndarray:
-    """Pull the tsi column out of a metrics products table (csv or json)."""
-    import csv as _csv
-
-    values: list[float] = []
-    if path.endswith(".json"):
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        rows = payload.get("rows", payload if isinstance(payload, list) else [])
-        for row in rows:
-            v = row.get("tsi")
-            if v is not None:
-                values.append(float(v))
-    else:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = _csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise ParseError("empty file", 1) from None
-            if "tsi" not in header:
-                raise ParseError("no tsi column in header", 1)
-            idx = header.index("tsi")
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if idx >= len(row):
-                    raise ParseError("short row", lineno)
-                if row[idx] != "":
-                    values.append(_parse_float(row[idx], lineno))
-    if len(values) < 2:
-        raise DegenerateInput("need at least two tsi values")
-    return np.asarray(values)
-
-
-def _parse_float(text: str, lineno: int) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ParseError(f"cannot parse value {text!r}", lineno) from None
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:

@@ -17,18 +17,20 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import json
 import math
 from pathlib import Path
 
 import numpy as np
 
-from .errors import NegativeValue, ParseError
+from .errors import DegenerateInput, NegativeValue, ParseError
 from .matrix import BinaryMatrix, ExportMatrix
 from .validation import IncomePanel
 
 __all__ = [
     "read_trade_csv",
     "read_income_csv",
+    "read_tsi_column",
     "read_matrix",
     "write_matrix",
     "sha256_file",
@@ -43,10 +45,10 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
-def _parse_value(text: str, line: int) -> float:
+def _parse_value(text: str | float, line: int | None) -> float:
     try:
         v = float(text)
-    except ValueError:
+    except (TypeError, ValueError):
         raise ParseError(f"cannot parse value {text!r}", line) from None
     if not math.isfinite(v):
         raise ParseError(f"non-finite value {text!r}", line)
@@ -58,6 +60,9 @@ def read_trade_csv(path) -> ExportMatrix:
 
     Duplicate (country, product) rows are summed. Values must be
     non-negative; cells whose total is zero are treated as absent.
+    Labels are stripped, and a label holding a line break is rejected,
+    since the canonical matrix file keeps one label per line. Error line
+    numbers are the physical line where the offending record starts.
     """
     totals: dict[tuple[str, str], float] = {}
     with open(path, newline="", encoding="utf-8") as fh:
@@ -68,7 +73,9 @@ def read_trade_csv(path) -> ExportMatrix:
             raise ParseError("empty file", 1) from None
         if [h.strip() for h in header] != ["country", "product", "value"]:
             raise ParseError("expected header country,product,value", 1)
-        for lineno, row in enumerate(reader, start=2):
+        end = reader.line_num
+        for row in reader:
+            lineno, end = end + 1, reader.line_num
             if not row:
                 continue
             if len(row) != 3:
@@ -76,6 +83,8 @@ def read_trade_csv(path) -> ExportMatrix:
             country, product, raw = (f.strip() for f in row)
             if not country or not product:
                 raise ParseError("empty country or product label", lineno)
+            if country.splitlines() != [country] or product.splitlines() != [product]:
+                raise ParseError("country or product label holds a line break", lineno)
             v = _parse_value(raw, lineno)
             if v < 0:
                 raise NegativeValue(f"negative export value {raw}", lineno)
@@ -130,6 +139,42 @@ def read_income_csv(path) -> IncomePanel:
             gdp.append(g)
             rents.append(r)
     return IncomePanel(tuple(labels), np.array(gdp), np.array(rents))
+
+
+def read_tsi_column(path) -> np.ndarray:
+    """The tsi column of a metrics products table (csv or json).
+
+    Blank cells are skipped; every other value must parse as a finite
+    float (JSON admits NaN, so its values are checked too).
+    """
+    values: list[float] = []
+    if str(path).endswith(".json"):
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        rows = payload.get("rows", []) if isinstance(payload, dict) else payload
+        for row in rows:
+            v = row.get("tsi")
+            if v is not None:
+                values.append(_parse_value(v, None))
+    else:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise ParseError("empty file", 1) from None
+            if "tsi" not in header:
+                raise ParseError("no tsi column in header", 1)
+            idx = header.index("tsi")
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if idx >= len(row):
+                    raise ParseError("short row", lineno)
+                if row[idx] != "":
+                    values.append(_parse_value(row[idx], lineno))
+    if len(values) < 2:
+        raise DegenerateInput("need at least two tsi values")
+    return np.asarray(values)
 
 
 def write_matrix(m, path) -> None:

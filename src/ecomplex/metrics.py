@@ -171,13 +171,12 @@ def eci_pci(m: BinaryMatrix) -> tuple[np.ndarray, np.ndarray, EigenReport]:
             "second eigenvalue magnitude is 1; the matrix has several "
             "connected components and the second eigenvector is not unique"
         )
-    if n_c > 2:
-        third = float(eigvals[2])
-        if abs(abs(second) - abs(third)) < _EIGEN_TIE_TOL:
-            raise DegenerateSpectrum(
-                f"second and third eigenvalue magnitudes tie "
-                f"(|{second:.3e}| vs |{third:.3e}|)"
-            )
+    third = float(eigvals[2])
+    if abs(abs(second) - abs(third)) < _EIGEN_TIE_TOL:
+        raise DegenerateSpectrum(
+            f"second and third eigenvalue magnitudes tie "
+            f"(|{second:.3e}| vs |{third:.3e}|)"
+        )
 
     # Map the symmetric-problem eigenvector back to the similar
     # nonsymmetric operator's eigenvector.

@@ -369,10 +369,15 @@ def estimate_tau(tsi_values, K: int) -> tuple[float, float]:
     therefore be standardized with the generating distribution's own
     moments (the transform the model itself predicts), not per-sample
     moments, or every candidate pays the atom-misalignment penalty.
+
+    Raises DegenerateInput on non-finite input and on fewer than two or
+    constant values.
     """
     tsi_values = np.asarray(tsi_values, dtype=float)
     if K < 1:
         raise ValueError("K must be >= 1")
+    if not np.all(np.isfinite(tsi_values)):
+        raise DegenerateInput("input values must be finite")
     if tsi_values.size < 2 or tsi_values.std() == 0:
         raise DegenerateInput("input values have zero variance")
     best_tau, best_d = None, None

@@ -216,7 +216,13 @@ def join_panel(m: BinaryMatrix, panel: IncomePanel) -> tuple[np.ndarray, np.ndar
 
 @dataclass(frozen=True)
 class RegressionReport:
-    """Everything run_paper_regressions produces, in one bundle."""
+    """Everything run_paper_regressions produces, in one bundle.
+
+    ``design`` holds the joined-sample vectors the country regressions
+    ran on, in ``join.matched`` order, keyed by scatter-table column:
+    rank_gdp, rank_d, rank_rents, log_gdp, log_d, log_rents_offset, tdi,
+    eci, dlogd_norm and fitness.
+    """
 
     join: JoinReport
     rank_rank: dict = field(repr=False)
@@ -226,6 +232,7 @@ class RegressionReport:
     spearman_gdp_d: CorrelationResult
     product_spearman: dict = field(repr=False)
     rent_offset: float
+    design: dict = field(repr=False)
 
 
 def _both_variants(y, X, benchmark=None) -> dict:
@@ -269,28 +276,33 @@ def run_paper_regressions(
     gdp = np.asarray(panel.gdp, dtype=float)[p_idx]
     rents = np.asarray(panel.natural_rents, dtype=float)[p_idx]
 
-    rank_gdp = rank_transform(gdp, reversed=True)
-    rank_d = rank_transform(d, reversed=True)
-    rank_rents = rank_transform(rents, reversed=True)
-    rank_rank = _both_variants(rank_gdp, [rank_d, rank_rents],
-                               benchmark=BENCHMARK_RANK_COEFS)
-
     positive = rents[rents > 0]
     delta = float(positive.min()) if positive.size else 1.0
-    log_log = _both_variants(
-        np.log(gdp), [np.log(d), np.log(rents + delta)],
-        benchmark=BENCHMARK_LOG_COEFS,
-    )
-
-    eci = metrics.eci[m_idx]
-    tdi_v = metrics.tdi[m_idx]
-    eci_on_tdi = _both_variants(eci, [tdi_v])
-
-    f = metrics.fitness[m_idx]
     dlogd = d * np.log(d)
     if dlogd.mean() > 0:
         dlogd = dlogd / dlogd.mean()
-    fitness_on_dlogd = _both_variants(f, [dlogd])
+    design = {
+        "rank_gdp": rank_transform(gdp, reversed=True),
+        "rank_d": rank_transform(d, reversed=True),
+        "rank_rents": rank_transform(rents, reversed=True),
+        "log_gdp": np.log(gdp),
+        "log_d": np.log(d),
+        "log_rents_offset": np.log(rents + delta),
+        "tdi": metrics.tdi[m_idx],
+        "eci": metrics.eci[m_idx],
+        "dlogd_norm": dlogd,
+        "fitness": metrics.fitness[m_idx],
+    }
+    rank_rank = _both_variants(
+        design["rank_gdp"], [design["rank_d"], design["rank_rents"]],
+        benchmark=BENCHMARK_RANK_COEFS,
+    )
+    log_log = _both_variants(
+        design["log_gdp"], [design["log_d"], design["log_rents_offset"]],
+        benchmark=BENCHMARK_LOG_COEFS,
+    )
+    eci_on_tdi = _both_variants(design["eci"], [design["tdi"]])
+    fitness_on_dlogd = _both_variants(design["fitness"], [design["dlogd_norm"]])
 
     sp = spearman(gdp, d)
 
@@ -311,6 +323,7 @@ def run_paper_regressions(
         spearman_gdp_d=sp,
         product_spearman=prod,
         rent_offset=delta,
+        design=design,
     )
 
 

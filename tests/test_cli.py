@@ -3,11 +3,22 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ecomplex import (
     BinaryMatrix,
+    DegenerateInput,
     ModelParams,
+    ParseError,
+    binarize,
+    compute_metrics,
+    estimate_tau,
+    read_income_csv,
     read_matrix,
+    read_trade_csv,
+    read_tsi_column,
+    run_paper_regressions,
     world_distribution,
     write_matrix,
 )
@@ -343,3 +354,177 @@ class TestDataDirFallback:
         assert main(["ingest", "trade.csv", "--out-dir", "out"]) == 0
         m = read_matrix(work / "out" / "matrix.txt")
         assert m.country_labels == ("NER", "USA")
+
+
+def trade_csv(path, country_labels, product_labels, dense=CONVERGENT):
+    """A trade CSV holding one row per nonzero cell, written with csv quoting."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["country", "product", "value"])
+        for i, j in zip(*np.nonzero(dense)):
+            writer.writerow([country_labels[i], product_labels[j], 1.0 + i + j])
+
+
+class TestLabelsRoundTrip:
+    COUNTRIES = ["Korea, Rep.", "USA", "NER", "FRA", "DEU"]
+    PRODUCTS = ['cars "x"', "cars, parts", "wheat", "wine", "phones", "ore"]
+
+    def test_quoted_labels_survive_every_table(self, tmp_path):
+        src = tmp_path / "trade.csv"
+        trade_csv(src, self.COUNTRIES, self.PRODUCTS)
+        income = tmp_path / "income.csv"
+        with open(income, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["country", "gdp", "natural_rents"])
+            for k, lab in enumerate(self.COUNTRIES):
+                writer.writerow([lab, 1000.0 * (k + 2) ** 2, float(k % 3)])
+        out = tmp_path / "out"
+        assert main(["ingest", str(src), "--out-dir", str(out)]) == 0
+        matrix = out / "matrix.txt"
+        assert main(["metrics", str(matrix), "--out-dir", str(out)]) == 0
+        assert main(["validate", str(matrix), str(income), "--out-dir", str(out)]) == 0
+        assert main(["fit-tau", str(out / "products.csv"), "--K", "12",
+                     "--out-dir", str(out)]) == 0
+
+        bm = binarize(read_matrix(matrix))
+        cm, pm, _, _ = compute_metrics(bm)
+        rep = run_paper_regressions(bm, read_income_csv(income), cm, pm)
+        assert set(bm.country_labels) == set(self.COUNTRIES)
+
+        def assert_table(name, labels, columns):
+            header, rows = read_rows(out / name)
+            assert header[1:] == list(columns)
+            assert [r[0] for r in rows] == list(labels)
+            for k, col in enumerate(columns.values(), start=1):
+                assert [float(r[k]) for r in rows] == [float(v) for v in col]
+
+        assert_table("countries.csv", bm.country_labels, {
+            "d": cm.diversification, "tdi": cm.tdi, "eci": cm.eci, "fitness": cm.fitness})
+        assert_table("products.csv", bm.product_labels, {
+            "u": pm.ubiquity, "tsi": pm.tsi, "pci": pm.pci, "q": pm.q})
+        assert_table("product_scatter.csv", bm.product_labels,
+                     {"tsi": pm.tsi, "pci": pm.pci, "q": pm.q})
+        for name, cols in {
+            "rank_rank.csv": ["rank_gdp", "rank_d", "rank_rents"],
+            "log_log.csv": ["log_gdp", "log_d", "log_rents_offset"],
+            "eci_tdi.csv": ["tdi", "eci"],
+            "fitness_dlogd.csv": ["dlogd_norm", "fitness"],
+        }.items():
+            assert_table(name, rep.join.matched, {c: rep.design[c] for c in cols})
+
+        tau_hat, ks = estimate_tau(pm.tsi, 12)
+        report = json.loads((out / "tau_report.json").read_text())
+        assert (report["tau_hat"], report["ks_distance"], report["n"]) == (tau_hat, ks, 6)
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(labels=st.lists(
+        # the printable categories, as str.isprintable defines them
+        st.text(st.characters(codec="utf-8", categories=("L", "M", "N", "P", "S"),
+                              include_characters=" "), min_size=1, max_size=8)
+        .filter(str.strip),
+        min_size=11, max_size=11, unique_by=str.strip,
+    ))
+    def test_printable_labels_round_trip(self, tmp_path_factory, labels):
+        tmp = tmp_path_factory.mktemp("labels")
+        countries, products = labels[:5], labels[5:]
+        trade_csv(tmp / "trade.csv", countries, products)
+        out = tmp / "out"
+        assert main(["ingest", str(tmp / "trade.csv"), "--out-dir", str(out)]) == 0
+        assert main(["metrics", str(out / "matrix.txt"), "--out-dir", str(out)]) == 0
+        assert main(["fit-tau", str(out / "products.csv"), "--K", "12",
+                     "--out-dir", str(out)]) == 0
+
+        _, c_rows = read_rows(out / "countries.csv")
+        _, p_rows = read_rows(out / "products.csv")
+        assert [r[0] for r in c_rows] == sorted(lab.strip() for lab in countries)
+        assert [r[0] for r in p_rows] == sorted(lab.strip() for lab in products)
+        tsi_values = [float(r[2]) for r in p_rows]
+        report = json.loads((out / "tau_report.json").read_text())
+        assert report["tau_hat"] == estimate_tau(tsi_values, 12)[0]
+
+
+class TestLineBreakLabels:
+    @pytest.mark.parametrize("brk", ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d",
+                                     "\x1e", "\x85", "\u2028", "\u2029"])
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_ingest_rejects_with_record_start_line(self, tmp_path, brk, column):
+        src = tmp_path / "trade.csv"
+        # the third record spans lines 3-4, so the bad one starts on line 5
+        row = ["Korea", "cars", "1.0"]
+        row[column] = f"Korea{brk}Rep." if column == 0 else f"cars{brk}parts"
+        with open(src, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
+            writer.writerows([["country", "product", "value"], ["USA", "wheat", "2.0"],
+                              ["USA", "wine", "3.0\n"], row])
+        with pytest.raises(ParseError, match="line 5: .*line break"):
+            read_trade_csv(src)
+        assert main(["ingest", str(src), "--out-dir", str(tmp_path / "out")]) == 65
+        assert not (tmp_path / "out" / "matrix.txt").exists()
+
+
+class TestNonFiniteTsi:
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    def test_csv_cell_exits_65(self, tmp_path, text):
+        src = tmp_path / "products.csv"
+        TestFitTau._products_csv(src, [0.5, -1.0, 0.25, 1.5])
+        src.write_text(src.read_text().replace("0.25", text))
+        assert main(["fit-tau", str(src), "--out-dir", str(tmp_path)]) == 65
+        with pytest.raises(ParseError, match="line 4: non-finite"):
+            read_tsi_column(src)
+
+    def test_json_value_exits_65(self, tmp_path):
+        src = tmp_path / "products.json"
+        src.write_text('{"rows": [{"tsi": 0.5}, {"tsi": NaN}, {"tsi": -1.0}, {"tsi": null}]}')
+        assert main(["fit-tau", str(src), "--out-dir", str(tmp_path)]) == 65
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_estimate_tau_raises(self, bad):
+        with pytest.raises(DegenerateInput, match="finite"):
+            estimate_tau([0.5, -1.0, bad, 1.5], 12)
+
+
+def income_file(tmp_path):
+    """An income panel for the countries C0..C4 of CONVERGENT."""
+    path = tmp_path / "income.csv"
+    path.write_text("country,gdp,natural_rents\n" + "".join(
+        f"C{i},{1000.0 * (i + 3) ** 2},{float(i % 3)}\n" for i in range(5)))
+    return path
+
+
+class TestReports:
+    def test_json_booleans(self, tmp_path):
+        path = matrix_file(tmp_path, CONVERGENT)
+        income = income_file(tmp_path)
+        out = tmp_path / "out"
+        assert main(["validate", str(path), str(income), "--out-dir", str(out)]) == 0
+        report = json.loads((out / "validation_report.json").read_text())
+        block = report["regressions"]["rank_rank"]
+        assert block["with_intercept"]["intercept_included"] is True
+        assert block["without_intercept"]["intercept_included"] is False
+        assert isinstance(report["eigen"]["eci_sign_flipped"], bool)
+
+        assert main(["metrics", str(path), "--out-dir", str(out)]) == 0
+        metrics_report = json.loads((out / "metrics_report.json").read_text())
+        assert report["eigen"] == metrics_report["eigen"]
+
+    def test_validate_joins_and_ranks_once(self, tmp_path, monkeypatch):
+        import ecomplex.cli as cli
+        import ecomplex.validation as validation
+
+        calls = {"join_panel": 0, "rank_transform": 0}
+        for name in calls:
+            original = getattr(validation, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            # the CLI must not keep a binding of its own that bypasses the count
+            monkeypatch.setattr(validation, name, counted)
+            monkeypatch.setattr(cli, name, counted, raising=False)
+        path = matrix_file(tmp_path, CONVERGENT)
+        income = income_file(tmp_path)
+        assert main(["validate", str(path), str(income),
+                     "--out-dir", str(tmp_path / "out")]) == 0
+        assert calls == {"join_panel": 1, "rank_transform": 3}
