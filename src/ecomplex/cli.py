@@ -82,10 +82,16 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             raise ParseError(f"config file is not valid JSON: {exc}") from None
         if not isinstance(loaded, dict):
             raise ParseError("config file must hold a JSON object")
-        known = {f.name for f in fields(RunConfig)}
+        kinds = {f.name: type(f.default) for f in fields(RunConfig)}
         for key, value in loaded.items():
-            if key not in known:
+            if key not in kinds:
                 raise ParseError(f"unknown config key {key!r}")
+            kind = kinds[key]
+            # An int is a valid float; a bool is never a number.
+            allowed = (int, float) if kind is float else kind
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                raise ParseError(f"config key {key!r} must be {kind.__name__}, "
+                                 f"got {type(value).__name__}")
             merged[key] = value
     for f in fields(RunConfig):
         flag_value = getattr(args, f.name, None)

@@ -48,11 +48,30 @@ def sha256_file(path) -> str:
 def _parse_value(text: str | float, line: int | None) -> float:
     try:
         v = float(text)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ParseError(f"cannot parse value {text!r}", line) from None
     if not math.isfinite(v):
         raise ParseError(f"non-finite value {text!r}", line)
     return v
+
+
+def _csv_records(path):
+    """Yield a CSV file's header row, then (line, fields) for each
+    non-blank record, line being the physical line where it starts.
+
+    An empty file raises ParseError at line 1.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ParseError("empty file", 1)
+        yield header
+        end = reader.line_num
+        for row in reader:
+            lineno, end = end + 1, reader.line_num
+            if row:
+                yield lineno, row
 
 
 def read_trade_csv(path) -> ExportMatrix:
@@ -65,31 +84,22 @@ def read_trade_csv(path) -> ExportMatrix:
     numbers are the physical line where the offending record starts.
     """
     totals: dict[tuple[str, str], float] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty file", 1) from None
-        if [h.strip() for h in header] != ["country", "product", "value"]:
-            raise ParseError("expected header country,product,value", 1)
-        end = reader.line_num
-        for row in reader:
-            lineno, end = end + 1, reader.line_num
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ParseError(f"expected 3 fields, got {len(row)}", lineno)
-            country, product, raw = (f.strip() for f in row)
-            if not country or not product:
-                raise ParseError("empty country or product label", lineno)
-            if country.splitlines() != [country] or product.splitlines() != [product]:
-                raise ParseError("country or product label holds a line break", lineno)
-            v = _parse_value(raw, lineno)
-            if v < 0:
-                raise NegativeValue(f"negative export value {raw}", lineno)
-            key = (country, product)
-            totals[key] = totals.get(key, 0.0) + v
+    records = _csv_records(path)
+    if [h.strip() for h in next(records)] != ["country", "product", "value"]:
+        raise ParseError("expected header country,product,value", 1)
+    for lineno, row in records:
+        if len(row) != 3:
+            raise ParseError(f"expected 3 fields, got {len(row)}", lineno)
+        country, product, raw = (f.strip() for f in row)
+        if not country or not product:
+            raise ParseError("empty country or product label", lineno)
+        if country.splitlines() != [country] or product.splitlines() != [product]:
+            raise ParseError("country or product label holds a line break", lineno)
+        v = _parse_value(raw, lineno)
+        if v < 0:
+            raise NegativeValue(f"negative export value {raw}", lineno)
+        key = (country, product)
+        totals[key] = totals.get(key, 0.0) + v
 
     countries = tuple(sorted({c for c, _ in totals}))
     products = tuple(sorted({p for _, p in totals}))
@@ -110,68 +120,64 @@ def read_income_csv(path) -> IncomePanel:
     gdp: list[float] = []
     rents: list[float] = []
     seen: set[str] = set()
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty file", 1) from None
-        if [h.strip() for h in header] != ["country", "gdp", "natural_rents"]:
-            raise ParseError("expected header country,gdp,natural_rents", 1)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ParseError(f"expected 3 fields, got {len(row)}", lineno)
-            country, raw_gdp, raw_rents = (f.strip() for f in row)
-            if not country:
-                raise ParseError("empty country label", lineno)
-            if country in seen:
-                raise ParseError(f"duplicate country {country!r}", lineno)
-            seen.add(country)
-            g = _parse_value(raw_gdp, lineno)
-            if g <= 0:
-                raise ParseError(f"gdp must be positive, got {raw_gdp}", lineno)
-            r = _parse_value(raw_rents, lineno)
-            if r < 0:
-                raise NegativeValue(f"negative natural rents {raw_rents}", lineno)
-            labels.append(country)
-            gdp.append(g)
-            rents.append(r)
+    records = _csv_records(path)
+    if [h.strip() for h in next(records)] != ["country", "gdp", "natural_rents"]:
+        raise ParseError("expected header country,gdp,natural_rents", 1)
+    for lineno, row in records:
+        if len(row) != 3:
+            raise ParseError(f"expected 3 fields, got {len(row)}", lineno)
+        country, raw_gdp, raw_rents = (f.strip() for f in row)
+        if not country:
+            raise ParseError("empty country label", lineno)
+        if country in seen:
+            raise ParseError(f"duplicate country {country!r}", lineno)
+        seen.add(country)
+        g = _parse_value(raw_gdp, lineno)
+        if g <= 0:
+            raise ParseError(f"gdp must be positive, got {raw_gdp}", lineno)
+        r = _parse_value(raw_rents, lineno)
+        if r < 0:
+            raise NegativeValue(f"negative natural rents {raw_rents}", lineno)
+        labels.append(country)
+        gdp.append(g)
+        rents.append(r)
     return IncomePanel(tuple(labels), np.array(gdp), np.array(rents))
 
 
 def read_tsi_column(path) -> np.ndarray:
     """The tsi column of a metrics products table (csv or json).
 
-    Blank cells are skipped; every other value must parse as a finite
-    float (JSON admits NaN, so its values are checked too).
+    Blank cells (JSON null) are skipped; every other value must parse as
+    a finite float. A JSON file must parse, hold a list of row objects
+    (bare or under "rows"), and give each tsi as a number (JSON admits
+    NaN, so its values are checked too).
     """
     values: list[float] = []
     if str(path).endswith(".json"):
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        try:
+            payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno) from None
         rows = payload.get("rows", []) if isinstance(payload, dict) else payload
-        for row in rows:
+        if not (isinstance(rows, list) and all(isinstance(row, dict) for row in rows)):
+            raise ParseError("expected a list of row objects")
+        for k, row in enumerate(rows):
             v = row.get("tsi")
             if v is not None:
+                if isinstance(v, bool) or not isinstance(v, (int, float)):
+                    raise ParseError(f"row {k}: tsi {v!r} is not a number")
                 values.append(_parse_value(v, None))
     else:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise ParseError("empty file", 1) from None
-            if "tsi" not in header:
-                raise ParseError("no tsi column in header", 1)
-            idx = header.index("tsi")
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if idx >= len(row):
-                    raise ParseError("short row", lineno)
-                if row[idx] != "":
-                    values.append(_parse_value(row[idx], lineno))
+        records = _csv_records(path)
+        header = next(records)
+        if "tsi" not in header:
+            raise ParseError("no tsi column in header", 1)
+        idx = header.index("tsi")
+        for lineno, row in records:
+            if idx >= len(row):
+                raise ParseError("short row", lineno)
+            if row[idx] != "":
+                values.append(_parse_value(row[idx], lineno))
     if len(values) < 2:
         raise DegenerateInput("need at least two tsi values")
     return np.asarray(values)

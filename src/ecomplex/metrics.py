@@ -116,17 +116,24 @@ def tsi(m: BinaryMatrix) -> np.ndarray:
     return -standardize(np.log(u))
 
 
-def _rank(v: np.ndarray) -> np.ndarray:
-    """Average ranks, the tie convention Spearman needs."""
-    import scipy.stats
+def _average_ranks(v) -> np.ndarray:
+    """1-based ranks in which tied values share the mean of their
+    positions; any NaN makes every rank NaN."""
+    v = np.asarray(v, dtype=float)
+    if np.isnan(v).any():
+        return np.full(v.shape, np.nan)
+    order = np.argsort(v, kind="stable")
+    ordered = v[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    counts = np.diff(np.r_[starts, v.size])
+    ranks = np.empty(v.size)
+    ranks[order] = np.repeat(starts + (counts + 1) / 2, counts)
+    return ranks
 
-    return scipy.stats.rankdata(v)
 
-
-def _spearman_sign(a: np.ndarray, b: np.ndarray) -> float:
-    ra, rb = _rank(a), _rank(b)
-    ra = ra - ra.mean()
-    rb = rb - rb.mean()
+def _spearman(a, b) -> float:
+    """Pearson correlation of average ranks; 0 when either side is constant."""
+    ra, rb = (r - r.mean() for r in (_average_ranks(a), _average_ranks(b)))
     denom = np.sqrt((ra * ra).sum() * (rb * rb).sum())
     if denom == 0:
         return 0.0
@@ -182,7 +189,7 @@ def eci_pci(m: BinaryMatrix) -> tuple[np.ndarray, np.ndarray, EigenReport]:
     # nonsymmetric operator's eigenvector.
     c_raw = eigvecs[:, 1] / np.sqrt(d)
     eci = standardize(c_raw)
-    flip_c = _spearman_sign(eci, d) < 0
+    flip_c = _spearman(eci, d) < 0
     if flip_c:
         eci = -eci
 
@@ -191,7 +198,7 @@ def eci_pci(m: BinaryMatrix) -> tuple[np.ndarray, np.ndarray, EigenReport]:
     if np.allclose(p_raw, p_raw.mean()):
         raise DegenerateVector("product-side eigenvector is constant")
     pci = standardize(p_raw)
-    flip_p = _spearman_sign(pci, u) > 0
+    flip_p = _spearman(pci, u) > 0
     if flip_p:
         pci = -pci
 

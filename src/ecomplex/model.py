@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln
@@ -93,12 +92,8 @@ class SophisticationDistribution:
 
 
 def _binom_float(n: int, k) -> np.ndarray:
-    """C(n, k) as floats; exact integer path for small n, log-gamma above."""
-    k = np.atleast_1d(k)
-    if n <= _EXACT_COMB_MAX:
-        return np.array([float(math.comb(n, int(x))) for x in k])
-    out = np.exp(gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1))
-    return out
+    """C(n, k) as floats from exact integers; callers keep n <= _EXACT_COMB_MAX."""
+    return np.array([float(math.comb(n, int(x))) for x in np.atleast_1d(k)])
 
 
 def coherence_prob(params: ModelParams, s: int) -> float:
@@ -125,8 +120,7 @@ def conditional_distribution(params: ModelParams, k: int) -> np.ndarray:
     tau = params.tau
     s = np.arange(k + 1)
     if k <= _EXACT_COMB_MAX:
-        comb = _binom_float(k, s)
-        return comb * tau ** s / (1.0 + tau) ** k
+        return _binom_float(k, s) * tau ** s / (1.0 + tau) ** k
     logp = (
         gammaln(k + 1)
         - gammaln(s + 1)
@@ -159,7 +153,6 @@ def world_distribution(params: ModelParams) -> SophisticationDistribution:
     s = np.arange(K + 1)
     if K + 1 <= _EXACT_COMB_MAX:
         terms = _binom_float(K + 1, s + 1) * tau ** (s + 1)
-        p = terms / terms.sum()
     else:
         logt = (
             gammaln(K + 2)
@@ -169,7 +162,7 @@ def world_distribution(params: ModelParams) -> SophisticationDistribution:
         )
         logt -= logt.max()
         terms = np.exp(logt)
-        p = terms / terms.sum()
+    p = terms / terms.sum()
     mean = float((s * p).sum())
     var = float(((s - mean) ** 2 * p).sum())
     return SophisticationDistribution(probabilities=p, mean=mean, std=math.sqrt(var))
@@ -194,10 +187,9 @@ def gaussian_binomial_approx(n: int, x: int) -> float:
     return math.exp(log_val)
 
 
-@lru_cache(maxsize=8)
 def _subset_tables(K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All 2^K subset masks of techs theta_1..theta_K with their size and
-    highest tech index. Cached: the tables depend only on K."""
+    highest tech index."""
     masks = np.arange(1 << K, dtype=np.int64)
     byte_pop = np.array([bin(b).count("1") for b in range(256)], dtype=np.int64)
     pop = np.zeros(masks.shape, dtype=np.int64)
@@ -208,11 +200,7 @@ def _subset_tables(K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # frexp exponent of an integer m > 0 is floor(log2 m) + 1, which is
     # exactly the 1-based index of the highest tech in the mask.
     _, maxidx = np.frexp(masks.astype(np.float64))
-    maxidx = maxidx.astype(np.int64)
-    masks.setflags(write=False)
-    pop.setflags(write=False)
-    maxidx.setflags(write=False)
-    return masks, pop, maxidx
+    return masks, pop, maxidx.astype(np.int64)
 
 
 @dataclass(frozen=True)

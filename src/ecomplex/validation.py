@@ -12,11 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.stats
+from scipy.special import expm1, stdtr
 
 from .errors import Collinear, DegenerateInput, JoinEmpty
 from .matrix import BinaryMatrix
-from .metrics import CountryMetrics, ProductMetrics, compute_metrics
+from .metrics import CountryMetrics, ProductMetrics, _average_ranks, _spearman, compute_metrics
 
 __all__ = [
     "IncomePanel",
@@ -110,12 +110,7 @@ def spearman(x, y) -> CorrelationResult:
         raise ValueError("need at least 3 observations")
     if np.all(x == x[0]) or np.all(y == y[0]):
         raise DegenerateInput("constant vector has no rank ordering")
-    rx = scipy.stats.rankdata(x)
-    ry = scipy.stats.rankdata(y)
-    rx -= rx.mean()
-    ry -= ry.mean()
-    stat = float((rx * ry).sum() / np.sqrt((rx * rx).sum() * (ry * ry).sum()))
-    return CorrelationResult(statistic=stat, method="spearman", n=x.size)
+    return CorrelationResult(statistic=_spearman(x, y), method="spearman", n=x.size)
 
 
 def ols(y, X, intercept: bool = True) -> RegressionResult:
@@ -154,13 +149,10 @@ def ols(y, X, intercept: bool = True) -> RegressionResult:
     xtx_inv = np.linalg.inv(design.T @ design)
     se = np.sqrt(np.clip(sigma2 * np.diag(xtx_inv), 0.0, None))
 
-    p = np.empty(k)
-    for i in range(k):
-        if se[i] == 0:
-            p[i] = 0.0 if beta[i] != 0 else 1.0
-        else:
-            t = beta[i] / se[i]
-            p[i] = 2.0 * scipy.stats.t.sf(abs(t), dof)
+    # An exact fit (se 0) gives p 0 for a nonzero coefficient, 1 for a zero one.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.abs(beta / se)
+    p = np.where(se == 0, (beta == 0).astype(float), 2.0 * stdtr(dof, -t))
 
     if intercept:
         tss = float(((y - y.mean()) ** 2).sum())
@@ -188,7 +180,7 @@ def rank_transform(v, reversed: bool = True) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.size < 1:
         raise ValueError("empty vector")
-    r = scipy.stats.rankdata(v)
+    r = _average_ranks(v)
     return r if reversed else v.size + 1 - r
 
 
@@ -339,6 +331,7 @@ def fit_exponential(values) -> tuple[float, float]:
     if np.any(values <= 0):
         raise DegenerateInput("exponential fit needs strictly positive values")
     mean = float(values.mean())
-    rate = 1.0 / mean
-    ks = float(scipy.stats.kstest(values, "expon", args=(0, mean)).statistic)
-    return rate, ks
+    n = values.size
+    cdf = -expm1(-np.sort(values) / mean)
+    ks = max((np.arange(1.0, n + 1) / n - cdf).max(), (cdf - np.arange(0.0, n) / n).max())
+    return 1.0 / mean, float(ks)

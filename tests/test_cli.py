@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -327,6 +331,25 @@ class TestConfigPrecedence:
         assert main(["simulate", "--config", str(cfg),
                      "--out-dir", str(tmp_path)]) == 65
 
+    @pytest.mark.parametrize("entry", [
+        {"K": "12"}, {"tol": None}, {"samples": 2.5}, {"seed": True},
+        {"tau": False}, {"mode": 1}, {"max_iter": [10]},
+    ])
+    def test_mistyped_value_exits_65(self, tmp_path, entry, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(entry))
+        assert main(["simulate", "--config", str(cfg),
+                     "--out-dir", str(tmp_path)]) == 65
+        key = next(iter(entry))
+        assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / "world.txt").exists()
+
+    def test_int_is_a_valid_float(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"tau": 1, "K": 3, "mode": "exact"}')
+        assert main(["simulate", "--config", str(cfg),
+                     "--out-dir", str(tmp_path)]) == 0
+
 
 class TestDataDirFallback:
     def test_relative_input_resolves(self, tmp_path, monkeypatch):
@@ -478,6 +501,22 @@ class TestNonFiniteTsi:
         src.write_text('{"rows": [{"tsi": 0.5}, {"tsi": NaN}, {"tsi": -1.0}, {"tsi": null}]}')
         assert main(["fit-tau", str(src), "--out-dir", str(tmp_path)]) == 65
 
+    @pytest.mark.parametrize("text, message", [
+        ("{not json", "line 1: invalid JSON"),
+        ("[1, 2, 3]", "expected a list of row objects"),
+        ('{"rows": [{"tsi": 0.5}, {"tsi": true}, {"tsi": -1.0}]}',
+         "row 1: tsi True is not a number"),
+        ('{"rows": [{"tsi": 0.5}, {"tsi": "1.5"}, {"tsi": -1.0}]}',
+         "row 1: tsi '1.5' is not a number"),
+        ('{"rows": 3}', "expected a list of row objects"),
+    ])
+    def test_malformed_json_exits_65(self, tmp_path, text, message):
+        src = tmp_path / "products.json"
+        src.write_text(text)
+        assert main(["fit-tau", str(src), "--out-dir", str(tmp_path)]) == 65
+        with pytest.raises(ParseError, match=message):
+            read_tsi_column(src)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_estimate_tau_raises(self, bad):
         with pytest.raises(DegenerateInput, match="finite"):
@@ -528,3 +567,33 @@ class TestReports:
         assert main(["validate", str(path), str(income),
                      "--out-dir", str(tmp_path / "out")]) == 0
         assert calls == {"join_panel": 1, "rank_transform": 3}
+
+
+class TestImportFootprint:
+    def test_no_scipy_stats_after_import_or_any_command(self, tmp_path):
+        # A fresh interpreter: the test process itself may hold scipy.stats.
+        (tmp_path / "trade.csv").write_text(TRADE)
+        matrix_file(tmp_path, CONVERGENT)
+        income_file(tmp_path)
+        script = f"""
+import sys
+import ecomplex
+from ecomplex.cli import main
+assert "scipy.stats" not in sys.modules, "import ecomplex"
+d = {str(tmp_path)!r}
+runs = [
+    ["ingest", d + "/trade.csv"],
+    ["metrics", d + "/m.txt"],
+    ["simulate", "--mode", "exact", "--K", "6", "--tau", "0.3"],
+    ["validate", d + "/m.txt", d + "/income.csv"],
+    ["fit-tau", d + "/products.csv", "--K", "12"],
+]
+for argv in runs:
+    assert main(argv + ["--out-dir", d]) == 0, argv
+    assert "scipy.stats" not in sys.modules, argv[0]
+"""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                              env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr

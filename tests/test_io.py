@@ -11,6 +11,7 @@ from ecomplex import (
     read_income_csv,
     read_matrix,
     read_trade_csv,
+    read_tsi_column,
     sha256_file,
     write_matrix,
 )
@@ -132,6 +133,36 @@ class TestIncomeCsv:
         p = write(tmp_path / "i.csv", "country,income,rents\nUSA,1,0\n")
         with pytest.raises(ParseError, match="line 1"):
             read_income_csv(p)
+
+
+class TestPhysicalLineNumbers:
+    """Errors name the physical line where the bad record starts, even
+    after an earlier quoted field spanned two lines."""
+
+    def test_trade_csv(self, tmp_path):
+        p = write(tmp_path / "t.csv",
+                  'country,product,value\nA,x,"1\n"\nC,x\n')
+        with pytest.raises(ParseError, match="line 4: expected 3 fields"):
+            read_trade_csv(p)
+
+    def test_income_csv(self, tmp_path):
+        p = write(tmp_path / "i.csv",
+                  'country,gdp,natural_rents\n"two\nlines",1,0\nC,x,1\n')
+        with pytest.raises(ParseError, match="line 4: cannot parse"):
+            read_income_csv(p)
+
+    def test_tsi_column(self, tmp_path):
+        p = write(tmp_path / "products.csv",
+                  'product,u,tsi\n"two\nlines",1,0.5\nq,1,x\n')
+        with pytest.raises(ParseError, match="line 4: cannot parse"):
+            read_tsi_column(p)
+
+    @pytest.mark.parametrize("reader", [read_trade_csv, read_income_csv,
+                                        read_tsi_column])
+    def test_empty_file(self, tmp_path, reader):
+        p = write(tmp_path / "e.csv", "")
+        with pytest.raises(ParseError, match="line 1: empty file"):
+            reader(p)
 
 
 class TestCanonicalMatrixFile:

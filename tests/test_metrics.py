@@ -2,6 +2,9 @@ from itertools import islice
 
 import numpy as np
 import pytest
+import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from ecomplex import (
@@ -19,6 +22,7 @@ from ecomplex import (
     tdi,
     tsi,
 )
+from ecomplex.metrics import _average_ranks
 
 ROOT_3_2 = np.sqrt(1.5)  # pop-std-1 value of the extreme point of a 3-point
                          # vector with equally spaced entries
@@ -101,6 +105,28 @@ def _dense_eigen_oracle(m: BinaryMatrix):
     return vals[order], vecs[:, order]
 
 
+class TestAverageRanks:
+    """The package's rank kernel reproduces scipy.stats.rankdata bit for bit."""
+
+    # Few distinct values force ties; inf and NaN are rank edge cases.
+    _values = st.one_of(
+        st.sampled_from([-2.0, 0.0, -0.0, 1.5, 3.0, np.inf, -np.inf]),
+        st.floats(allow_nan=False),
+    )
+
+    @given(st.lists(_values, min_size=1, max_size=300),
+           st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_rankdata(self, xs, with_nan):
+        v = np.array(xs)
+        if with_nan:
+            v[len(v) // 2] = np.nan
+        expected = scipy.stats.rankdata(v)
+        got = _average_ranks(v)
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+
+
 class TestEciPci:
     def test_nested_ordering_and_values(self, nested3):
         eci, pci, report = eci_pci(nested3)
@@ -169,6 +195,20 @@ class TestEciPci:
     def test_uniform_matrix_degenerate_spectrum(self):
         with pytest.raises(DegenerateSpectrum):
             eci_pci(BinaryMatrix.from_dense(np.ones((4, 5))))
+
+    def test_constant_diversification_keeps_orientation(self):
+        # every country has d = 3: the ECI/diversification rank
+        # correlation is 0, so the sign is left as the solver gave it
+        m = BinaryMatrix.from_dense(np.array([
+            [0, 1, 0, 0, 1, 0, 1],
+            [0, 0, 1, 1, 1, 0, 0],
+            [0, 0, 1, 0, 1, 1, 0],
+            [0, 1, 1, 1, 0, 0, 0],
+            [1, 0, 0, 1, 0, 1, 0],
+        ]))
+        assert np.all(m.diversification == 3)
+        _, _, report = eci_pci(m)
+        assert report.eci_sign_flipped is False
 
     def test_too_small_raises(self):
         with pytest.raises(DegenerateVector):

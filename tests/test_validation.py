@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -141,6 +142,20 @@ class TestOls:
         design = np.column_stack([X, np.ones(n)])
         direct = np.linalg.solve(design.T @ design, design.T @ y)
         assert_allclose(res.coefficients, direct, rtol=1e-8, atol=1e-8)
+
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_p_values_equal_student_t(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 8 + 5 * seed
+        x1, x2 = rng.normal(size=n), rng.normal(size=n)
+        y = 0.3 * x1 + rng.normal(size=n)
+        for intercept in (True, False):
+            res = ols(y, [x1, x2], intercept=intercept)
+            dof = n - len(res.coefficients)
+            t = res.coefficients / res.standard_errors
+            expected = 2.0 * scipy.stats.t.sf(np.abs(t), dof)
+            assert res.p_values.tobytes() == expected.tobytes()
 
 
 class TestRankTransform:
@@ -305,6 +320,14 @@ class TestFitExponential:
         rate, ks = fit_exponential(rng.exponential(scale=0.5, size=100000))
         assert abs(rate - 2.0) < 0.02
         assert ks < 0.01
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_ks_equals_kstest(self, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.gamma(0.5 + seed, size=10 + 97 * seed)
+        _, ks = fit_exponential(values)
+        expected = scipy.stats.kstest(values, "expon", args=(0, values.mean()))
+        assert ks == float(expected.statistic)
 
     def test_rejects_bad_input(self):
         with pytest.raises(DegenerateInput):
