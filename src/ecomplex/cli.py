@@ -92,7 +92,7 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             if isinstance(value, bool) or not isinstance(value, allowed):
                 raise ParseError(f"config key {key!r} must be {kind.__name__}, "
                                  f"got {type(value).__name__}")
-            merged[key] = value
+            merged[key] = float(value) if kind is float else value
     for f in fields(RunConfig):
         flag_value = getattr(args, f.name, None)
         if flag_value is not None:

@@ -19,6 +19,7 @@ import csv
 import hashlib
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -184,25 +185,74 @@ def read_tsi_column(path) -> np.ndarray:
 
 
 def write_matrix(m, path) -> None:
-    """Write an ExportMatrix (valued) or BinaryMatrix (binary) canonically."""
+    """Write an ExportMatrix (valued) or BinaryMatrix (binary) canonically.
+
+    Raises ValueError when an entry lies outside the matrix.
+    """
     valued = isinstance(m, ExportMatrix)
+    order = np.lexsort((m.vals, m.cols, m.rows) if valued else (m.cols, m.rows))
+    rows, cols = m.rows[order], m.cols[order]
+    if len(order) and not (0 <= rows.min() and rows.max() < m.n_countries
+                           and 0 <= cols.min() and cols.max() < m.n_products):
+        raise ValueError("matrix entry out of range")
+    # each line is "<i> <j>\n" or "<i> <j> <value>\n", as bytes built from per-index strings
+    row_text = np.array([f"{i} " for i in range(m.n_countries)], dtype="S")
+    col_end = " " if valued else "\n"
+    col_text = np.array([f"{j}{col_end}" for j in range(m.n_products)], dtype="S")
+    lines = np.strings.add(row_text[rows], col_text[cols])
     if valued:
-        cells = sorted(zip(m.rows.tolist(), m.cols.tolist(), m.vals.tolist()))
-    else:
-        cells = sorted(zip(m.rows.tolist(), m.cols.tolist()))
-    lines = [f"countries={m.n_countries} products={m.n_products} entries={len(cells)}"]
-    lines.extend(f"c {lab}" for lab in m.country_labels)
-    lines.extend(f"p {lab}" for lab in m.product_labels)
-    if valued:
-        lines.extend(f"{i} {j} {repr(float(v))}" for i, j, v in cells)
-    else:
-        lines.extend(f"{i} {j}" for i, j in cells)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        values = np.array([repr(v) + "\n" for v in m.vals[order].tolist()], dtype="S")
+        lines = np.strings.add(lines, values)
+    head = [f"countries={m.n_countries} products={m.n_products} entries={len(order)}"]
+    head.extend(f"c {lab}" for lab in m.country_labels)
+    head.extend(f"p {lab}" for lab in m.product_labels)
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(head) + "\n").encode("utf-8"))
+        # the lines are NUL-padded to one width; they hold no NUL, so dropping NULs leaves the text
+        text = lines.view(np.uint8)
+        fh.write(text[text != 0])
+
+
+def _parse_entries(lines: list[str], dtype) -> tuple[np.ndarray, int | None]:
+    """Parse entry lines with numpy's C text parser.
+
+    Returns the table of the lines before the first line the parser
+    rejects, and that line's index (None when every line parses). The
+    parser skips blank lines, so a prefix parses only if it gives one row
+    per line; the first rejected line is found by bisection.
+    """
+    def load(k: int) -> np.ndarray | None:
+        if k == 0:
+            return np.zeros(0, dtype)
+        try:
+            with warnings.catch_warnings():  # all-blank input warns "no data"
+                warnings.simplefilter("ignore", UserWarning)
+                table = np.loadtxt(lines[:k], dtype=dtype, comments=None, ndmin=1)
+        except ValueError:
+            return None
+        return table if len(table) == k else None
+
+    table = load(len(lines))
+    if table is not None:
+        return table, None
+    lo, hi, table = 0, len(lines), load(0)  # lines[:lo] parse, lines[:hi] do not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        prefix = load(mid)
+        if prefix is None:
+            hi = mid
+        else:
+            lo, table = mid, prefix
+    return table, lo
 
 
 def read_matrix(path):
     """Read a canonical matrix file back; returns ExportMatrix when the
-    entry lines carry values, BinaryMatrix otherwise."""
+    entry lines carry values, BinaryMatrix otherwise.
+
+    Entry faults are reported at the first offending line, in the order a
+    line is checked: field count, indices, range, order, value.
+    """
     text = Path(path).read_text(encoding="utf-8")
     lines = text.splitlines()
     if not lines:
@@ -221,45 +271,62 @@ def read_matrix(path):
         )
 
     def label_block(offset: int, count: int, prefix: str) -> tuple[str, ...]:
-        labs = []
-        for k in range(count):
-            lineno = offset + k + 1
-            line = lines[offset + k]
-            if not line.startswith(prefix + " "):
-                raise ParseError(f"expected a {prefix!r} label line", lineno)
-            labs.append(line[2:])
-        return tuple(labs)
+        block, tag = lines[offset:offset + count], prefix + " "
+        if not count:
+            return ()
+        # one piece per line exactly when every line after the first starts with tag
+        labels = "\n".join(block)[len(tag):].split("\n" + tag)
+        if not block[0].startswith(tag) or len(labels) != count:
+            k = next(k for k, line in enumerate(block) if not line.startswith(tag))
+            raise ParseError(f"expected a {prefix!r} label line", offset + k + 1)
+        return tuple(labels)
 
     countries = label_block(1, n, "c")
     products = label_block(1 + n, m, "p")
 
-    rows = np.empty(z, dtype=np.intp)
-    cols = np.empty(z, dtype=np.intp)
-    vals = np.empty(z, dtype=float)
-    valued = None
-    prev = (-1, -1)
-    for k in range(z):
-        lineno = 1 + n + m + k + 1
-        parts = lines[1 + n + m + k].split()
-        if valued is None:
-            valued = len(parts) == 3
-        if len(parts) != (3 if valued else 2):
-            raise ParseError("inconsistent entry line", lineno)
-        try:
-            i, j = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError("bad entry indices", lineno) from None
-        if not (0 <= i < n and 0 <= j < m):
-            raise ParseError(f"entry ({i}, {j}) out of range", lineno)
-        if (i, j) <= prev:
-            raise ParseError("entries must be sorted by (i, j) without repeats", lineno)
-        prev = (i, j)
-        rows[k], cols[k] = i, j
-        if valued:
-            v = _parse_value(parts[2], lineno)
-            if v <= 0:
-                raise ParseError("stored values must be positive", lineno)
-            vals[k] = v
+    first = 2 + n + m  # physical line of entry 0
+    entry_lines = lines[first - 1:]
+    valued = z > 0 and len(entry_lines[0].split()) == 3
+    dtype = [("i", np.int64), ("j", np.int64)] + ([("v", float)] if valued else [])
+    table, bad = _parse_entries(entry_lines, dtype)
+    rows, cols = table["i"], table["j"]
+    vals = table["v"] if valued else np.ones(len(table))
+    late = None  # the first unparsable line's fault, unless an earlier line has one
+    if bad is not None:
+        parts = entry_lines[bad].split()
+        if len(parts) != len(dtype):
+            late = "inconsistent entry line"
+        else:
+            try:
+                i, j = np.loadtxt([" ".join(parts[:2])], dtype=np.int64, comments=None)
+            except ValueError:
+                late = "bad entry indices"
+            else:
+                # its value failed to parse; range and order are checked first
+                rows, cols, vals = np.append(rows, i), np.append(cols, j), np.append(vals, 1.0)
+                late = f"cannot parse value {parts[2]!r}"
+
+    prev_i = np.concatenate([[-1], rows[:-1]])
+    prev_j = np.concatenate([[-1], cols[:-1]])
+    faults = np.stack([
+        (rows < 0) | (rows >= n) | (cols < 0) | (cols >= m),
+        (rows < prev_i) | ((rows == prev_i) & (cols <= prev_j)),
+        ~np.isfinite(vals),
+        vals <= 0,
+    ])
+    if faults.any():
+        k = int(np.argmax(faults.any(axis=0)))
+        kind = int(np.argmax(faults[:, k]))
+        messages = (
+            f"entry ({rows[k]}, {cols[k]}) out of range",
+            "entries must be sorted by (i, j) without repeats",
+            f"non-finite value {entry_lines[k].split()[-1]!r}",  # the value field
+            "stored values must be positive",
+        )
+        raise ParseError(messages[kind], first + k)
+    if late is not None:
+        raise ParseError(late, first + bad)
+    rows, cols = rows.astype(np.intp), cols.astype(np.intp)
     if valued:
-        return ExportMatrix(countries, products, rows, cols, vals)
+        return ExportMatrix(countries, products, rows, cols, vals.copy())
     return BinaryMatrix(countries, products, rows, cols)

@@ -240,17 +240,14 @@ class SyntheticWorld:
 
 
 def _build_world(params: ModelParams, s_arr, maxidx_arr, labels) -> SyntheticWorld:
-    """Assemble the nested-endowment matrix from per-product metadata."""
+    """Assemble the nested-endowment matrix from per-product metadata:
+    product j is made by countries maxidx_j..K."""
     K = params.K
-    n_products = len(s_arr)
-    ubiq = (K + 1 - maxidx_arr).astype(np.intp)
-    cols = np.repeat(np.arange(n_products, dtype=np.intp), ubiq)
-    if n_products:
-        rows = np.concatenate(
-            [np.arange(t, K + 1, dtype=np.intp) for t in maxidx_arr]
-        )
-    else:
-        rows = np.zeros(0, dtype=np.intp)
+    top = np.asarray(maxidx_arr, dtype=np.intp)
+    ubiq = K + 1 - top
+    cols = np.repeat(np.arange(len(top), dtype=np.intp), ubiq)
+    # entry e of product j sits in row top_j + (e - index of j's first entry)
+    rows = np.arange(len(cols), dtype=np.intp) + np.repeat(top - (np.cumsum(ubiq) - ubiq), ubiq)
     matrix = BinaryMatrix(
         tuple(f"k{k}" for k in range(K + 1)),
         tuple(labels),
@@ -263,6 +260,40 @@ def _build_world(params: ModelParams, s_arr, maxidx_arr, labels) -> SyntheticWor
         product_sophistication=np.asarray(s_arr, dtype=np.int64),
         product_max_tech=np.asarray(maxidx_arr, dtype=np.int64),
     )
+
+
+def _hex_labels(words: np.ndarray) -> list[str]:
+    """Product labels "p<hex mask>" from subset bit words (one row per
+    product, word w holding techs 64w+1..64w+64, lowest word first)."""
+    width = 8 * words.shape[1]
+    raw = words.astype("<u8").tobytes()
+    return [f"p{int.from_bytes(raw[k:k + width], 'little'):x}"
+            for k in range(0, len(raw), width)]
+
+
+def _floyd_subsets(rng: np.random.Generator, K: int,
+                   sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One uniform sizes[i]-subset of the K techs per sample, all drawn at
+    once by Floyd's algorithm (Bentley & Floyd, CACM 30, 1987).
+
+    Floyd's step for j = K-s..K-1 draws t uniform on 0..j and adds t, or j
+    when t is already held; step k runs it for every sample with s > k.
+    Returns the subsets as a samples x ceil(K/64) uint64 bit block (bit b
+    of word w is tech 64w+b+1) and each sample's highest tech (0 when
+    empty).
+    """
+    words = np.zeros((len(sizes), max(1, -(-K // 64))), dtype=np.uint64)
+    top = np.zeros(len(sizes), dtype=np.int64)
+    for k in range(int(sizes.max(initial=0))):
+        active = np.flatnonzero(sizes > k)
+        j = K - sizes[active] + k
+        t = rng.integers(0, j + 1)
+        held = (words[active, t >> 6] >> (t & 63).astype(np.uint64)) & np.uint64(1)
+        pick = np.where(held == 1, j, t)
+        words[active, pick >> 6] |= np.uint64(1) << (pick & 63).astype(np.uint64)
+        # j exceeds every tech held so far, so the newest pick may raise the top
+        top[active] = np.maximum(top[active], pick + 1)
+    return words, top
 
 
 def simulate_world(
@@ -294,52 +325,43 @@ def simulate_world(
         masks, pop, maxidx = masks[keep], pop[keep], maxidx[keep]
         order = np.lexsort((masks, pop))
         masks, pop, maxidx = masks[order], pop[order], maxidx[order]
-        labels = [f"p{int(m):x}" for m in masks]
-        return _build_world(params, pop, maxidx, labels)
+        return _build_world(params, pop, maxidx, _hex_labels(masks[:, None]))
 
     if mode in ("monte_carlo", "mc"):
         if samples is None or samples < 1:
             raise ValueError("monte_carlo mode needs samples >= 1")
         q = params.tau / (1.0 + params.tau)
         sizes = rng.binomial(K, q, size=samples)
-        seen: dict[int, tuple[int, int]] = {}
-        for s in sizes:
-            if s == 0:
-                mask, top = 0, 0
-            else:
-                idx = rng.choice(K, size=int(s), replace=False)
-                mask = 0
-                for i in idx:
-                    mask |= 1 << int(i)
-                top = int(idx.max()) + 1
-            seen.setdefault(mask, (int(s), top))
-        ordered = sorted(seen.items(), key=lambda kv: (kv[1][0], kv[0]))
-        labels = [f"p{mask:x}" for mask, _ in ordered]
-        s_arr = np.array([meta[0] for _, meta in ordered], dtype=np.int64)
-        top_arr = np.array([meta[1] for _, meta in ordered], dtype=np.int64)
-        return _build_world(params, s_arr, top_arr, labels)
+        words, top = _floyd_subsets(rng, K, sizes)
+        # order by (s, mask): lexsort's last key leads, then high word to low
+        order = np.lexsort((*words.T, sizes))
+        words, sizes, top = words[order], sizes[order], top[order]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = np.any(words[1:] != words[:-1], axis=1)
+        words, sizes, top = words[first], sizes[first], top[first]
+        return _build_world(params, sizes, top, _hex_labels(words))
 
     raise ValueError(f"unknown mode {mode!r}")
 
 
 def _ks_distance(model_x: np.ndarray, model_p: np.ndarray,
-                 sample: np.ndarray) -> float:
+                 sample_sorted: np.ndarray, atoms: np.ndarray,
+                 emp_at_atoms: np.ndarray) -> float:
     """Sup-distance between a discrete CDF and an empirical CDF.
 
     Both are right-continuous step functions, so the supremum is attained
-    at (or just before) a jump point of either; evaluating both CDFs on
-    the merged grid and comparing values and left limits covers every
-    case.
+    at a jump point of either: a model atom or a sample atom. ``atoms`` are
+    the sample's distinct values and ``emp_at_atoms`` its CDF there, both
+    fixed across candidates; the model CDF is evaluated at every atom and
+    the empirical CDF at the model atoms. The left limit at a grid point
+    is the value at the grid point before it, so values alone cover it.
     """
-    grid = np.unique(np.concatenate([model_x, sample]))
-    model_cdf = np.cumsum(model_p)[np.searchsorted(model_x, grid, side="right") - 1]
-    model_cdf = np.where(np.searchsorted(model_x, grid, side="right") == 0,
-                         0.0, model_cdf)
-    emp_cdf = np.searchsorted(np.sort(sample), grid, side="right") / len(sample)
-    d_at = np.abs(model_cdf - emp_cdf)
-    d_left = np.abs(np.concatenate([[0.0], model_cdf[:-1]])
-                    - np.concatenate([[0.0], emp_cdf[:-1]]))
-    return float(max(d_at.max(), d_left.max()))
+    model_cdf = np.cumsum(model_p)
+    pos = np.searchsorted(model_x, atoms, side="right")
+    at_atoms = np.where(pos == 0, 0.0, model_cdf[pos - 1])
+    emp_at_model = np.searchsorted(sample_sorted, model_x, side="right") / len(sample_sorted)
+    return float(max(np.abs(at_atoms - emp_at_atoms).max(),
+                     np.abs(model_cdf - emp_at_model).max()))
 
 
 def estimate_tau(tsi_values, K: int) -> tuple[float, float]:
@@ -368,12 +390,15 @@ def estimate_tau(tsi_values, K: int) -> tuple[float, float]:
         raise DegenerateInput("input values must be finite")
     if tsi_values.size < 2 or tsi_values.std() == 0:
         raise DegenerateInput("input values have zero variance")
+    sample_sorted = np.sort(tsi_values)
+    atoms = np.unique(sample_sorted)
+    emp_at_atoms = np.searchsorted(sample_sorted, atoms, side="right") / len(sample_sorted)
     best_tau, best_d = None, None
     for step in range(1, 501):
         tau = step / 1000.0
         dist = world_distribution(ModelParams(tau=tau, K=K))
         x = dist.standardized_support
-        d = _ks_distance(x, dist.probabilities, tsi_values)
+        d = _ks_distance(x, dist.probabilities, sample_sorted, atoms, emp_at_atoms)
         if best_d is None or d < best_d:
             best_tau, best_d = tau, d
     return best_tau, best_d

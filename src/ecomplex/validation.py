@@ -57,10 +57,11 @@ class IncomePanel:
         n = len(self.country_labels)
         if len(self.gdp) != n or len(self.natural_rents) != n:
             raise ValueError("field lengths disagree")
-        if np.any(np.asarray(self.gdp) <= 0):
-            raise ValueError("gdp must be strictly positive")
-        if np.any(np.asarray(self.natural_rents) < 0):
-            raise ValueError("natural rents must be non-negative")
+        gdp, rents = np.asarray(self.gdp), np.asarray(self.natural_rents)
+        if not np.all(np.isfinite(gdp) & (gdp > 0)):
+            raise ValueError("gdp must be finite and strictly positive")
+        if not np.all(np.isfinite(rents) & (rents >= 0)):
+            raise ValueError("natural rents must be finite and non-negative")
 
 
 @dataclass(frozen=True)

@@ -350,6 +350,19 @@ class TestConfigPrecedence:
         assert main(["simulate", "--config", str(cfg),
                      "--out-dir", str(tmp_path)]) == 0
 
+    def test_int_for_float_echoes_like_the_flag(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"tau": 1, "K": 3, "mode": "exact"}')
+        reports = []
+        for name, extra in (("file", ["--config", str(cfg)]),
+                            ("flag", ["--tau", "1", "--K", "3", "--mode", "exact"])):
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            assert main(["simulate", *extra, "--out-dir", "out"]) == 0
+            reports.append((tmp_path / name / "out" / "simulate_report.json").read_bytes())
+        assert b'"tau": 1.0' in reports[1]
+        assert reports[0] == reports[1]
+
 
 class TestDataDirFallback:
     def test_relative_input_resolves(self, tmp_path, monkeypatch):

@@ -62,6 +62,10 @@ RUNS = {
     "fit_tau": ["fit-tau", "metrics/products.csv", "--K", "12", "--out-dir", "fit_tau"],
     "simulate": ["simulate", "--mode", "exact", "--K", "6", "--seed", "11", "--tau", "0.3",
                  "--out-dir", "simulate"],
+    # pins the Monte Carlo sampler's draw order
+    "simulate_mc": ["simulate", "--mode", "mc", "--K", "40", "--tau", "0.07", "--samples", "300",
+                    "--seed", "5", "--out-dir", "simulate_mc"],
+    "metrics_mc": ["metrics", "simulate_mc/world.txt", "--out-dir", "metrics_mc"],
 }
 
 

@@ -273,6 +273,222 @@ class TestCanonicalMatrixFile:
             read_matrix(p)
 
 
+HEAD = "countries=2 products=1 entries={z}\nc x\nc y\np q\n"
+
+
+class TestMatrixErrorLines:
+    """Every entry-block error names the physical line that holds it."""
+
+    @pytest.mark.parametrize("entries, line, message", [
+        (["0 1"], 5, r"entry \(0, 1\) out of range"),
+        (["0 0", "2 0"], 6, r"entry \(2, 0\) out of range"),
+        (["-1 0"], 5, r"entry \(-1, 0\) out of range"),
+        (["1 0", "0 0"], 6, "entries must be sorted by"),
+        (["0 0", "0 0"], 6, "without repeats"),
+        (["0 0 1.0", "1 0 0.0"], 6, "stored values must be positive"),
+        (["0 0 -2.5"], 5, "stored values must be positive"),
+        (["0 0 1.0", "1 0 inf"], 6, "non-finite value 'inf'"),
+        (["0 0 nan"], 5, "non-finite value 'nan'"),
+        (["0 0 1.0", "1 0 abc"], 6, "cannot parse value 'abc'"),
+        (["0 x"], 5, "bad entry indices"),
+        (["0 0", "1.0 0"], 6, "bad entry indices"),
+        (["0 0 1.0", "x 0 1.0"], 6, "bad entry indices"),
+        (["0 0 1.0", "1 0"], 6, "inconsistent entry line"),
+        (["0 0", "1 0 1.0"], 6, "inconsistent entry line"),
+        (["0 0", ""], 6, "inconsistent entry line"),
+        (["0"], 5, "inconsistent entry line"),
+        (["0 0 1.0 2.0"], 5, "inconsistent entry line"),
+        # the first offending line wins, whatever the kind of fault
+        (["0 0", "0 5", "1 x"], 6, "out of range"),
+        (["1 0", "0 0", "1 x"], 6, "sorted"),
+        (["0 0 1.0", "1 0 -1.0", "1 0 abc"], 6, "positive"),
+        (["0 0 abc", "1 0 -1.0"], 5, "cannot parse value"),
+        (["0 9 abc"], 5, "out of range"),
+    ])
+    def test_entry_block(self, tmp_path, entries, line, message):
+        p = write(tmp_path / "m.txt",
+                  HEAD.format(z=len(entries)) + "\n".join(entries) + "\n")
+        with pytest.raises(ParseError, match=f"^line {line}: .*{message}") as info:
+            read_matrix(p)
+        assert info.value.line == line
+
+    def test_wrong_label_prefix(self, tmp_path):
+        p = write(tmp_path / "m.txt",
+                  "countries=2 products=1 entries=0\nc x\nq y\np q\n")
+        with pytest.raises(ParseError, match="^line 3: expected a 'c' label line"):
+            read_matrix(p)
+        p = write(tmp_path / "m.txt",
+                  "countries=2 products=1 entries=0\nc x\nc y\nc q\n")
+        with pytest.raises(ParseError, match="^line 4: expected a 'p' label line"):
+            read_matrix(p)
+
+    @pytest.mark.parametrize("valued", [False, True])
+    @pytest.mark.parametrize("defect, message", [
+        ("swap", "sorted"),
+        ("index", "bad entry indices"),
+        ("width", "inconsistent entry line"),
+        ("range", "out of range"),
+        ("blank", "inconsistent entry line"),
+    ])
+    def test_deep_defect(self, tmp_path, valued, defect, message):
+        rng = np.random.default_rng(4)
+        dense = rng.uniform(0.5, 2.0, size=(100, 100))
+        m = ExportMatrix.from_dense(dense) if valued else BinaryMatrix.from_dense(dense)
+        path = tmp_path / "m.txt"
+        write_matrix(m, path)
+        lines = path.read_text().splitlines()
+        k = 1 + 100 + 100 + 7321  # 0-based index of entry 7321
+        if defect == "swap":
+            lines[k], lines[k + 1] = lines[k + 1], lines[k]
+        elif defect == "index":
+            lines[k] = "7x" + lines[k][1:]
+        elif defect == "width":
+            lines[k] = lines[k] + " 1"
+        elif defect == "range":
+            lines[k] = "100" + lines[k][2:]
+        else:
+            lines[k] = ""
+        path.write_text("\n".join(lines) + "\n")
+        # a swap leaves line k + 1 in order and breaks the order at k + 2
+        line = k + 2 if defect == "swap" else k + 1
+        with pytest.raises(ParseError, match=f"^line {line}: .*{message}"):
+            read_matrix(path)
+
+    def test_random_floats_round_trip_bitwise(self, tmp_path):
+        rng = np.random.default_rng(21)
+        bits = rng.integers(0, 2 ** 63, size=4000, dtype=np.uint64)
+        vals = bits.view(np.float64)
+        vals = vals[np.isfinite(vals) & (vals > 0)]
+        vals = np.concatenate([vals, [5e-324, 1.7976931348623157e308, 1e16, 1e-5,
+                                      0.1, 3.0, 123456789012345678.0, 2.5e-308]])
+        rows = np.arange(len(vals)) // 50
+        cols = np.arange(len(vals)) % 50
+        m = ExportMatrix(tuple(f"c{i}" for i in range(rows.max() + 1)),
+                         tuple(f"p{j}" for j in range(50)), rows, cols, vals)
+        path = tmp_path / "m.txt"
+        write_matrix(m, path)
+        back = read_matrix(path)
+        expected = np.array([float(repr(float(v))) for v in vals])
+        assert back.vals.tobytes() == expected.tobytes()
+        assert back.rows.tolist() == rows.tolist()
+        assert back.cols.tolist() == cols.tolist()
+        entry_values = [line.split()[2] for line in path.read_text().splitlines()[-len(vals):]]
+        assert entry_values == [repr(float(v)) for v in vals]
+
+
+def _reference_read_entries(lines, n, m):
+    """Line-by-line reading of an entry block, as a loop: the reference the
+    array reader must agree with. Returns (rows, cols, vals) or raises."""
+    rows, cols, vals, prev, valued = [], [], [], (-1, -1), None
+    for k, line in enumerate(lines):
+        lineno = 2 + n + m + k
+        parts = line.split()
+        if valued is None:
+            valued = len(parts) == 3
+        if len(parts) != (3 if valued else 2):
+            raise ParseError("inconsistent entry line", lineno)
+        try:
+            i, j = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ParseError("bad entry indices", lineno) from None
+        if not (0 <= i < n and 0 <= j < m):
+            raise ParseError(f"entry ({i}, {j}) out of range", lineno)
+        if (i, j) <= prev:
+            raise ParseError("entries must be sorted by (i, j) without repeats", lineno)
+        prev = (i, j)
+        rows.append(i)
+        cols.append(j)
+        if valued:
+            try:
+                v = float(parts[2])
+            except ValueError:
+                raise ParseError(f"cannot parse value {parts[2]!r}", lineno) from None
+            if not np.isfinite(v):
+                raise ParseError(f"non-finite value {parts[2]!r}", lineno)
+            if v <= 0:
+                raise ParseError("stored values must be positive", lineno)
+            vals.append(v)
+    return rows, cols, vals
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_read_matrix_agrees_with_line_reference(tmp_path, seed):
+    """Random entry blocks with a few random faults: the reader raises the
+    reference's error (message and line) or returns the same entries."""
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+    valued = bool(seed % 2)
+    cells = sorted({(int(rng.integers(n)), int(rng.integers(m)))
+                    for _ in range(int(rng.integers(1, 12)))})
+    lines = [f"{i} {j} {rng.uniform(0.1, 9.0)!r}" if valued else f"{i} {j}"
+             for i, j in cells]
+    faults = ["", "   ", "x", "-1", str(n), "0.5", "inf", "nan", "0", "-2.0", "abc",
+              "1e400", "1 2 3 4", "+1"]
+    for _ in range(int(rng.integers(0, 3))):
+        k = int(rng.integers(len(lines)))
+        parts = lines[k].split()
+        action = int(rng.choice([0, 1, 1, 1, 1, 2, 3]))
+        if action == 0:
+            lines[k] = str(rng.choice(faults))
+        elif action == 1 and parts:
+            parts[int(rng.integers(len(parts)))] = str(rng.choice(faults))
+            lines[k] = " ".join(parts)
+        elif action == 2 and k + 1 < len(lines):
+            lines[k], lines[k + 1] = lines[k + 1], lines[k]
+        else:
+            lines[k] = lines[k - 1]
+    path = write(tmp_path / "m.txt",
+                 f"countries={n} products={m} entries={len(lines)}\n"
+                 + "".join(f"c c{i}\n" for i in range(n))
+                 + "".join(f"p p{j}\n" for j in range(m))
+                 + "\n".join(lines) + "\n")
+    try:
+        expected = _reference_read_entries(lines, n, m)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as info:
+            read_matrix(path)
+        assert str(info.value) == str(exc)
+        return
+    got = read_matrix(path)
+    assert got.rows.tolist() == expected[0]
+    assert got.cols.tolist() == expected[1]
+    if expected[2]:
+        assert got.vals.tolist() == expected[2]
+
+
+@pytest.mark.parametrize("valued", [False, True])
+def test_write_matrix_equals_line_reference(tmp_path, valued):
+    """The array writer gives the bytes of a sorted, line-by-line f-string
+    writer, whatever order the entries come in."""
+    rng = np.random.default_rng(7)
+    dense = rng.uniform(-1.0, 3.0, size=(40, 120))
+    m = (ExportMatrix if valued else BinaryMatrix).from_dense(np.maximum(dense, 0))
+    perm = rng.permutation(len(m.rows))
+    if valued:
+        m = ExportMatrix(m.country_labels, m.product_labels,
+                         m.rows[perm], m.cols[perm], m.vals[perm])
+        cells = sorted(zip(m.rows.tolist(), m.cols.tolist(), m.vals.tolist()))
+        entries = [f"{i} {j} {v!r}" for i, j, v in cells]
+    else:
+        m = BinaryMatrix(m.country_labels, m.product_labels, m.rows[perm], m.cols[perm])
+        entries = [f"{i} {j}" for i, j in sorted(zip(m.rows.tolist(), m.cols.tolist()))]
+    expected = [f"countries=40 products=120 entries={len(entries)}"]
+    expected += [f"c {lab}" for lab in m.country_labels]
+    expected += [f"p {lab}" for lab in m.product_labels]
+    write_matrix(m, tmp_path / "m.txt")
+    assert (tmp_path / "m.txt").read_text() == "\n".join(expected + entries) + "\n"
+
+
+@pytest.mark.parametrize("m", [
+    BinaryMatrix(("a", "b"), ("x",), np.array([0, 2]), np.array([0, 0])),
+    ExportMatrix(("a", "b"), ("x",), np.array([0, -1]), np.array([0, 0]), np.ones(2)),
+    ExportMatrix(("a", "b"), ("x",), np.array([0, 1]), np.array([0, 1]), np.ones(2)),
+])
+def test_write_matrix_rejects_out_of_range_entries(tmp_path, m):
+    with pytest.raises(ValueError, match="out of range"):
+        write_matrix(m, tmp_path / "m.txt")
+
+
 class TestSha256:
     def test_known_digest(self, tmp_path):
         p = tmp_path / "f"

@@ -272,3 +272,119 @@ class TestEstimateTau:
     def test_bad_K(self):
         with pytest.raises(ValueError):
             estimate_tau(np.random.default_rng(0).normal(size=50), 0)
+
+
+def _hockey_top_pmf(K: int, s: int) -> np.ndarray:
+    """P(top = t | s) = C(t-1, s-1) / C(K, s) for t = 1..K."""
+    return np.array([math.comb(t - 1, s - 1) for t in range(1, K + 1)]) / math.comb(K, s)
+
+
+def _chi2_within(observed, expected, z=5.0) -> bool:
+    """Pearson chi-square after lumping bins with expected count < 5,
+    against a generous normal bound dof + z * sqrt(2 dof)."""
+    observed = np.asarray(observed, dtype=float)
+    expected = np.asarray(expected, dtype=float)
+    big = expected >= 5
+    obs = np.append(observed[big], observed[~big].sum())
+    exp = np.append(expected[big], expected[~big].sum())
+    keep = exp > 0
+    obs, exp = obs[keep], exp[keep]
+    dof = max(len(obs) - 1, 1)
+    stat = float(((obs - exp) ** 2 / exp).sum())
+    return stat < dof + z * math.sqrt(2 * dof)
+
+
+class TestMonteCarloLaw:
+    """The MC world's products follow P(T) proportional to tau^|T|: sizes
+    are Binomial(K, tau/(1+tau)) and, given its size, a set is uniform."""
+
+    K, TAU, SAMPLES = 40, 0.2, 20000
+
+    @pytest.fixture(scope="class", params=[0, 1, 2])
+    def world(self, request):
+        params = ModelParams(tau=self.TAU, K=self.K)
+        return simulate_world(params, "mc", samples=self.SAMPLES, seed=request.param)
+
+    def test_size_histogram_is_binomial(self, world):
+        K, N = self.K, self.SAMPLES
+        q = self.TAU / (1 + self.TAU)
+        s = np.arange(K + 1)
+        p = np.array([math.comb(K, k) * q ** k * (1 - q) ** (K - k) for k in s])
+        # Where a given set is expected to be drawn at most 1e-3 times,
+        # merging duplicates removes a negligible share of the draws.
+        rare = N * p / np.array([math.comb(K, k) for k in s]) <= 1e-3
+        assert rare.sum() >= 10
+        counts = world.sophistication_counts("pool")
+        assert _chi2_within(counts[rare], N * p[rare])
+
+    def test_each_tech_included_at_rate_s_over_K(self, world):
+        K = self.K
+        masks = [int(lab[1:], 16) for lab in world.matrix.product_labels]
+        bits = np.array([[(mk >> t) & 1 for t in range(K)] for mk in masks])
+        sizes = world.product_sophistication
+        assert np.array_equal(bits.sum(axis=1), sizes)
+        for s in range(1, K + 1):
+            sel = sizes == s
+            if sel.sum() < 50:
+                continue
+            observed = bits[sel].sum(axis=0)
+            assert _chi2_within(observed, np.full(K, sel.sum() * s / K)), s
+
+    def test_top_tech_law_given_size(self, world):
+        K = self.K
+        sizes, tops = world.product_sophistication, world.product_max_tech
+        assert np.all(tops[sizes == 0] == 0)
+        tested = 0
+        for s in range(1, K + 1):
+            sel = sizes == s
+            if sel.sum() < 100:
+                continue
+            observed = np.bincount(tops[sel] - 1, minlength=K)
+            assert _chi2_within(observed, sel.sum() * _hockey_top_pmf(K, s)), s
+            tested += 1
+        assert tested >= 5
+
+
+def _reference_ks(model_x, model_p, sample):
+    """The KS distance evaluated on the full merged grid, as a direct
+    transcription of its definition."""
+    grid = np.unique(np.concatenate([model_x, sample]))
+    pos = np.searchsorted(model_x, grid, side="right")
+    model_cdf = np.where(pos == 0, 0.0, np.cumsum(model_p)[pos - 1])
+    emp_cdf = np.searchsorted(np.sort(sample), grid, side="right") / len(sample)
+    d_at = np.abs(model_cdf - emp_cdf)
+    d_left = np.abs(np.concatenate([[0.0], model_cdf[:-1]])
+                    - np.concatenate([[0.0], emp_cdf[:-1]]))
+    return float(max(d_at.max(), d_left.max()))
+
+
+def _reference_estimate_tau(values, K):
+    best_tau, best_d = None, None
+    for step in range(1, 501):
+        tau = step / 1000.0
+        dist = world_distribution(ModelParams(tau=tau, K=K))
+        d = _reference_ks(dist.standardized_support, dist.probabilities, values)
+        if best_d is None or d < best_d:
+            best_tau, best_d = tau, d
+    return best_tau, best_d
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("ties", [False, True])
+def test_estimate_tau_equals_full_grid_reference(seed, ties):
+    rng = np.random.default_rng(seed)
+    K = int(rng.integers(3, 60))
+    n = int(rng.integers(2, 400))
+    if ties:
+        # atoms of a candidate distribution plus repeats: grid points shared
+        # between sample and model, and repeated sample values
+        tau = int(rng.integers(1, 501)) / 1000.0  # a grid candidate
+        dist = world_distribution(ModelParams(tau=tau, K=K))
+        values = rng.choice(dist.standardized_support[:6], size=n)
+        values[0], values[1] = -1.0, 2.0
+    else:
+        values = rng.normal(size=n)
+    got = estimate_tau(values, K)
+    expected = _reference_estimate_tau(values, K)
+    assert got[0] == expected[0]
+    assert got[1] == expected[1]  # bitwise

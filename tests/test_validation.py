@@ -211,6 +211,16 @@ class TestJoinPanel:
         with pytest.raises(ValueError):
             IncomePanel(("A", "B"), np.array([1.0, 2.0]), np.array([0.0, -0.1]))
 
+    @pytest.mark.parametrize("gdp, rents", [
+        ([1.0, np.nan], [0.0, 0.0]),
+        ([1.0, 2.0], [np.nan, 0.0]),
+        ([np.inf, 2.0], [0.0, 0.0]),
+        ([1.0, 2.0], [0.0, np.inf]),
+    ])
+    def test_panel_rejects_non_finite(self, gdp, rents):
+        with pytest.raises(ValueError):
+            IncomePanel(("A", "B"), np.array(gdp), np.array(rents))
+
 
 class TestRegressionBattery:
     @staticmethod
