@@ -184,21 +184,21 @@ def cmd_ingest(args) -> int:
     matrix_path = out / "matrix.txt"
     fileio.write_matrix(x, matrix_path)
     cells = x.n_countries * x.n_products
-    fill = len(x.vals) / cells if cells else 0.0
+    fill = x.n_entries / cells if cells else 0.0
     report = {
         "config": config,
         "inputs": {resolved: fileio.sha256_file(resolved)},
         "matrix": {
             "countries": x.n_countries,
             "products": x.n_products,
-            "entries": int(len(x.vals)),
+            "entries": x.n_entries,
             "fill": fill,
         },
         "output": matrix_path.name,
     }
     _write_json(out / "ingest_report.json", report)
     print(f"countries={x.n_countries} products={x.n_products} "
-          f"entries={len(x.vals)} fill={fill:.4f}")
+          f"entries={x.n_entries} fill={fill:.4f}")
     print(f"wrote {matrix_path}")
     return 0
 

@@ -106,13 +106,11 @@ def read_trade_csv(path) -> ExportMatrix:
     products = tuple(sorted({p for _, p in totals}))
     c_pos = {lab: i for i, lab in enumerate(countries)}
     p_pos = {lab: j for j, lab in enumerate(products)}
-    cells = sorted(
-        ((c_pos[c], p_pos[p], v) for (c, p), v in totals.items() if v > 0)
-    )
-    rows = np.array([c[0] for c in cells], dtype=np.intp)
-    cols = np.array([c[1] for c in cells], dtype=np.intp)
-    vals = np.array([c[2] for c in cells], dtype=float)
-    return ExportMatrix(countries, products, rows, cols, vals)
+    rows = np.fromiter((c_pos[c] for c, _ in totals), np.intp, len(totals))
+    cols = np.fromiter((p_pos[p] for _, p in totals), np.intp, len(totals))
+    vals = np.fromiter(totals.values(), float, len(totals))
+    keep = vals > 0
+    return ExportMatrix(countries, products, rows[keep], cols[keep], vals[keep])
 
 
 def read_income_csv(path) -> IncomePanel:
@@ -187,23 +185,19 @@ def read_tsi_column(path) -> np.ndarray:
 def write_matrix(m, path) -> None:
     """Write an ExportMatrix (valued) or BinaryMatrix (binary) canonically.
 
-    Raises ValueError when an entry lies outside the matrix.
+    The matrix types hold their entries in range and in (i, j) order, so
+    they are written as stored.
     """
     valued = isinstance(m, ExportMatrix)
-    order = np.lexsort((m.vals, m.cols, m.rows) if valued else (m.cols, m.rows))
-    rows, cols = m.rows[order], m.cols[order]
-    if len(order) and not (0 <= rows.min() and rows.max() < m.n_countries
-                           and 0 <= cols.min() and cols.max() < m.n_products):
-        raise ValueError("matrix entry out of range")
     # each line is "<i> <j>\n" or "<i> <j> <value>\n", as bytes built from per-index strings
     row_text = np.array([f"{i} " for i in range(m.n_countries)], dtype="S")
     col_end = " " if valued else "\n"
     col_text = np.array([f"{j}{col_end}" for j in range(m.n_products)], dtype="S")
-    lines = np.strings.add(row_text[rows], col_text[cols])
+    lines = np.strings.add(row_text[m.rows], col_text[m.cols])
     if valued:
-        values = np.array([repr(v) + "\n" for v in m.vals[order].tolist()], dtype="S")
+        values = np.array([repr(v) + "\n" for v in m.vals.tolist()], dtype="S")
         lines = np.strings.add(lines, values)
-    head = [f"countries={m.n_countries} products={m.n_products} entries={len(order)}"]
+    head = [f"countries={m.n_countries} products={m.n_products} entries={m.n_entries}"]
     head.extend(f"c {lab}" for lab in m.country_labels)
     head.extend(f"p {lab}" for lab in m.product_labels)
     with open(path, "wb") as fh:
@@ -326,7 +320,6 @@ def read_matrix(path):
         raise ParseError(messages[kind], first + k)
     if late is not None:
         raise ParseError(late, first + bad)
-    rows, cols = rows.astype(np.intp), cols.astype(np.intp)
     if valued:
-        return ExportMatrix(countries, products, rows, cols, vals.copy())
+        return ExportMatrix(countries, products, rows, cols, vals)
     return BinaryMatrix(countries, products, rows, cols)

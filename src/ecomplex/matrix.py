@@ -1,7 +1,8 @@
 """Country-product matrices: construction, binarization, RCA filtering.
 
-The two core types are thin immutable wrappers over coordinate arrays.
-``ExportMatrix`` holds strictly positive export values; ``BinaryMatrix``
+The two core types are thin immutable wrappers over coordinate arrays
+that hold each entry once, inside the matrix, in (i, j) order.
+``ExportMatrix`` holds finite, strictly positive export values; ``BinaryMatrix``
 holds presence/absence plus the derived diversification and ubiquity
 count vectors. Everything downstream (complexity metrics, validation)
 consumes a pruned ``BinaryMatrix``.
@@ -27,68 +28,13 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ExportMatrix:
-    """Sparse country-by-product matrix of strictly positive export values.
+class _CoordinateMatrix:
+    """Country and product labels plus parallel entry coordinates.
 
-    ``rows``/``cols`` are parallel int arrays of coordinates, ``vals`` the
-    matching values. Zeros mean absence and are never stored.
-    """
-
-    country_labels: tuple[str, ...]
-    product_labels: tuple[str, ...]
-    rows: np.ndarray = field(repr=False)
-    cols: np.ndarray = field(repr=False)
-    vals: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if len(set(self.country_labels)) != len(self.country_labels):
-            raise ValueError("duplicate country labels")
-        if len(set(self.product_labels)) != len(self.product_labels):
-            raise ValueError("duplicate product labels")
-        if np.any(self.vals <= 0):
-            raise ValueError("stored export values must be strictly positive")
-
-    @classmethod
-    def from_dense(cls, dense, country_labels=None, product_labels=None) -> "ExportMatrix":
-        dense = np.asarray(dense, dtype=float)
-        if dense.ndim != 2:
-            raise ValueError("expected a 2-d array")
-        n, m = dense.shape
-        if country_labels is None:
-            country_labels = tuple(f"C{i}" for i in range(n))
-        if product_labels is None:
-            product_labels = tuple(f"P{j}" for j in range(m))
-        rows, cols = np.nonzero(dense > 0)
-        return cls(
-            tuple(country_labels),
-            tuple(product_labels),
-            rows.astype(np.intp),
-            cols.astype(np.intp),
-            dense[rows, cols],
-        )
-
-    @property
-    def n_countries(self) -> int:
-        return len(self.country_labels)
-
-    @property
-    def n_products(self) -> int:
-        return len(self.product_labels)
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros((self.n_countries, self.n_products))
-        dense[self.rows, self.cols] = self.vals
-        return dense
-
-
-@dataclass(frozen=True)
-class BinaryMatrix:
-    """Presence/absence matrix with diversification and ubiquity counts.
-
-    ``diversification[i]`` is the number of entries in row i and
-    ``ubiquity[j]`` the number in column j; both are computed once at
-    construction. The invariant sum(d) == sum(u) == number of entries
-    holds by construction.
+    Construction enforces the invariant every consumer relies on: labels
+    are unique, and each entry lies inside the matrix, appears once, and
+    is stored in row-major (i, j) order. Entries given in another order
+    are sorted once, together with any per-entry values.
     """
 
     country_labels: tuple[str, ...]
@@ -96,32 +42,45 @@ class BinaryMatrix:
     rows: np.ndarray = field(repr=False)
     cols: np.ndarray = field(repr=False)
 
+    _entry_arrays = ("rows", "cols")  # per-entry arrays, permuted together
+
     def __post_init__(self):
-        if len(set(self.country_labels)) != len(self.country_labels):
-            raise ValueError("duplicate country labels")
-        if len(set(self.product_labels)) != len(self.product_labels):
-            raise ValueError("duplicate product labels")
-        d = np.bincount(self.rows, minlength=self.n_countries).astype(np.intp)
-        u = np.bincount(self.cols, minlength=self.n_products).astype(np.intp)
-        object.__setattr__(self, "diversification", d)
-        object.__setattr__(self, "ubiquity", u)
+        for kind, labels in (("country", self.country_labels),
+                             ("product", self.product_labels)):
+            if len(set(labels)) != len(labels):
+                raise ValueError(f"duplicate {kind} labels")
+        for name in ("rows", "cols"):
+            coords = np.asarray(getattr(self, name), order="C")
+            if coords.size and not np.issubdtype(coords.dtype, np.integer):
+                raise ValueError("matrix coordinates must be integers")
+            object.__setattr__(self, name, coords.astype(np.intp, copy=False))
+        rows, cols, n, m = self.rows, self.cols, self.n_countries, self.n_products
+        if rows.ndim != 1 or any(getattr(self, a).shape != rows.shape for a in self._entry_arrays):
+            raise ValueError("entry arrays must be 1-d and of equal length")
+        if len(rows) and not (0 <= rows.min() and rows.max() < n
+                              and 0 <= cols.min() and cols.max() < m):
+            raise ValueError("matrix entry out of range")
+        key = rows * m + cols
+        order = slice(None)  # sorted input is kept in place
+        if not np.all(key[1:] > key[:-1]):
+            order = np.argsort(key, kind="stable")
+            if np.any(np.diff(key[order]) == 0):
+                raise ValueError("repeated matrix entry")
+        for name in self._entry_arrays:  # read-only views, so the entries stay as checked
+            entry_array = getattr(self, name)[order]
+            entry_array.flags.writeable = False
+            object.__setattr__(self, name, entry_array)
 
-    diversification: np.ndarray = field(init=False, repr=False)
-    ubiquity: np.ndarray = field(init=False, repr=False)
-
-    @classmethod
-    def from_dense(cls, dense, country_labels=None, product_labels=None) -> "BinaryMatrix":
-        dense = np.asarray(dense)
+    @staticmethod
+    def _dense_labels(dense: np.ndarray, country_labels, product_labels):
         if dense.ndim != 2:
             raise ValueError("expected a 2-d array")
         n, m = dense.shape
         if country_labels is None:
-            country_labels = tuple(f"C{i}" for i in range(n))
+            country_labels = (f"C{i}" for i in range(n))
         if product_labels is None:
-            product_labels = tuple(f"P{j}" for j in range(m))
-        rows, cols = np.nonzero(dense)
-        return cls(tuple(country_labels), tuple(product_labels),
-                   rows.astype(np.intp), cols.astype(np.intp))
+            product_labels = (f"P{j}" for j in range(m))
+        return tuple(country_labels), tuple(product_labels)
 
     @property
     def n_countries(self) -> int:
@@ -135,24 +94,79 @@ class BinaryMatrix:
     def n_entries(self) -> int:
         return len(self.rows)
 
+    def to_dense(self) -> np.ndarray:
+        dense = np.zeros((self.n_countries, self.n_products))
+        dense[self.rows, self.cols] = getattr(self, "vals", 1.0)  # a binary matrix holds ones
+        return dense
+
+
+@dataclass(frozen=True)
+class ExportMatrix(_CoordinateMatrix):
+    """Sparse country-by-product matrix of finite, strictly positive
+    export values.
+
+    ``rows``/``cols`` are parallel int arrays of coordinates, ``vals`` the
+    matching values. Zeros mean absence and are never stored.
+    """
+
+    vals: np.ndarray = field(repr=False)
+
+    _entry_arrays = ("rows", "cols", "vals")
+
+    def __post_init__(self):
+        vals = np.asarray(self.vals, dtype=float, order="C")
+        if not np.all(np.isfinite(vals) & (vals > 0)):
+            raise ValueError("stored export values must be finite and strictly positive")
+        object.__setattr__(self, "vals", vals)
+        super().__post_init__()
+
+    @classmethod
+    def from_dense(cls, dense, country_labels=None, product_labels=None) -> "ExportMatrix":
+        """Positive cells become entries; a NaN cell is kept, so it is rejected."""
+        dense = np.asarray(dense, dtype=float)
+        labels = cls._dense_labels(dense, country_labels, product_labels)
+        rows, cols = np.nonzero(~(dense <= 0))
+        return cls(*labels, rows, cols, dense[rows, cols])
+
+
+@dataclass(frozen=True)
+class BinaryMatrix(_CoordinateMatrix):
+    """Presence/absence matrix with diversification and ubiquity counts.
+
+    ``diversification[i]`` is the number of entries in row i and
+    ``ubiquity[j]`` the number in column j; both are computed once at
+    construction. The invariant sum(d) == sum(u) == number of entries
+    holds by construction.
+    """
+
+    diversification: np.ndarray = field(init=False, repr=False)
+    ubiquity: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        super().__post_init__()
+        d = np.bincount(self.rows, minlength=self.n_countries)
+        u = np.bincount(self.cols, minlength=self.n_products)
+        object.__setattr__(self, "diversification", d)
+        object.__setattr__(self, "ubiquity", u)
+
+    @classmethod
+    def from_dense(cls, dense, country_labels=None, product_labels=None) -> "BinaryMatrix":
+        dense = np.asarray(dense)
+        labels = cls._dense_labels(dense, country_labels, product_labels)
+        return cls(*labels, *np.nonzero(dense))
+
     @cached_property
     def entries(self) -> frozenset[tuple[int, int]]:
         return frozenset(zip(self.rows.tolist(), self.cols.tolist()))
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros((self.n_countries, self.n_products))
-        dense[self.rows, self.cols] = 1.0
-        return dense
 
 
 def binarize(x: ExportMatrix) -> BinaryMatrix:
     """m_ij = 1 exactly where x_ij > 0.
 
-    Positivity is enforced at ExportMatrix construction, so this is a
-    straight copy of the coordinates.
+    Positivity is enforced at ExportMatrix construction, so the binary
+    matrix shares the export matrix's read-only coordinates.
     """
-    return BinaryMatrix(x.country_labels, x.product_labels,
-                        x.rows.copy(), x.cols.copy())
+    return BinaryMatrix(x.country_labels, x.product_labels, x.rows, x.cols)
 
 
 def rca(x: ExportMatrix) -> np.ndarray:
@@ -162,7 +176,7 @@ def rca(x: ExportMatrix) -> np.ndarray:
     where x_ij = 0. Raises ZeroMarginal when any retained row or column
     sums to zero, since the ratio is then undefined; prune first.
     """
-    if x.n_countries == 0 or x.n_products == 0 or len(x.vals) == 0:
+    if x.n_entries == 0:  # entries lie inside the matrix, so it has rows and columns
         raise ZeroMarginal("matrix has no positive entries")
     row_tot = np.bincount(x.rows, weights=x.vals, minlength=x.n_countries)
     col_tot = np.bincount(x.cols, weights=x.vals, minlength=x.n_products)
@@ -208,6 +222,4 @@ def prune_degenerate(m: BinaryMatrix) -> BinaryMatrix:
     new_col = np.cumsum(keep_p) - 1
     countries = tuple(lab for lab, k in zip(m.country_labels, keep_c) if k)
     products = tuple(lab for lab, k in zip(m.product_labels, keep_p) if k)
-    return BinaryMatrix(countries, products,
-                        new_row[m.rows].astype(np.intp),
-                        new_col[m.cols].astype(np.intp))
+    return BinaryMatrix(countries, products, new_row[m.rows], new_col[m.cols])

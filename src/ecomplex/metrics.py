@@ -246,6 +246,8 @@ def fitness_complexity(
     max_iter synchronous steps do not get there, attaching the last
     iterate for inspection.
     """
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     it = fitness_iterations(m)
     f, q = next(it)
     prev = np.concatenate([f, q])

@@ -191,12 +191,7 @@ def _subset_tables(K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All 2^K subset masks of techs theta_1..theta_K with their size and
     highest tech index."""
     masks = np.arange(1 << K, dtype=np.int64)
-    byte_pop = np.array([bin(b).count("1") for b in range(256)], dtype=np.int64)
-    pop = np.zeros(masks.shape, dtype=np.int64)
-    shifted = masks.copy()
-    for _ in range((K + 7) // 8):
-        pop += byte_pop[shifted & 0xFF]
-        shifted >>= 8
+    pop = np.bitwise_count(masks).astype(np.int64)
     # frexp exponent of an integer m > 0 is floor(log2 m) + 1, which is
     # exactly the 1-based index of the highest tech in the mask.
     _, maxidx = np.frexp(masks.astype(np.float64))
@@ -248,12 +243,8 @@ def _build_world(params: ModelParams, s_arr, maxidx_arr, labels) -> SyntheticWor
     cols = np.repeat(np.arange(len(top), dtype=np.intp), ubiq)
     # entry e of product j sits in row top_j + (e - index of j's first entry)
     rows = np.arange(len(cols), dtype=np.intp) + np.repeat(top - (np.cumsum(ubiq) - ubiq), ubiq)
-    matrix = BinaryMatrix(
-        tuple(f"k{k}" for k in range(K + 1)),
-        tuple(labels),
-        rows,
-        cols,
-    )
+    # the entries run column by column; BinaryMatrix sorts them into (i, j) order
+    matrix = BinaryMatrix(tuple(f"k{k}" for k in range(K + 1)), tuple(labels), rows, cols)
     return SyntheticWorld(
         params=params,
         matrix=matrix,

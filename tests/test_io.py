@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -480,13 +482,14 @@ def test_write_matrix_equals_line_reference(tmp_path, valued):
 
 
 @pytest.mark.parametrize("m", [
-    BinaryMatrix(("a", "b"), ("x",), np.array([0, 2]), np.array([0, 0])),
-    ExportMatrix(("a", "b"), ("x",), np.array([0, -1]), np.array([0, 0]), np.ones(2)),
-    ExportMatrix(("a", "b"), ("x",), np.array([0, 1]), np.array([0, 1]), np.ones(2)),
+    partial(BinaryMatrix, ("a", "b"), ("x",), np.array([0, 2]), np.array([0, 0])),
+    partial(ExportMatrix, ("a", "b"), ("x",), np.array([0, -1]), np.array([0, 0]), np.ones(2)),
+    partial(ExportMatrix, ("a", "b"), ("x",), np.array([0, 1]), np.array([0, 1]), np.ones(2)),
 ])
 def test_write_matrix_rejects_out_of_range_entries(tmp_path, m):
+    """The matrix types reject the entry before it can reach the writer."""
     with pytest.raises(ValueError, match="out of range"):
-        write_matrix(m, tmp_path / "m.txt")
+        write_matrix(m(), tmp_path / "m.txt")
 
 
 class TestSha256:

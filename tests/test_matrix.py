@@ -173,3 +173,84 @@ def test_duplicate_labels_rejected():
 def test_export_matrix_rejects_nonpositive_values():
     with pytest.raises(ValueError):
         ExportMatrix(("A",), ("x",), np.array([0]), np.array([0]), np.array([-1.0]))
+
+
+def test_export_matrix_rejects_non_finite_values():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            ExportMatrix(("A", "B"), ("x",), np.array([0, 1]), np.array([0, 0]),
+                         np.array([1.0, bad]))
+    with pytest.raises(ValueError, match="finite"):
+        ExportMatrix.from_dense([[np.inf, 1], [1, 2]])
+    with pytest.raises(ValueError, match="finite"):
+        ExportMatrix.from_dense([[np.nan, 1], [1, 2]])
+
+
+def _make(kind, rows, cols, n=2, m=2):
+    """A BinaryMatrix or an all-ones ExportMatrix on the given coordinates."""
+    labels = tuple(f"c{i}" for i in range(n)), tuple(f"p{j}" for j in range(m))
+    if kind is BinaryMatrix:
+        return BinaryMatrix(*labels, rows, cols)
+    return ExportMatrix(*labels, rows, cols, np.ones(len(rows)))
+
+
+@pytest.mark.parametrize("kind", [BinaryMatrix, ExportMatrix])
+class TestEntryInvariant:
+    def test_repeated_entry_rejected(self, kind):
+        with pytest.raises(ValueError, match="repeated"):
+            _make(kind, np.array([0, 0, 1]), np.array([0, 0, 1]))
+        with pytest.raises(ValueError, match="repeated"):
+            _make(kind, np.array([1, 0, 1]), np.array([1, 0, 1]))  # apart before sorting
+
+    @pytest.mark.parametrize("rows, cols", [
+        ([0, 2], [0, 0]), ([0, -1], [0, 0]), ([0, 1], [0, 2]), ([0, 1], [-1, 0]),
+    ])
+    def test_out_of_range_entry_rejected(self, kind, rows, cols):
+        with pytest.raises(ValueError, match="matrix entry out of range"):
+            _make(kind, np.array(rows), np.array(cols))
+
+    def test_coordinates_must_be_integer_and_aligned(self, kind):
+        with pytest.raises(ValueError, match="integers"):
+            _make(kind, np.array([0.0, 1.7]), np.array([0, 1]))
+        with pytest.raises(ValueError, match="equal length"):
+            _make(kind, np.array([0, 1]), np.array([0]))
+        if kind is ExportMatrix:
+            with pytest.raises(ValueError, match="equal length"):
+                ExportMatrix(("a",), ("x",), np.array([0]), np.array([0]), np.ones(2))
+
+    def test_list_coordinates_accepted(self, kind):
+        m = _make(kind, [1, 0], [0, 1])
+        assert m.rows.dtype == m.cols.dtype == np.intp
+        assert m.rows.tolist() == [0, 1] and m.cols.tolist() == [1, 0]
+        b = m if kind is BinaryMatrix else binarize(m)
+        assert b.entries == {(0, 1), (1, 0)}
+        empty = _make(kind, [], [])
+        assert empty.n_entries == 0 and empty.to_dense().sum() == 0
+
+
+def test_permuted_export_matrix_equals_sorted():
+    rng = np.random.default_rng(3)
+    dense = rng.random((7, 11))
+    dense[dense < 0.5] = 0.0
+    x = ExportMatrix.from_dense(dense)
+    perm = rng.permutation(len(x.rows))
+    y = ExportMatrix(x.country_labels, x.product_labels,
+                     x.rows[perm], x.cols[perm], x.vals[perm])
+    assert_array_equal(y.rows, x.rows)
+    assert_array_equal(y.cols, x.cols)
+    assert_array_equal(y.vals, x.vals)
+    assert_array_equal(y.to_dense(), dense)
+    bx, by = binarize(x), binarize(y)
+    assert_array_equal(by.diversification, bx.diversification)
+    assert_array_equal(by.ubiquity, bx.ubiquity)
+    assert by.entries == bx.entries == set(zip(*(a.tolist() for a in np.nonzero(dense))))
+
+
+def test_stored_entries_are_read_only():
+    rows, cols = np.array([0, 1]), np.array([1, 0])
+    m = BinaryMatrix(("a", "b"), ("x", "y"), rows, cols)
+    x = ExportMatrix(("a", "b"), ("x", "y"), rows, cols, np.ones(2))
+    for arr in (m.rows, m.cols, x.rows, x.cols, x.vals, binarize(x).rows):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = -1
+    rows[0] = 0  # the caller's own arrays stay writable

@@ -276,6 +276,11 @@ class TestFitness:
         assert err.last_change >= 1e-10
         assert err.fitness[0] > err.fitness[1] > err.fitness[2]
 
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_rejects_max_iter_below_one(self, nested3, max_iter):
+        with pytest.raises(ValueError, match="max_iter must be >= 1"):
+            fitness_complexity(nested3, max_iter=max_iter)
+
     def test_geometric_decay_underflows(self):
         # two countries hold only the universal product; their fitness
         # decays geometrically and crosses the positivity floor
