@@ -127,29 +127,28 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(text + "\n", encoding="utf-8")
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    def cell(v) -> str:
-        if v is None:
-            return ""
-        if isinstance(v, str):
-            return v
-        if isinstance(v, (int, np.integer)):
-            return str(int(v))
-        return repr(float(v))
+def _column_text(column) -> list:
+    """A numeric array's values as repr text (an int's repr is its str);
+    labels as they are, and None as a blank cell."""
+    if isinstance(column, np.ndarray):
+        return list(map(repr, column.tolist()))
+    return ["" if v is None else v for v in column]
 
+
+def _write_csv(path: Path, header: list[str], columns) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows([cell(v) for v in row] for row in rows)
+        writer.writerows(zip(*map(_column_text, columns)))
 
 
-def _write_table(path_stem: Path, fmt: str, header: list[str], rows) -> Path:
+def _write_table(path_stem: Path, fmt: str, header: list[str], columns) -> Path:
     if fmt == "csv":
         path = path_stem.with_suffix(".csv")
-        _write_csv(path, header, rows)
+        _write_csv(path, header, columns)
     else:
         path = path_stem.with_suffix(".json")
-        records = [dict(zip(header, row)) for row in rows]
+        records = [dict(zip(header, row)) for row in zip(*columns)]
         _write_json(path, {"rows": records})
     return path
 
@@ -232,10 +231,10 @@ def cmd_metrics(args) -> int:
     f_v, q_v, iters = results.get("fitness", (blank_c, blank_p, None))
     c_path = _write_table(out / "countries", config.format,
                           ["country", "d", "tdi", "eci", "fitness"],
-                          zip(bm.country_labels, bm.diversification, tdi_v, eci_v, f_v))
+                          [bm.country_labels, bm.diversification, tdi_v, eci_v, f_v])
     p_path = _write_table(out / "products", config.format,
                           ["product", "u", "tsi", "pci", "q"],
-                          zip(bm.product_labels, bm.ubiquity, tsi_v, pci_v, q_v))
+                          [bm.product_labels, bm.ubiquity, tsi_v, pci_v, q_v])
 
     report = {
         "config": config,
@@ -273,16 +272,12 @@ def cmd_simulate(args) -> int:
     per_country = world.sophistication_counts("per_country")
     pool_share = pool / pool.sum() if pool.sum() else pool
     pc_share = per_country / per_country.sum() if per_country.sum() else per_country
-    rows = [
-        [int(s), float(predicted.probabilities[s]), float(pool_share[s]),
-         float(pc_share[s]), int(pool[s]), int(per_country[s])]
-        for s in range(config.K + 1)
-    ]
     hist_path = out / "sophistication.csv"
     _write_csv(hist_path,
                ["s", "predicted", "empirical_pool", "empirical_per_country",
                 "count_pool", "count_per_country"],
-               rows)
+               [predicted.support, predicted.probabilities, pool_share, pc_share,
+                pool.astype(np.int64), per_country.astype(np.int64)])
 
     report = {
         "config": config,
@@ -340,9 +335,9 @@ def cmd_validate(args) -> int:
     }
     for name, columns in scatter.items():
         _write_csv(out / f"{name}.csv", ["country", *columns],
-                   zip(rep.join.matched, *(rep.design[c] for c in columns)))
+                   [rep.join.matched, *(rep.design[c] for c in columns)])
     _write_csv(out / "product_scatter.csv", ["product", "tsi", "pci", "q"],
-               zip(pm.product_labels, pm.tsi, pm.pci, pm.q))
+               [pm.product_labels, pm.tsi, pm.pci, pm.q])
     print(f"wrote {out / 'validation_report.json'} and scatter tables")
     return 0
 
@@ -359,10 +354,8 @@ def cmd_fit_tau(args) -> int:
     model_cdf = dist.cdf()
     sample = np.sort(np.asarray(tsi_values))
     emp_cdf = np.searchsorted(sample, x, side="right") / len(sample)
-    _write_csv(out / "tau_cdf.csv",
-               ["x", "model_cdf", "empirical_cdf"],
-               [[float(x[s]), float(model_cdf[s]), float(emp_cdf[s])]
-                for s in range(len(x))])
+    _write_csv(out / "tau_cdf.csv", ["x", "model_cdf", "empirical_cdf"],
+               [x, model_cdf, emp_cdf])
 
     report = {
         "config": config,

@@ -151,8 +151,11 @@ class BinaryMatrix(_CoordinateMatrix):
 
     @classmethod
     def from_dense(cls, dense, country_labels=None, product_labels=None) -> "BinaryMatrix":
+        """Nonzero cells become entries; a NaN, infinite or negative cell is rejected."""
         dense = np.asarray(dense)
         labels = cls._dense_labels(dense, country_labels, product_labels)
+        if not np.all(np.isfinite(dense) & (dense >= 0)):
+            raise ValueError("binary matrix cells must be finite and non-negative")
         return cls(*labels, *np.nonzero(dense))
 
     @cached_property

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DegenerateSpectrum,
@@ -165,7 +164,7 @@ def eci_pci(m: BinaryMatrix) -> tuple[np.ndarray, np.ndarray, EigenReport]:
     dense = m.to_dense()
     a = dense / np.sqrt(d)[:, None] / np.sqrt(u)[None, :]
     s = a @ a.T
-    eigvals, eigvecs = scipy.linalg.eigh(s)
+    eigvals, eigvecs = np.linalg.eigh(s)
     order = np.argsort(np.abs(eigvals))[::-1]
     eigvals = eigvals[order]
     eigvecs = eigvecs[:, order]

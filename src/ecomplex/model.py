@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DegenerateInput, InfeasibleEnumeration
 from .matrix import BinaryMatrix
@@ -39,7 +38,6 @@ __all__ = [
     "estimate_tau",
 ]
 
-_EXACT_COMB_MAX = 60
 _EXACT_ENUM_MAX_K = 20
 
 
@@ -91,9 +89,32 @@ class SophisticationDistribution:
         return np.cumsum(self.probabilities)
 
 
-def _binom_float(n: int, k) -> np.ndarray:
-    """C(n, k) as floats from exact integers; callers keep n <= _EXACT_COMB_MAX."""
-    return np.array([float(math.comb(n, int(x))) for x in np.atleast_1d(k)])
+# For m in [0.5, 1) and r < 1022, m**r >= 2**-1021 is a normal float.
+_POW_SPLIT = 1022
+
+
+def _binomial_terms(n: int, j: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """C(n, j) tau^j, one row per tau, each row scaled by one power of two
+    so that its largest term lies in [1/8, 1).
+
+    Every factor is carried as a mantissa in [0.5, 1) and an integer
+    exponent. C(n, j) is rounded once from the exact integer, so no
+    coefficient overflows. With tau = m 2^e and j = qB + r (B =
+    _POW_SPLIT), m^j = (m^B)^q m^r, and each power is split again before
+    the next product, so none underflows while q < B. A term is lost
+    only where it is below 2^-1074 of its row's largest.
+    """
+    exact = [math.comb(n, x) for x in j.tolist()]
+    c_mant = np.array([x / (1 << x.bit_length()) for x in exact])
+    c_exp = np.array([x.bit_length() for x in exact])
+    m, e = np.frexp(taus[:, None])
+    q, r = np.divmod(j, _POW_SPLIT)
+    r_mant, r_exp = np.frexp(m ** r)
+    b_mant, b_exp = np.frexp(m ** _POW_SPLIT)
+    q_mant, q_exp = np.frexp(b_mant ** np.arange(q.max() + 1))
+    mant = c_mant * r_mant * q_mant[:, q]
+    exp = c_exp + r_exp + q_exp[:, q] + b_exp * q + e * j
+    return np.ldexp(mant, exp - exp.max(axis=1, keepdims=True))
 
 
 def coherence_prob(params: ModelParams, s: int) -> float:
@@ -113,22 +134,15 @@ def expected_diversification(params: ModelParams, k: int) -> float:
 def conditional_distribution(params: ModelParams, k: int) -> np.ndarray:
     """p(s | k) for s = 0..k: sophistication of a k-tech country's products.
 
-    Equals C(k,s) tau^s / (1+tau)^k, a Binomial(k, tau/(1+tau)) law.
+    Equals C(k,s) tau^s / (1+tau)^k, a Binomial(k, tau/(1+tau)) law. The
+    terms are divided by their own sum, which is (1+tau)^k: raising the
+    rounded 1+tau to the k-th power would multiply its rounding error by k.
     """
     if not (0 <= k <= params.K):
         raise ValueError(f"k must be in [0, {params.K}], got {k}")
-    tau = params.tau
     s = np.arange(k + 1)
-    if k <= _EXACT_COMB_MAX:
-        return _binom_float(k, s) * tau ** s / (1.0 + tau) ** k
-    logp = (
-        gammaln(k + 1)
-        - gammaln(s + 1)
-        - gammaln(k - s + 1)
-        + s * math.log(tau)
-        - k * math.log1p(tau)
-    )
-    return np.exp(logp)
+    terms = _binomial_terms(k, s, np.array([params.tau]))[0]
+    return terms / terms.sum()
 
 
 def expected_sophistication(params: ModelParams, k: int) -> float:
@@ -138,6 +152,18 @@ def expected_sophistication(params: ModelParams, k: int) -> float:
     return params.tau * k / (1.0 + params.tau)
 
 
+def _world_grid(K: int, taus: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The world distribution for every tau at once: probabilities (one
+    row per tau), means and standard deviations. world_distribution is the
+    one-row case, so each row of a grid equals it bit for bit."""
+    s = np.arange(K + 1)
+    terms = _binomial_terms(K + 1, s + 1, taus)
+    p = terms / terms.sum(axis=1, keepdims=True)
+    mean = (s * p).sum(axis=1)
+    var = ((s - mean[:, None]) ** 2 * p).sum(axis=1)
+    return p, mean, np.sqrt(var)
+
+
 def world_distribution(params: ModelParams) -> SophisticationDistribution:
     """Sophistication across all products made worldwide, countries pooled.
 
@@ -145,27 +171,11 @@ def world_distribution(params: ModelParams) -> SophisticationDistribution:
     constant is [(1+tau)^{K+1} - 1]^{-1} in closed form, and dividing by
     the computed term sum realizes exactly that constant (the sum
     telescopes to (1+tau)^{K+1} - 1 by the hockey-stick identity) while
-    keeping the vector normalized to machine precision. Terms are built
-    in log space above the exact-combinatorics cutoff so C(222, .) never
-    overflows.
+    keeping the vector normalized to machine precision.
     """
-    K, tau = params.K, params.tau
-    s = np.arange(K + 1)
-    if K + 1 <= _EXACT_COMB_MAX:
-        terms = _binom_float(K + 1, s + 1) * tau ** (s + 1)
-    else:
-        logt = (
-            gammaln(K + 2)
-            - gammaln(s + 2)
-            - gammaln(K + 1 - s)
-            + (s + 1) * math.log(tau)
-        )
-        logt -= logt.max()
-        terms = np.exp(logt)
-    p = terms / terms.sum()
-    mean = float((s * p).sum())
-    var = float(((s - mean) ** 2 * p).sum())
-    return SophisticationDistribution(probabilities=p, mean=mean, std=math.sqrt(var))
+    p, mean, std = _world_grid(params.K, np.array([params.tau]))
+    return SophisticationDistribution(probabilities=p[0], mean=float(mean[0]),
+                                      std=float(std[0]))
 
 
 def gaussian_binomial_approx(n: int, x: int) -> float:
@@ -238,13 +248,12 @@ def _build_world(params: ModelParams, s_arr, maxidx_arr, labels) -> SyntheticWor
     """Assemble the nested-endowment matrix from per-product metadata:
     product j is made by countries maxidx_j..K."""
     K = params.K
-    top = np.asarray(maxidx_arr, dtype=np.intp)
-    ubiq = K + 1 - top
-    cols = np.repeat(np.arange(len(top), dtype=np.intp), ubiq)
-    # entry e of product j sits in row top_j + (e - index of j's first entry)
-    rows = np.arange(len(cols), dtype=np.intp) + np.repeat(top - (np.cumsum(ubiq) - ubiq), ubiq)
-    # the entries run column by column; BinaryMatrix sorts them into (i, j) order
-    matrix = BinaryMatrix(tuple(f"k{k}" for k in range(K + 1)), tuple(labels), rows, cols)
+    top = np.asarray(maxidx_arr)
+    # row by row, so the entries come in the (i, j) order BinaryMatrix keeps
+    cols = [np.flatnonzero(top <= k) for k in range(K + 1)]
+    rows = np.repeat(np.arange(K + 1), [len(c) for c in cols])
+    matrix = BinaryMatrix(tuple(f"k{k}" for k in range(K + 1)), tuple(labels),
+                          rows, np.concatenate(cols))
     return SyntheticWorld(
         params=params,
         matrix=matrix,
@@ -335,24 +344,34 @@ def simulate_world(
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _ks_distance(model_x: np.ndarray, model_p: np.ndarray,
-                 sample_sorted: np.ndarray, atoms: np.ndarray,
-                 emp_at_atoms: np.ndarray) -> float:
-    """Sup-distance between a discrete CDF and an empirical CDF.
+def _ks_distances(model_x: np.ndarray, model_p: np.ndarray,
+                  sample_sorted: np.ndarray, atoms: np.ndarray,
+                  emp_at_atoms: np.ndarray) -> np.ndarray:
+    """Sup-distance between each row's discrete CDF and an empirical CDF.
 
     Both are right-continuous step functions, so the supremum is attained
     at a jump point of either: a model atom or a sample atom. ``atoms`` are
     the sample's distinct values and ``emp_at_atoms`` its CDF there, both
-    fixed across candidates; the model CDF is evaluated at every atom and
-    the empirical CDF at the model atoms. The left limit at a grid point
-    is the value at the grid point before it, so values alone cover it.
+    fixed across rows. The left limit at a grid point is the value at the
+    grid point before it, so values alone cover it.
+
+    The model CDF is constant on each run of sample atoms between two model
+    atoms, and the empirical CDF rises along the run, so the largest gap on
+    the run is at its first or last atom: only those are evaluated.
     """
-    model_cdf = np.cumsum(model_p)
-    pos = np.searchsorted(model_x, atoms, side="right")
-    at_atoms = np.where(pos == 0, 0.0, model_cdf[pos - 1])
+    model_cdf = np.cumsum(model_p, axis=1)
     emp_at_model = np.searchsorted(sample_sorted, model_x, side="right") / len(sample_sorted)
-    return float(max(np.abs(at_atoms - emp_at_atoms).max(),
-                     np.abs(model_cdf - emp_at_model).max()))
+    # Run r holds the atoms at or above r model atoms and below the rest;
+    # the model CDF there is its value at model atom r - 1 (0 for r = 0).
+    below = np.searchsorted(atoms, model_x, side="left")
+    edge = np.zeros((len(model_x), 1), dtype=below.dtype)
+    start = np.concatenate([edge, below], axis=1)
+    stop = np.concatenate([below, edge + len(atoms)], axis=1)
+    level = np.concatenate([edge, model_cdf], axis=1)
+    first = np.abs(level - emp_at_atoms[np.minimum(start, len(atoms) - 1)])
+    last = np.abs(level - emp_at_atoms[np.maximum(stop - 1, 0)])
+    at_atoms = np.where(stop > start, np.maximum(first, last), 0.0)
+    return np.maximum(at_atoms.max(axis=1), np.abs(model_cdf - emp_at_model).max(axis=1))
 
 
 def estimate_tau(tsi_values, K: int) -> tuple[float, float]:
@@ -384,12 +403,9 @@ def estimate_tau(tsi_values, K: int) -> tuple[float, float]:
     sample_sorted = np.sort(tsi_values)
     atoms = np.unique(sample_sorted)
     emp_at_atoms = np.searchsorted(sample_sorted, atoms, side="right") / len(sample_sorted)
-    best_tau, best_d = None, None
-    for step in range(1, 501):
-        tau = step / 1000.0
-        dist = world_distribution(ModelParams(tau=tau, K=K))
-        x = dist.standardized_support
-        d = _ks_distance(x, dist.probabilities, sample_sorted, atoms, emp_at_atoms)
-        if best_d is None or d < best_d:
-            best_tau, best_d = tau, d
-    return best_tau, best_d
+    taus = np.arange(1, 501) / 1000.0
+    p, mean, std = _world_grid(K, taus)
+    x = (np.arange(K + 1) - mean[:, None]) / std[:, None]
+    d = _ks_distances(x, p, sample_sorted, atoms, emp_at_atoms)
+    best = int(np.argmin(d))  # the first minimum: ties resolve to the smallest tau
+    return float(taus[best]), float(d[best])

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expm1, stdtr
 
 from .errors import Collinear, DegenerateInput, JoinEmpty
 from .matrix import BinaryMatrix
@@ -29,7 +28,6 @@ __all__ = [
     "rank_transform",
     "join_panel",
     "run_paper_regressions",
-    "fit_exponential",
     "BENCHMARK_RANK_COEFS",
     "BENCHMARK_LOG_COEFS",
 ]
@@ -149,6 +147,9 @@ def ols(y, X, intercept: bool = True) -> RegressionResult:
     sigma2 = ssr / dof
     xtx_inv = np.linalg.inv(design.T @ design)
     se = np.sqrt(np.clip(sigma2 * np.diag(xtx_inv), 0.0, None))
+
+    # Imported here, so that only a command that fits regressions loads scipy.
+    from scipy.special import stdtr
 
     # An exact fit (se 0) gives p 0 for a nonzero coefficient, 1 for a zero one.
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -319,20 +320,3 @@ def run_paper_regressions(
         design=design,
     )
 
-
-def fit_exponential(values) -> tuple[float, float]:
-    """Maximum-likelihood exponential rate with a goodness-of-fit distance.
-
-    The MLE rate is 1/mean; the second return is the Kolmogorov-Smirnov
-    distance between the sample and the fitted exponential.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.size < 10:
-        raise DegenerateInput("need at least 10 values to fit")
-    if np.any(values <= 0):
-        raise DegenerateInput("exponential fit needs strictly positive values")
-    mean = float(values.mean())
-    n = values.size
-    cdf = -expm1(-np.sort(values) / mean)
-    ks = max((np.arange(1.0, n + 1) / n - cdf).max(), (cdf - np.arange(0.0, n) / n).max())
-    return 1.0 / mean, float(ks)

@@ -584,7 +584,8 @@ class TestReports:
 
 class TestImportFootprint:
     def test_no_scipy_stats_after_import_or_any_command(self, tmp_path):
-        # A fresh interpreter: the test process itself may hold scipy.stats.
+        # A fresh interpreter: the test process itself may hold scipy.
+        # Only validate, run last, may load scipy, and only scipy.special.
         (tmp_path / "trade.csv").write_text(TRADE)
         matrix_file(tmp_path, CONVERGENT)
         income_file(tmp_path)
@@ -592,18 +593,27 @@ class TestImportFootprint:
 import sys
 import ecomplex
 from ecomplex.cli import main
-assert "scipy.stats" not in sys.modules, "import ecomplex"
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+assert not scipy_modules(), ("import ecomplex", scipy_modules())
 d = {str(tmp_path)!r}
 runs = [
     ["ingest", d + "/trade.csv"],
     ["metrics", d + "/m.txt"],
+    ["simulate", "--mode", "mc", "--K", "221", "--samples", "200"],
     ["simulate", "--mode", "exact", "--K", "6", "--tau", "0.3"],
-    ["validate", d + "/m.txt", d + "/income.csv"],
-    ["fit-tau", d + "/products.csv", "--K", "12"],
+    ["fit-tau", d + "/products.csv", "--K", "221"],
 ]
 for argv in runs:
     assert main(argv + ["--out-dir", d]) == 0, argv
-    assert "scipy.stats" not in sys.modules, argv[0]
+    assert not scipy_modules(), (argv[0], scipy_modules())
+assert main(["validate", d + "/m.txt", d + "/income.csv", "--out-dir", d]) == 0
+# scipy's private helpers and its version module come with any subpackage
+loaded = set(m.split(".")[1] for m in scipy_modules() if "." in m)
+public = set(p for p in loaded if not p.startswith("_")) - set(["version"])
+assert public == set(["special"]), scipy_modules()
 """
         src = str(Path(__file__).resolve().parents[1] / "src")
         proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,

@@ -186,6 +186,14 @@ def test_export_matrix_rejects_non_finite_values():
         ExportMatrix.from_dense([[np.nan, 1], [1, 2]])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -2.0])
+def test_binary_from_dense_rejects_non_finite_and_negative_cells(bad):
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        BinaryMatrix.from_dense([[bad, 1.0, 0.0], [1.0, 0.0, 1.0]])
+    m = BinaryMatrix.from_dense([[2.0, 1.0, 0.0], [True, False, 1]])
+    assert m.diversification.tolist() == [2, 2]
+
+
 def _make(kind, rows, cols, n=2, m=2):
     """A BinaryMatrix or an all-ones ExportMatrix on the given coordinates."""
     labels = tuple(f"c{i}" for i in range(n)), tuple(f"p{j}" for j in range(m))

@@ -4,7 +4,6 @@ from itertools import combinations
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.special import gammaln
 
 from ecomplex import (
     DegenerateInput,
@@ -166,9 +165,36 @@ class TestWorldDistribution:
             SophisticationDistribution(np.array([1.5, -0.5]), mean=0.0, std=1.0)
 
 
+@pytest.mark.parametrize("K", [12, 59, 221, 500])
+@pytest.mark.parametrize("tau", [1e-6, 1e-3, 0.07, 0.5, 1.0])
+def test_distributions_match_exact_rationals(K, tau):
+    """Both distributions against exact rational arithmetic on tau's binary
+    value: relative error at most 1e-15 wherever the exact probability is a
+    normal float. At K=59, tau=1e-6 the terms tau^s of the upper tail fall
+    below the normal range, so rounding tau^s alone cannot meet this."""
+    a, b = tau.as_integer_ratio()
+    params = ModelParams(tau=tau, K=K)
+    cases = (
+        (world_distribution(params).probabilities,
+         [math.comb(K + 1, j) * a ** j * b ** (K + 1 - j) for j in range(1, K + 2)]),
+        (conditional_distribution(params, K),
+         [math.comb(K, j) * a ** j * b ** (K - j) for j in range(K + 1)]),
+    )
+    for got, weights in cases:
+        total = sum(weights)
+        checked = 0
+        for g, w in zip(got.tolist(), weights):
+            if w << 1022 < total:  # exact value below 2^-1022, the smallest normal
+                continue
+            num, den = g.as_integer_ratio()
+            assert 10 ** 15 * abs(num * total - w * den) <= w * den, (g, w / total)
+            checked += 1
+        assert checked > 10
+
+
 class TestGaussianApprox:
     def test_central_region(self):
-        exact = math.exp(gammaln(1001) - 2 * gammaln(501))
+        exact = float(math.comb(1000, 500))
         ratio = gaussian_binomial_approx(1000, 500) / exact
         assert abs(ratio - 1) < 0.01
 

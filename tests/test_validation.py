@@ -13,7 +13,6 @@ from ecomplex import (
     IncomePanel,
     JoinEmpty,
     compute_metrics,
-    fit_exponential,
     join_panel,
     ols,
     rank_transform,
@@ -317,32 +316,3 @@ class TestRegressionBattery:
         with pytest.raises(ValueError):
             run_paper_regressions(m, panel, relabeled, product_metrics)
 
-
-class TestFitExponential:
-    def test_rate_is_reciprocal_mean(self):
-        values = np.array([0.5, 1.5, 1.0, 0.8, 1.2, 0.9, 1.1, 0.7, 1.3, 1.0])
-        rate, ks = fit_exponential(values)
-        assert rate == 1.0 / values.mean()
-        assert 0 <= ks <= 1
-
-    def test_recovers_generating_rate(self):
-        rng = np.random.default_rng(0)
-        rate, ks = fit_exponential(rng.exponential(scale=0.5, size=100000))
-        assert abs(rate - 2.0) < 0.02
-        assert ks < 0.01
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_ks_equals_kstest(self, seed):
-        rng = np.random.default_rng(seed)
-        values = rng.gamma(0.5 + seed, size=10 + 97 * seed)
-        _, ks = fit_exponential(values)
-        expected = scipy.stats.kstest(values, "expon", args=(0, values.mean()))
-        assert ks == float(expected.statistic)
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(DegenerateInput):
-            fit_exponential(np.ones(9))
-        with pytest.raises(DegenerateInput):
-            fit_exponential(np.array([1.0] * 9 + [-1.0]))
-        with pytest.raises(DegenerateInput):
-            fit_exponential(np.array([1.0] * 9 + [0.0]))
