@@ -32,6 +32,17 @@ CONVERGENT = np.array([
     [1, 1, 1, 0, 1, 0],
 ])
 
+# No two columns are equal, so every product is its own column class and
+# the class kernels must reproduce the per-product arithmetic bit for bit.
+DISTINCT = np.array([
+    [1, 1, 1, 1, 1, 1, 1],
+    [1, 1, 1, 1, 0, 0, 1],
+    [1, 0, 1, 0, 1, 1, 0],
+    [0, 1, 1, 1, 1, 1, 0],
+    [1, 1, 0, 0, 1, 0, 1],
+    [1, 0, 0, 1, 0, 0, 1],
+])
+
 INCOME = (
     "country,gdp,natural_rents\n"
     "C0,52000.0,0.0\n"
@@ -57,6 +68,7 @@ TRADE = (
 RUNS = {
     "ingest": ["ingest", "trade.csv", "--out-dir", "ingest"],
     "metrics": ["metrics", "m.txt", "--out-dir", "metrics"],
+    "metrics_distinct": ["metrics", "distinct.txt", "--out-dir", "metrics_distinct"],
     "metrics_json": ["metrics", "m.txt", "--format", "json", "--out-dir", "metrics_json"],
     "validate": ["validate", "m.txt", "income.csv", "--out-dir", "validate"],
     "fit_tau": ["fit-tau", "metrics/products.csv", "--K", "12", "--out-dir", "fit_tau"],
@@ -73,6 +85,7 @@ def run_all(work: Path) -> dict[str, dict[str, bytes]]:
     """Write the inputs into ``work`` (the current directory) and run every
     command; returns the bytes of each file written, by output directory."""
     write_matrix(BinaryMatrix.from_dense(CONVERGENT), work / "m.txt")
+    write_matrix(BinaryMatrix.from_dense(DISTINCT), work / "distinct.txt")
     (work / "income.csv").write_text(INCOME, encoding="utf-8")
     (work / "trade.csv").write_text(TRADE, encoding="utf-8")
     for argv in RUNS.values():
