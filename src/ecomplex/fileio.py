@@ -207,6 +207,23 @@ def write_matrix(m, path) -> None:
         fh.write(text[text != 0])
 
 
+# Line breaks str.splitlines honours besides "\n"; reading in text mode
+# has already turned "\r\n" and "\r" into "\n".
+_OTHER_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _load_entries(source, dtype, skip: int = 0) -> np.ndarray | None:
+    """numpy's C text parser over a file path or a list of lines; None
+    when it rejects a line."""
+    try:
+        with warnings.catch_warnings():  # an all-blank input warns "no data"
+            warnings.simplefilter("ignore", UserWarning)
+            return np.loadtxt(source, dtype=dtype, comments=None, ndmin=1,
+                              skiprows=skip, encoding="utf-8")
+    except ValueError:
+        return None
+
+
 def _parse_entries(lines: list[str], dtype) -> tuple[np.ndarray, int | None]:
     """Parse entry lines with numpy's C text parser.
 
@@ -216,15 +233,8 @@ def _parse_entries(lines: list[str], dtype) -> tuple[np.ndarray, int | None]:
     per line; the first rejected line is found by bisection.
     """
     def load(k: int) -> np.ndarray | None:
-        if k == 0:
-            return np.zeros(0, dtype)
-        try:
-            with warnings.catch_warnings():  # all-blank input warns "no data"
-                warnings.simplefilter("ignore", UserWarning)
-                table = np.loadtxt(lines[:k], dtype=dtype, comments=None, ndmin=1)
-        except ValueError:
-            return None
-        return table if len(table) == k else None
+        table = _load_entries(lines[:k], dtype) if k else np.zeros(0, dtype)
+        return table if table is not None and len(table) == k else None
 
     table = load(len(lines))
     if table is not None:
@@ -245,24 +255,31 @@ def read_matrix(path):
     entry lines carry values, BinaryMatrix otherwise.
 
     Entry faults are reported at the first offending line, in the order a
-    line is checked: field count, indices, range, order, value.
+    line is checked: field count, indices, range, order, value. The entry
+    block is parsed straight from the file, past the labels; only a
+    faulty block is split into lines to find the line at fault.
     """
     text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
-    if not lines:
+    if not text:
         raise ParseError("empty file", 1)
-    head = lines[0].split()
+    from_file = not any(brk in text for brk in _OTHER_BREAKS)
+    if not from_file:  # lines as str.splitlines gives them, each ended by "\n"
+        text = text.translate({ord(brk): "\n" for brk in _OTHER_BREAKS})
+    head = text.split("\n", 1)[0].split()
     try:
         fields = dict(part.split("=", 1) for part in head)
         n = int(fields["countries"])
         m = int(fields["products"])
         z = int(fields["entries"])
+        if min(n, m, z) < 0:
+            raise ValueError
     except (ValueError, KeyError):
         raise ParseError("malformed header", 1) from None
-    if len(lines) != 1 + n + m + z:
-        raise ParseError(
-            f"expected {1 + n + m + z} lines per header, found {len(lines)}", 1
-        )
+    found = text.count("\n") + (not text.endswith("\n"))
+    if found != 1 + n + m + z:
+        raise ParseError(f"expected {1 + n + m + z} lines per header, found {found}", 1)
+    lines = text.split("\n", 1 + n + m)  # header and label lines, then the entry block
+    body = lines.pop() if len(lines) > 1 + n + m else ""
 
     def label_block(offset: int, count: int, prefix: str) -> tuple[str, ...]:
         block, tag = lines[offset:offset + count], prefix + " "
@@ -279,10 +296,13 @@ def read_matrix(path):
     products = label_block(1 + n, m, "p")
 
     first = 2 + n + m  # physical line of entry 0
-    entry_lines = lines[first - 1:]
-    valued = z > 0 and len(entry_lines[0].split()) == 3
+    valued = z > 0 and len(body.split("\n", 1)[0].split()) == 3
     dtype = [("i", np.int64), ("j", np.int64)] + ([("v", float)] if valued else [])
-    table, bad = _parse_entries(entry_lines, dtype)
+    table = _load_entries(path, dtype, skip=first - 1) if from_file else None
+    bad = None
+    if table is None or len(table) != z:  # find the line at fault
+        entry_lines = body.splitlines()
+        table, bad = _parse_entries(entry_lines, dtype)
     rows, cols = table["i"], table["j"]
     vals = table["v"] if valued else np.ones(len(table))
     late = None  # the first unparsable line's fault, unless an earlier line has one
@@ -314,7 +334,7 @@ def read_matrix(path):
         messages = (
             f"entry ({rows[k]}, {cols[k]}) out of range",
             "entries must be sorted by (i, j) without repeats",
-            f"non-finite value {entry_lines[k].split()[-1]!r}",  # the value field
+            f"non-finite value {body.splitlines()[k].split()[-1]!r}",  # the value field
             "stored values must be positive",
         )
         raise ParseError(messages[kind], first + k)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .errors import EmptyMatrix, ZeroMarginal
 __all__ = [
     "ExportMatrix",
     "BinaryMatrix",
+    "ColumnClasses",
     "binarize",
     "rca",
     "rca_binarize",
@@ -34,7 +36,9 @@ class _CoordinateMatrix:
     Construction enforces the invariant every consumer relies on: labels
     are unique, and each entry lies inside the matrix, appears once, and
     is stored in row-major (i, j) order. Entries given in another order
-    are sorted once, together with any per-entry values.
+    are sorted once, together with any per-entry values. The stored
+    arrays are read-only and shared with no array the caller can still
+    write to.
     """
 
     country_labels: tuple[str, ...]
@@ -42,20 +46,24 @@ class _CoordinateMatrix:
     rows: np.ndarray = field(repr=False)
     cols: np.ndarray = field(repr=False)
 
-    _entry_arrays = ("rows", "cols")  # per-entry arrays, permuted together
+    # per-entry arrays, permuted together, and the dtype each is stored in
+    _entry_dtypes = {"rows": np.intp, "cols": np.intp}
 
     def __post_init__(self):
         for kind, labels in (("country", self.country_labels),
                              ("product", self.product_labels)):
             if len(set(labels)) != len(labels):
                 raise ValueError(f"duplicate {kind} labels")
-        for name in ("rows", "cols"):
-            coords = np.asarray(getattr(self, name), order="C")
-            if coords.size and not np.issubdtype(coords.dtype, np.integer):
+        given = {name: getattr(self, name) for name in self._entry_dtypes}
+        arrays = {}
+        for name, dtype in self._entry_dtypes.items():
+            array = np.asarray(given[name], order="C")
+            if (array.size and np.issubdtype(dtype, np.integer)
+                    and not np.issubdtype(array.dtype, np.integer)):
                 raise ValueError("matrix coordinates must be integers")
-            object.__setattr__(self, name, coords.astype(np.intp, copy=False))
-        rows, cols, n, m = self.rows, self.cols, self.n_countries, self.n_products
-        if rows.ndim != 1 or any(getattr(self, a).shape != rows.shape for a in self._entry_arrays):
+            arrays[name] = array.astype(dtype, copy=False)
+        rows, cols, n, m = arrays["rows"], arrays["cols"], self.n_countries, self.n_products
+        if rows.ndim != 1 or any(a.shape != rows.shape for a in arrays.values()):
             raise ValueError("entry arrays must be 1-d and of equal length")
         if len(rows) and not (0 <= rows.min() and rows.max() < n
                               and 0 <= cols.min() and cols.max() < m):
@@ -66,10 +74,14 @@ class _CoordinateMatrix:
             order = np.argsort(key, kind="stable")
             if np.any(np.diff(key[order]) == 0):
                 raise ValueError("repeated matrix entry")
-        for name in self._entry_arrays:  # read-only views, so the entries stay as checked
-            entry_array = getattr(self, name)[order]
-            entry_array.flags.writeable = False
-            object.__setattr__(self, name, entry_array)
+        for name, array in arrays.items():  # read-only, so the entries stay as checked
+            stored = array[order]
+            source = given[name]
+            if (isinstance(source, np.ndarray) and source.flags.writeable
+                    and np.may_share_memory(stored, source)):
+                stored = stored.copy()  # the caller could still change it
+            stored.flags.writeable = False
+            object.__setattr__(self, name, stored)
 
     @staticmethod
     def _dense_labels(dense: np.ndarray, country_labels, product_labels):
@@ -111,13 +123,12 @@ class ExportMatrix(_CoordinateMatrix):
 
     vals: np.ndarray = field(repr=False)
 
-    _entry_arrays = ("rows", "cols", "vals")
+    _entry_dtypes = {**_CoordinateMatrix._entry_dtypes, "vals": np.float64}
 
     def __post_init__(self):
-        vals = np.asarray(self.vals, dtype=float, order="C")
+        vals = np.asarray(self.vals, dtype=float)
         if not np.all(np.isfinite(vals) & (vals > 0)):
             raise ValueError("stored export values must be finite and strictly positive")
-        object.__setattr__(self, "vals", vals)
         super().__post_init__()
 
     @classmethod
@@ -127,6 +138,20 @@ class ExportMatrix(_CoordinateMatrix):
         labels = cls._dense_labels(dense, country_labels, product_labels)
         rows, cols = np.nonzero(~(dense <= 0))
         return cls(*labels, rows, cols, dense[rows, cols])
+
+
+class ColumnClasses(NamedTuple):
+    """A binary matrix's products grouped by their column.
+
+    Products made by exactly the same countries form one class. Classes
+    are numbered in order of their first product, so a matrix with no
+    repeated column has one class per product, in product order.
+    """
+
+    matrix: np.ndarray  # n_countries x n_classes, 0.0/1.0: each class's column
+    counts: np.ndarray  # float number of products in each class
+    inverse: np.ndarray  # class of each product
+    first: np.ndarray  # first product of each class
 
 
 @dataclass(frozen=True)
@@ -161,6 +186,36 @@ class BinaryMatrix(_CoordinateMatrix):
     @cached_property
     def entries(self) -> frozenset[tuple[int, int]]:
         return frozenset(zip(self.rows.tolist(), self.cols.tolist()))
+
+    @cached_property
+    def column_classes(self) -> ColumnClasses:
+        """Products grouped by column, built once per matrix.
+
+        Each product's column is packed into bytes and the byte strings
+        are compared as opaque keys, which is far cheaper than comparing
+        dense columns. A spare always-absent country keeps the key at
+        least one byte wide when the matrix has no countries.
+        """
+        n = self.n_countries
+        present = np.zeros((self.n_products, n + 1), dtype=bool)  # one row per product
+        present[self.cols, self.rows] = True
+        packed = np.packbits(present, axis=1)
+        keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+        _, first, inverse, counts = np.unique(
+            keys, return_index=True, return_inverse=True, return_counts=True)
+        order = np.argsort(first)  # from key order to first-occurrence order
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        first = first[order]
+        classes = ColumnClasses(
+            matrix=np.ascontiguousarray(present[first, :n].T, dtype=float),
+            counts=counts[order].astype(float),
+            inverse=rank[inverse],
+            first=first,
+        )
+        for array in classes:  # shared by every kernel that reads the matrix
+            array.flags.writeable = False
+        return classes
 
 
 def binarize(x: ExportMatrix) -> BinaryMatrix:

@@ -9,6 +9,11 @@ Three families:
 * Fitness/Q: the normalized harmonic-mean fixed point, iterated to a
   relative-change tolerance.
 
+ECI/PCI and fitness see a product only through the countries that make
+it, so both run on the country x column-class matrix
+(``BinaryMatrix.column_classes``) and expand per-class values back to
+products: products made by the same countries get equal PCI and Q.
+
 All vectors are standardized with the population (divide by N) standard
 deviation so the mean-0/std-1 contract is exact, not approximate.
 """
@@ -146,6 +151,8 @@ def eci_pci(m: BinaryMatrix) -> tuple[np.ndarray, np.ndarray, EigenReport]:
     It is similar to the symmetric matrix S = A A^T where
     A = D^{-1/2} M U^{-1/2}, so the spectrum is computed with a symmetric
     solver on S and the eigenvectors mapped back through D^{-1/2}. The
+    products of one column class add equal terms to S, so A keeps one
+    column per class, scaled by the square root of its product count. The
     product-side vector is obtained by propagating the country vector
     through W*, which lands exactly on the corresponding eigenvector of
     W* W (same eigenvalue) without a second decomposition.
@@ -161,8 +168,9 @@ def eci_pci(m: BinaryMatrix) -> tuple[np.ndarray, np.ndarray, EigenReport]:
     if np.any(d < 1) or np.any(u < 1):
         raise DegenerateVector("prune zero-marginal rows/columns first")
 
-    dense = m.to_dense()
-    a = dense / np.sqrt(d)[:, None] / np.sqrt(u)[None, :]
+    cls = m.column_classes
+    u_cls = u[cls.first]
+    a = cls.matrix / np.sqrt(d)[:, None] / np.sqrt(u_cls)[None, :] * np.sqrt(cls.counts)[None, :]
     s = a @ a.T
     eigvals, eigvecs = np.linalg.eigh(s)
     order = np.argsort(np.abs(eigvals))[::-1]
@@ -192,8 +200,9 @@ def eci_pci(m: BinaryMatrix) -> tuple[np.ndarray, np.ndarray, EigenReport]:
     if flip_c:
         eci = -eci
 
-    # W* applied to the country eigenvector gives the product eigenvector.
-    p_raw = (dense / u[None, :]).T @ c_raw
+    # W* applied to the country eigenvector gives the product eigenvector,
+    # once per class.
+    p_raw = ((cls.matrix / u_cls[None, :]).T @ c_raw)[cls.inverse]
     if np.allclose(p_raw, p_raw.mean()):
         raise DegenerateVector("product-side eigenvector is constant")
     pci = standardize(p_raw)
@@ -214,24 +223,28 @@ def fitness_iterations(m: BinaryMatrix):
     """Generator over (F, Q) iterates of the normalized fixed point.
 
     Yields the normalized pair after each synchronous update, starting
-    from the all-ones state (yielded first). Infinite; callers slice or
+    from the all-ones state (yielded first). The state is kept per column
+    class, each class weighted by its product count, and Q is expanded to
+    one value per product on every yield. Infinite; callers slice or
     drive it via fitness_complexity. Raises NumericalUnderflow if any
     component of the unnormalized state drops below 1e-300.
     """
-    dense = m.to_dense()
-    n_c, n_p = dense.shape
-    c = np.ones(n_c)
-    p = np.ones(n_p)
-    yield c / c.mean(), p / p.mean()
+    cls = m.column_classes
+    mat, cnt, n_p = cls.matrix, cls.counts, m.n_products
+    c = np.ones(m.n_countries)
+    p = np.ones(len(cnt))  # one value per class
+    p_mean = (cnt * p).sum() / n_p
+    yield c / c.mean(), (p / p_mean)[cls.inverse]
     while True:
-        c_new = (dense @ p) / p.mean()
-        p_new = 1.0 / (c.mean() * ((1.0 / c) @ dense))
+        c_new = (mat @ (cnt * p)) / p_mean
+        p_new = 1.0 / (c.mean() * ((1.0 / c) @ mat))
         if np.any(c_new < _FLOOR) or np.any(p_new < _FLOOR):
             raise NumericalUnderflow(
                 "an iterate fell below the positivity floor (1e-300)"
             )
         c, p = c_new, p_new
-        yield c / c.mean(), p / p.mean()
+        p_mean = (cnt * p).sum() / n_p
+        yield c / c.mean(), (p / p_mean)[cls.inverse]
 
 
 def fitness_complexity(
