@@ -243,6 +243,7 @@ def cmd_metrics(args) -> int:
             "countries": bm.n_countries,
             "products": bm.n_products,
             "entries": bm.n_entries,
+            "product_classes": len(bm.column_classes.first),
         },
         "errors": errors,
         "eigen": eigen,

@@ -115,6 +115,10 @@ class TestMetrics:
         assert report["errors"] == {}
         assert report["eigen"]["leading_eigenvalue"] == pytest.approx(1.0)
         assert report["fitness_iterations"] > 0
+        # products 0 and 1 are made by the same countries
+        assert report["matrix"]["product_classes"] == 5
+        pci, q = ([r[k] for r in rows] for k in (3, 4))
+        assert pci[0] == pci[1] and q[0] == q[1]
 
     def test_partial_failure_still_writes(self, tmp_path):
         # the nested triangle never meets the fitness tolerance, but the

@@ -233,6 +233,22 @@ class TestCanonicalMatrixFile:
         with pytest.raises(ParseError, match="line 1"):
             read_matrix(p)
 
+    def test_negative_count_is_a_malformed_header(self, tmp_path):
+        p = write(tmp_path / "m.txt", "countries=-1 products=1 entries=0\np q\n")
+        with pytest.raises(ParseError, match="^line 1: malformed header"):
+            read_matrix(p)
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_other_line_endings_read_the_same(self, tmp_path, newline):
+        rng = np.random.default_rng(5)
+        m = ExportMatrix.from_dense(rng.uniform(0.0, 2.0, size=(4, 6)))
+        write_matrix(m, tmp_path / "m.txt")
+        text = (tmp_path / "m.txt").read_text()
+        (tmp_path / "crlf.txt").write_bytes(text.replace("\n", newline).encode())
+        back = read_matrix(tmp_path / "crlf.txt")
+        assert back.rows.tolist() == m.rows.tolist() and back.cols.tolist() == m.cols.tolist()
+        assert back.vals.tolist() == m.vals.tolist()
+
     def test_line_count_mismatch(self, tmp_path):
         p = write(tmp_path / "m.txt", "countries=2 products=1 entries=2\nc x\nc y\np q\n0 0\n")
         with pytest.raises(ParseError, match="expected 6 lines"):

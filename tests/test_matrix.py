@@ -13,6 +13,8 @@ from ecomplex import (
     prune_degenerate,
     rca,
     rca_binarize,
+    read_matrix,
+    write_matrix,
 )
 
 
@@ -262,3 +264,23 @@ def test_stored_entries_are_read_only():
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = -1
     rows[0] = 0  # the caller's own arrays stay writable
+
+
+def test_caller_arrays_stay_apart_from_stored_entries(tmp_path):
+    """Changing an array after handing it to a constructor leaves the
+    checked matrix as it was."""
+    r, c, v = np.array([0, 1]), np.array([0, 1]), np.array([1.0, 2.0])
+    m = BinaryMatrix(("a", "b"), ("x", "y"), r, c)
+    x = ExportMatrix(("a", "b"), ("x", "y"), r, c, v)
+    r[0], c[1], v[0] = -1, 0, -3.0
+    assert m.rows.tolist() == x.rows.tolist() == [0, 1]
+    assert m.cols.tolist() == x.cols.tolist() == [0, 1]
+    assert x.vals.tolist() == [1.0, 2.0]
+    write_matrix(m, tmp_path / "m.txt")
+    assert read_matrix(tmp_path / "m.txt").entries == {(0, 0), (1, 1)}
+
+
+def test_read_only_entries_are_shared_not_copied():
+    x = ExportMatrix.from_dense([[1.0, 0.0], [2.0, 3.0]])
+    b = binarize(x)
+    assert np.shares_memory(b.rows, x.rows) and np.shares_memory(b.cols, x.cols)

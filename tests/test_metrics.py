@@ -1,8 +1,10 @@
+import json
 from itertools import islice
 
 import numpy as np
 import pytest
 import scipy.stats
+from conftest import random_connected_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -12,16 +14,21 @@ from ecomplex import (
     DegenerateSpectrum,
     DegenerateVector,
     DisconnectedMatrix,
+    ModelParams,
     NonConvergence,
     NumericalUnderflow,
     eci_pci,
     fitness_complexity,
     fitness_iterations,
+    prune_degenerate,
+    simulate_world,
     spearman,
     standardize,
     tdi,
     tsi,
+    write_matrix,
 )
+from ecomplex.cli import main
 from ecomplex.metrics import _average_ranks
 
 ROOT_3_2 = np.sqrt(1.5)  # pop-std-1 value of the extreme point of a 3-point
@@ -294,3 +301,125 @@ class TestFitness:
         f, _ = list(islice(fitness_iterations(nested3), 101))[-1]
         assert np.array_equal(np.argsort(t), np.argsort(eci))
         assert np.array_equal(np.argsort(t), np.argsort(f))
+
+
+def _dense_eci_pci(m: BinaryMatrix):
+    """The per-product spectral kernel on the dense matrix, kept as the
+    reference the column-class kernel must reproduce."""
+    dense = np.zeros((m.n_countries, m.n_products))
+    dense[m.rows, m.cols] = 1.0
+    d = m.diversification.astype(float)
+    u = m.ubiquity.astype(float)
+    a = dense / np.sqrt(d)[:, None] / np.sqrt(u)[None, :]
+    eigvals, eigvecs = np.linalg.eigh(a @ a.T)
+    order = np.argsort(np.abs(eigvals))[::-1]
+    eigvals, eigvecs = eigvals[order], eigvecs[:, order]
+    c_raw = eigvecs[:, 1] / np.sqrt(d)
+    eci = standardize(c_raw)
+    if spearman(eci, d).statistic < 0:
+        eci = -eci
+    p_raw = (dense / u[None, :]).T @ c_raw
+    pci = standardize(p_raw)
+    if spearman(pci, u).statistic > 0:
+        pci = -pci
+    return eci, pci, eigvals
+
+
+def _dense_fitness_iterations(m: BinaryMatrix):
+    """The per-product fitness iteration on the dense matrix (reference)."""
+    dense = np.zeros((m.n_countries, m.n_products))
+    dense[m.rows, m.cols] = 1.0
+    c = np.ones(m.n_countries)
+    p = np.ones(m.n_products)
+    yield c / c.mean(), p / p.mean()
+    while True:
+        c_new = (dense @ p) / p.mean()
+        p_new = 1.0 / (c.mean() * ((1.0 / c) @ dense))
+        if np.any(c_new < 1e-300) or np.any(p_new < 1e-300):
+            raise NumericalUnderflow("below the floor")
+        c, p = c_new, p_new
+        yield c / c.mean(), p / p.mean()
+
+
+def _with_repeated_columns(m: BinaryMatrix, rng, copies: int) -> BinaryMatrix:
+    """m with `copies` extra copies of random columns, shuffled in."""
+    dense = m.to_dense()
+    extra = rng.integers(0, m.n_products, size=copies)
+    order = rng.permutation(m.n_products + copies)
+    return BinaryMatrix.from_dense(np.hstack([dense, dense[:, extra]])[:, order])
+
+
+class TestColumnClasses:
+    """ECI/PCI and fitness run on the country x column-class matrix."""
+
+    def test_classes_of_a_small_matrix(self):
+        m = BinaryMatrix.from_dense([[1, 0, 1, 1, 0], [1, 1, 1, 0, 1], [0, 1, 0, 1, 1]])
+        cls = m.column_classes
+        assert cls.first.tolist() == [0, 1, 3]
+        assert cls.inverse.tolist() == [0, 1, 0, 2, 1]
+        assert cls.counts.tolist() == [2.0, 2.0, 1.0]
+        assert cls.matrix.tolist() == [[1, 0, 1], [1, 1, 0], [0, 1, 1]]
+        assert m.column_classes is cls  # built once per matrix
+        with pytest.raises(ValueError, match="read-only"):
+            cls.inverse[0] = 1
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 60))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_dense_kernels_with_repeated_columns(self, seed, copies):
+        rng = np.random.default_rng(seed)
+        m = _with_repeated_columns(random_connected_matrix(rng, 20, 60), rng, copies)
+        eci, pci, report = eci_pci(m)
+        ref_eci, ref_pci, ref_vals = _dense_eci_pci(m)
+        assert_allclose(eci, ref_eci, rtol=0, atol=1e-12)
+        assert_allclose(pci, ref_pci, rtol=0, atol=1e-12)
+        assert_allclose([report.leading_eigenvalue, report.second_eigenvalue],
+                        ref_vals[:2], rtol=0, atol=1e-12)
+        for (f, q), (ref_f, ref_q) in islice(
+                zip(fitness_iterations(m), _dense_fitness_iterations(m)), 60):
+            assert_allclose(f, ref_f, rtol=0, atol=1e-12)
+            assert_allclose(q, ref_q, rtol=0, atol=1e-12)
+        # products made by the same countries get the same PCI and Q
+        inverse = m.column_classes.inverse
+        first = m.column_classes.first[inverse]
+        assert np.array_equal(pci, pci[first])
+        assert np.array_equal(q, q[first])
+
+    @pytest.mark.parametrize("seed", range(40, 46))
+    def test_bitwise_dense_without_repeated_columns(self, matrix_factory, seed):
+        m = matrix_factory(seed)
+        assert len(m.column_classes.first) == m.n_products
+        eci, pci, report = eci_pci(m)
+        ref_eci, ref_pci, ref_vals = _dense_eci_pci(m)
+        assert eci.tobytes() == ref_eci.tobytes()
+        assert pci.tobytes() == ref_pci.tobytes()
+        assert report.second_eigenvalue == ref_vals[1]
+        for (f, q), (ref_f, ref_q) in islice(
+                zip(fitness_iterations(m), _dense_fitness_iterations(m)), 100):
+            assert f.tobytes() == ref_f.tobytes()
+            assert q.tobytes() == ref_q.tobytes()
+
+    def test_model_world_metrics_build_no_dense_matrix(self, tmp_path, monkeypatch):
+        world = simulate_world(ModelParams(tau=0.07, K=221), mode="mc", samples=20000, seed=1)
+        path = tmp_path / "world.txt"
+        write_matrix(world.matrix, path)
+
+        def no_dense(self):
+            raise AssertionError("metrics built a dense matrix")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(BinaryMatrix, "to_dense", no_dense)
+            assert main(["metrics", str(path), "--out-dir", str(tmp_path / "out")]) == 0
+            m = prune_degenerate(world.matrix)
+            steps = 0
+            with pytest.raises(NumericalUnderflow):
+                for _ in fitness_iterations(m):
+                    steps += 1
+        report = json.loads((tmp_path / "out" / "metrics_report.json").read_text())
+        assert list(report["errors"]) == ["fitness"]
+        assert report["errors"]["fitness"].startswith("NumericalUnderflow")
+        assert report["matrix"]["product_classes"] < 222 < m.n_products
+        ref_steps = 0
+        with pytest.raises(NumericalUnderflow):
+            for _ in _dense_fitness_iterations(m):
+                ref_steps += 1
+        assert steps == ref_steps
