@@ -148,7 +148,7 @@ class ColumnClasses(NamedTuple):
     repeated column has one class per product, in product order.
     """
 
-    matrix: np.ndarray  # n_countries x n_classes, 0.0/1.0: each class's column
+    matrix: np.ndarray  # n_countries x n_classes bool: each class's column
     counts: np.ndarray  # float number of products in each class
     inverse: np.ndarray  # class of each product
     first: np.ndarray  # first product of each class
@@ -196,8 +196,8 @@ class BinaryMatrix(_CoordinateMatrix):
         dense columns. A spare always-absent country keeps the key at
         least one byte wide when the matrix has no countries.
         """
-        n = self.n_countries
-        present = np.zeros((self.n_products, n + 1), dtype=bool)  # one row per product
+        n, m = self.n_countries, self.n_products
+        present = np.zeros((m, n + 1), dtype=bool)  # one row per product
         present[self.cols, self.rows] = True
         packed = np.packbits(present, axis=1)
         keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
@@ -206,13 +206,11 @@ class BinaryMatrix(_CoordinateMatrix):
         order = np.argsort(first)  # from key order to first-occurrence order
         rank = np.empty_like(order)
         rank[order] = np.arange(len(order))
-        first = first[order]
-        classes = ColumnClasses(
-            matrix=np.ascontiguousarray(present[first, :n].T, dtype=float),
-            counts=counts[order].astype(float),
-            inverse=rank[inverse],
-            first=first,
-        )
+        first, inverse = first[order], rank[inverse]
+        matrix = np.zeros((n, len(first)), dtype=bool)
+        leads = (first[inverse] == np.arange(m))[self.cols]  # entries of first products
+        matrix[self.rows[leads], inverse[self.cols[leads]]] = True
+        classes = ColumnClasses(matrix, counts[order].astype(float), inverse, first)
         for array in classes:  # shared by every kernel that reads the matrix
             array.flags.writeable = False
         return classes

@@ -169,8 +169,9 @@ def eci_pci(m: BinaryMatrix) -> tuple[np.ndarray, np.ndarray, EigenReport]:
         raise DegenerateVector("prune zero-marginal rows/columns first")
 
     cls = m.column_classes
+    mat = cls.matrix.astype(float)
     u_cls = u[cls.first]
-    a = cls.matrix / np.sqrt(d)[:, None] / np.sqrt(u_cls)[None, :] * np.sqrt(cls.counts)[None, :]
+    a = mat / np.sqrt(d)[:, None] / np.sqrt(u_cls / cls.counts)[None, :]
     s = a @ a.T
     eigvals, eigvecs = np.linalg.eigh(s)
     order = np.argsort(np.abs(eigvals))[::-1]
@@ -202,7 +203,7 @@ def eci_pci(m: BinaryMatrix) -> tuple[np.ndarray, np.ndarray, EigenReport]:
 
     # W* applied to the country eigenvector gives the product eigenvector,
     # once per class.
-    p_raw = ((cls.matrix / u_cls[None, :]).T @ c_raw)[cls.inverse]
+    p_raw = ((mat / u_cls[None, :]).T @ c_raw)[cls.inverse]
     if np.allclose(p_raw, p_raw.mean()):
         raise DegenerateVector("product-side eigenvector is constant")
     pci = standardize(p_raw)
@@ -230,20 +231,22 @@ def fitness_iterations(m: BinaryMatrix):
     component of the unnormalized state drops below 1e-300.
     """
     cls = m.column_classes
-    mat, cnt, n_p = cls.matrix, cls.counts, m.n_products
+    mat, cnt, n_p = cls.matrix.astype(float), cls.counts, m.n_products
     c = np.ones(m.n_countries)
     p = np.ones(len(cnt))  # one value per class
-    p_mean = (cnt * p).sum() / n_p
+    weighted = cnt * p
+    p_mean = weighted.sum() / n_p
     yield c / c.mean(), (p / p_mean)[cls.inverse]
     while True:
-        c_new = (mat @ (cnt * p)) / p_mean
+        c_new = (mat @ weighted) / p_mean
         p_new = 1.0 / (c.mean() * ((1.0 / c) @ mat))
         if np.any(c_new < _FLOOR) or np.any(p_new < _FLOOR):
             raise NumericalUnderflow(
                 "an iterate fell below the positivity floor (1e-300)"
             )
         c, p = c_new, p_new
-        p_mean = (cnt * p).sum() / n_p
+        weighted = cnt * p
+        p_mean = weighted.sum() / n_p
         yield c / c.mean(), (p / p_mean)[cls.inverse]
 
 

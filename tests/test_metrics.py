@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.stats
 from conftest import random_connected_matrix
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -368,8 +368,10 @@ class TestColumnClasses:
     def test_matches_dense_kernels_with_repeated_columns(self, seed, copies):
         rng = np.random.default_rng(seed)
         m = _with_repeated_columns(random_connected_matrix(rng, 20, 60), rng, copies)
-        eci, pci, report = eci_pci(m)
         ref_eci, ref_pci, ref_vals = _dense_eci_pci(m)
+        # rounding moves the eigenvector by about eps / gap
+        assume(abs(ref_vals[1]) - abs(ref_vals[2]) > 1e-3)
+        eci, pci, report = eci_pci(m)
         assert_allclose(eci, ref_eci, rtol=0, atol=1e-12)
         assert_allclose(pci, ref_pci, rtol=0, atol=1e-12)
         assert_allclose([report.leading_eigenvalue, report.second_eigenvalue],
