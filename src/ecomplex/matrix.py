@@ -198,7 +198,7 @@ class BinaryMatrix(_CoordinateMatrix):
         """
         n, m = self.n_countries, self.n_products
         present = np.zeros((m, n + 1), dtype=bool)  # one row per product
-        present[self.cols, self.rows] = True
+        present.reshape(-1)[self.cols * (n + 1) + self.rows] = True
         packed = np.packbits(present, axis=1)
         keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
         _, first, inverse, counts = np.unique(
@@ -206,11 +206,11 @@ class BinaryMatrix(_CoordinateMatrix):
         order = np.argsort(first)  # from key order to first-occurrence order
         rank = np.empty_like(order)
         rank[order] = np.arange(len(order))
-        first, inverse = first[order], rank[inverse]
-        matrix = np.zeros((n, len(first)), dtype=bool)
-        leads = (first[inverse] == np.arange(m))[self.cols]  # entries of first products
-        matrix[self.rows[leads], inverse[self.cols[leads]]] = True
-        classes = ColumnClasses(matrix, counts[order].astype(float), inverse, first)
+        first = first[order]
+        classes = ColumnClasses(matrix=np.ascontiguousarray(present[first, :n].T),
+                                counts=counts[order].astype(float),
+                                inverse=rank[inverse],
+                                first=first)
         for array in classes:  # shared by every kernel that reads the matrix
             array.flags.writeable = False
         return classes
@@ -256,8 +256,9 @@ def rca_binarize(x: ExportMatrix, threshold: float = 1.0) -> BinaryMatrix:
     """
     ratios = rca(x)
     keep = ratios[x.rows, x.cols] >= threshold
-    return BinaryMatrix(x.country_labels, x.product_labels,
-                        x.rows[keep], x.cols[keep])
+    rows, cols = x.rows[keep], x.cols[keep]
+    rows.flags.writeable = cols.flags.writeable = False  # handed over, so stored uncopied
+    return BinaryMatrix(x.country_labels, x.product_labels, rows, cols)
 
 
 def prune_degenerate(m: BinaryMatrix) -> BinaryMatrix:
@@ -278,4 +279,6 @@ def prune_degenerate(m: BinaryMatrix) -> BinaryMatrix:
     new_col = np.cumsum(keep_p) - 1
     countries = tuple(lab for lab, k in zip(m.country_labels, keep_c) if k)
     products = tuple(lab for lab, k in zip(m.product_labels, keep_p) if k)
-    return BinaryMatrix(countries, products, new_row[m.rows], new_col[m.cols])
+    rows, cols = new_row[m.rows], new_col[m.cols]
+    rows.flags.writeable = cols.flags.writeable = False  # handed over, so stored uncopied
+    return BinaryMatrix(countries, products, rows, cols)

@@ -169,9 +169,8 @@ def eci_pci(m: BinaryMatrix) -> tuple[np.ndarray, np.ndarray, EigenReport]:
         raise DegenerateVector("prune zero-marginal rows/columns first")
 
     cls = m.column_classes
-    mat = cls.matrix.astype(float)
     u_cls = u[cls.first]
-    a = mat / np.sqrt(d)[:, None] / np.sqrt(u_cls / cls.counts)[None, :]
+    a = cls.matrix / np.sqrt(d)[:, None] / np.sqrt(u_cls / cls.counts)[None, :]
     s = a @ a.T
     eigvals, eigvecs = np.linalg.eigh(s)
     order = np.argsort(np.abs(eigvals))[::-1]
@@ -203,7 +202,7 @@ def eci_pci(m: BinaryMatrix) -> tuple[np.ndarray, np.ndarray, EigenReport]:
 
     # W* applied to the country eigenvector gives the product eigenvector,
     # once per class.
-    p_raw = ((mat / u_cls[None, :]).T @ c_raw)[cls.inverse]
+    p_raw = ((cls.matrix / u_cls[None, :]).T @ c_raw)[cls.inverse]
     if np.allclose(p_raw, p_raw.mean()):
         raise DegenerateVector("product-side eigenvector is constant")
     pci = standardize(p_raw)

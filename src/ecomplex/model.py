@@ -250,10 +250,11 @@ def _build_world(params: ModelParams, s_arr, maxidx_arr, labels) -> SyntheticWor
     K = params.K
     top = np.asarray(maxidx_arr)
     # row by row, so the entries come in the (i, j) order BinaryMatrix keeps
-    cols = [np.flatnonzero(top <= k) for k in range(K + 1)]
-    rows = np.repeat(np.arange(K + 1), [len(c) for c in cols])
-    matrix = BinaryMatrix(tuple(f"k{k}" for k in range(K + 1)), tuple(labels),
-                          rows, np.concatenate(cols))
+    per_row = [np.flatnonzero(top <= k) for k in range(K + 1)]
+    rows = np.repeat(np.arange(K + 1), [len(c) for c in per_row])
+    cols = np.concatenate(per_row)
+    rows.flags.writeable = cols.flags.writeable = False  # handed over, so stored uncopied
+    matrix = BinaryMatrix(tuple(f"k{k}" for k in range(K + 1)), tuple(labels), rows, cols)
     return SyntheticWorld(
         params=params,
         matrix=matrix,
