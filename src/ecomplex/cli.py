@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
+import re
 import sys
 from dataclasses import asdict, dataclass, fields, is_dataclass
 from pathlib import Path
@@ -32,6 +34,10 @@ __all__ = ["RunConfig", "main", "entry",
            "cmd_ingest", "cmd_metrics", "cmd_simulate", "cmd_validate", "cmd_fit_tau"]
 
 DATA_DIR_ENV = "ECOMPLEX_DATA_DIR"
+
+_CSV_BLOCK = 1 << 12  # table rows formatted per write
+# a cell csv.writer may quote holds one of these
+_CSV_SPECIAL = re.compile('[,"\r\n]')
 
 
 @dataclass(frozen=True)
@@ -127,19 +133,34 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(text + "\n", encoding="utf-8")
 
 
-def _column_text(column) -> list:
-    """A numeric array's values as repr text (an int's repr is its str);
-    labels as they are, and None as a blank cell."""
+def _cells(column) -> list[str]:
+    """A column's CSV cells: numbers as repr text (an int's repr is its
+    str), None as a blank cell, and labels as csv.writer writes them."""
     if isinstance(column, np.ndarray):
         return list(map(repr, column.tolist()))
-    return ["" if v is None else v for v in column]
+    cells = ["" if v is None else v for v in column]
+    if _CSV_SPECIAL.search("".join(cells)):
+        cells = list(map(_csv_cell, cells))
+    return cells
+
+
+def _csv_cell(text: str) -> str:
+    """One cell as csv.writer writes it in a row of two or more cells."""
+    if not _CSV_SPECIAL.search(text):
+        return text
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text])
+    return buf.getvalue()[:-1]
 
 
 def _write_csv(path: Path, header: list[str], columns) -> None:
+    """Write the columns as rows, a block at a time, byte for byte as
+    csv.writer(lineterminator="\n") writes a table of two or more columns."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(zip(*map(_column_text, columns)))
+        fh.write(",".join(_cells(header)) + "\n")
+        for start in range(0, len(columns[0]), _CSV_BLOCK):
+            block = [_cells(column[start:start + _CSV_BLOCK]) for column in columns]
+            fh.write("\n".join(map(",".join, zip(*block))) + "\n")
 
 
 def _write_table(path_stem: Path, fmt: str, header: list[str], columns) -> Path:

@@ -20,6 +20,8 @@ import hashlib
 import json
 import math
 import warnings
+from functools import partial
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +38,9 @@ __all__ = [
     "write_matrix",
     "sha256_file",
 ]
+
+_ENTRY_BLOCK = 1 << 16  # entry lines formatted per write
+_SCAN_BLOCK = 1 << 20  # characters read at a time when counting lines
 
 
 def sha256_file(path) -> str:
@@ -186,40 +191,68 @@ def write_matrix(m, path) -> None:
     """Write an ExportMatrix (valued) or BinaryMatrix (binary) canonically.
 
     The matrix types hold their entries in range and in (i, j) order, so
-    they are written as stored.
+    they are written as stored, a fixed block of entry lines at a time.
     """
     valued = isinstance(m, ExportMatrix)
     # each line is "<i> <j>\n" or "<i> <j> <value>\n", as bytes built from per-index strings
     row_text = np.array([f"{i} " for i in range(m.n_countries)], dtype="S")
     col_end = " " if valued else "\n"
     col_text = np.array([f"{j}{col_end}" for j in range(m.n_products)], dtype="S")
-    lines = np.strings.add(row_text[m.rows], col_text[m.cols])
-    if valued:
-        values = np.array([repr(v) + "\n" for v in m.vals.tolist()], dtype="S")
-        lines = np.strings.add(lines, values)
     head = [f"countries={m.n_countries} products={m.n_products} entries={m.n_entries}"]
     head.extend(f"c {lab}" for lab in m.country_labels)
     head.extend(f"p {lab}" for lab in m.product_labels)
     with open(path, "wb") as fh:
         fh.write(("\n".join(head) + "\n").encode("utf-8"))
-        # the lines are NUL-padded to one width; they hold no NUL, so dropping NULs leaves the text
-        text = lines.view(np.uint8)
-        fh.write(text[text != 0])
+        for start in range(0, m.n_entries, _ENTRY_BLOCK):
+            block = slice(start, start + _ENTRY_BLOCK)
+            lines = np.strings.add(row_text[m.rows[block]], col_text[m.cols[block]])
+            if valued:
+                values = [repr(v) + "\n" for v in m.vals[block].tolist()]
+                lines = np.strings.add(lines, np.array(values, dtype="S"))
+            # the lines are NUL-padded to one width; they hold no NUL, so dropping NULs leaves the text
+            text = lines.view(np.uint8)
+            fh.write(text[text != 0])
 
 
-# Line breaks str.splitlines honours besides "\n"; reading in text mode
-# has already turned "\r\n" and "\r" into "\n".
-_OTHER_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+def _header(line: str) -> tuple[int, int, int]:
+    """The counts of a "countries=<n> products=<m> entries=<z>" line."""
+    try:
+        fields = dict(part.split("=", 1) for part in line.split())
+        counts = int(fields["countries"]), int(fields["products"]), int(fields["entries"])
+    except (ValueError, KeyError):
+        counts = (-1,)
+    if min(counts) < 0:
+        raise ParseError("malformed header", 1)
+    return counts
 
 
-def _load_entries(source, dtype, skip: int = 0) -> np.ndarray | None:
+def _labels(block: str, count: int, line: int, prefix: str) -> tuple[str, ...]:
+    """The labels of ``count`` lines "<prefix> <label>" joined by "\\n",
+    the first of them at physical line ``line``."""
+    if not count:
+        return ()
+    tag = prefix + " "
+    # one piece per line exactly when every line after the first starts with tag
+    labels = block[len(tag):].split("\n" + tag)
+    if not block.startswith(tag) or len(labels) != count:
+        k = next(k for k, text in enumerate(block.split("\n")) if not text.startswith(tag))
+        raise ParseError(f"expected a {prefix!r} label line", line + k)
+    return tuple(labels)
+
+
+def _entry_dtype(valued: bool) -> list:
+    # int64 index fields, so that a token such as "1.0" is not an index
+    return [("i", np.int64), ("j", np.int64)] + ([("v", float)] if valued else [])
+
+
+def _load_entries(source, dtype, skip: int = 0, rows: int | None = None) -> np.ndarray | None:
     """numpy's C text parser over a file path or a list of lines; None
     when it rejects a line."""
     try:
-        with warnings.catch_warnings():  # an all-blank input warns "no data"
+        with warnings.catch_warnings():  # a blank line or an all-blank input warns
             warnings.simplefilter("ignore", UserWarning)
             return np.loadtxt(source, dtype=dtype, comments=None, ndmin=1,
-                              skiprows=skip, encoding="utf-8")
+                              skiprows=skip, max_rows=rows, encoding="utf-8")
     except ValueError:
         return None
 
@@ -250,59 +283,94 @@ def _parse_entries(lines: list[str], dtype) -> tuple[np.ndarray, int | None]:
     return table, lo
 
 
+# Line breaks str.splitlines honours besides "\n"; reading in text mode
+# turns "\r\n" and "\r" into "\n".
+_OTHER_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _count_lines(path) -> int:
+    """The file's line count, read a block at a time.
+
+    Raises ParseError at the first line ended by a break other than
+    "\\n", "\\r\\n" or "\\r", where numpy's parser would not end it.
+    """
+    count, last = 0, "\n"
+    with open(path, encoding="utf-8") as fh:
+        for block in iter(partial(fh.read, _SCAN_BLOCK), ""):
+            found = [k for k in map(block.find, _OTHER_BREAKS) if k >= 0]
+            if found:
+                raise ParseError(f"line break {block[min(found)]!r} is not \\n, \\r\\n or \\r",
+                                 count + block.count("\n", 0, min(found)) + 1)
+            count += block.count("\n")
+            last = block[-1]
+    return count + (last != "\n")
+
+
 def read_matrix(path):
     """Read a canonical matrix file back; returns ExportMatrix when the
     entry lines carry values, BinaryMatrix otherwise.
 
-    Entry faults are reported at the first offending line, in the order a
-    line is checked: field count, indices, range, order, value. The entry
-    block is parsed straight from the file, past the labels; only a
-    faulty block is split into lines to find the line at fault.
+    Only the header and label lines become strings. numpy parses the
+    entry block once, straight from the file; one pass checks the (i, j)
+    order, since the matrix constructor would sort unsorted entries, and
+    the constructor checks range, repeats and values. When any of these
+    rejects the file, it is split into lines to report the first fault at
+    its line, in the order a line is checked: field count, indices,
+    range, order, value. Lines end in "\\n", "\\r\\n" or "\\r"; another
+    break that ``str.splitlines`` honours ends a line in error line
+    numbers, and a file holding one is rejected at it.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    if not text:
-        raise ParseError("empty file", 1)
-    from_file = not any(brk in text for brk in _OTHER_BREAKS)
-    if not from_file:  # lines as str.splitlines gives them, each ended by "\n"
-        text = text.translate({ord(brk): "\n" for brk in _OTHER_BREAKS})
-    head = text.split("\n", 1)[0].split()
     try:
-        fields = dict(part.split("=", 1) for part in head)
-        n = int(fields["countries"])
-        m = int(fields["products"])
-        z = int(fields["entries"])
-        if min(n, m, z) < 0:
-            raise ValueError
-    except (ValueError, KeyError):
-        raise ParseError("malformed header", 1) from None
-    found = text.count("\n") + (not text.endswith("\n"))
-    if found != 1 + n + m + z:
-        raise ParseError(f"expected {1 + n + m + z} lines per header, found {found}", 1)
-    lines = text.split("\n", 1 + n + m)  # header and label lines, then the entry block
-    body = lines.pop() if len(lines) > 1 + n + m else ""
+        return _read_matrix(path)
+    except (ParseError, ValueError) as exc:  # ValueError: the matrix constructor
+        rejected = exc
+    _raise_first_fault(path)
+    raise rejected
 
-    def label_block(offset: int, count: int, prefix: str) -> tuple[str, ...]:
-        block, tag = lines[offset:offset + count], prefix + " "
-        if not count:
-            return ()
-        # one piece per line exactly when every line after the first starts with tag
-        labels = "\n".join(block)[len(tag):].split("\n" + tag)
-        if not block[0].startswith(tag) or len(labels) != count:
-            k = next(k for k, line in enumerate(block) if not line.startswith(tag))
-            raise ParseError(f"expected a {prefix!r} label line", offset + k + 1)
-        return tuple(labels)
 
-    countries = label_block(1, n, "c")
-    products = label_block(1 + n, m, "p")
+def _read_matrix(path):
+    found = _count_lines(path)
+    if not found:
+        raise ParseError("empty file", 1)
+    with open(path, encoding="utf-8") as fh:  # reads "\r\n" and "\r" as "\n"
+        n, m, z = _header(fh.readline())
+        if found != 1 + n + m + z:
+            raise ParseError(f"expected {1 + n + m + z} lines per header, found {found}", 1)
+        countries = _labels("".join(islice(fh, n)).removesuffix("\n"), n, 2, "c")
+        products = _labels("".join(islice(fh, m)).removesuffix("\n"), m, 2 + n, "p")
+        valued = len(fh.readline().split()) == 3
+    dtype = _entry_dtype(valued)
+    table = _load_entries(path, dtype, skip=1 + n + m, rows=z)
+    if table is None or len(table) != z:
+        raise ParseError("entry block does not parse")
+    entries = [np.ascontiguousarray(table[name]) for name in table.dtype.names]
+    del table  # one copy of the entries from here on
+    rows, cols = entries[:2]
+    if not np.all((rows[1:] > rows[:-1]) | ((rows[1:] == rows[:-1]) & (cols[1:] > cols[:-1]))):
+        raise ParseError("entries must be sorted by (i, j) without repeats")
+    for array in entries:  # handed over, so the constructor stores them uncopied
+        array.flags.writeable = False
+    if valued:
+        return ExportMatrix(countries, products, *entries)
+    return BinaryMatrix(countries, products, *entries)
 
-    first = 2 + n + m  # physical line of entry 0
-    valued = z > 0 and len(body.split("\n", 1)[0].split()) == 3
-    dtype = [("i", np.int64), ("j", np.int64)] + ([("v", float)] if valued else [])
-    table = _load_entries(path, dtype, skip=first - 1) if from_file else None
-    bad = None
-    if table is None or len(table) != z:  # find the line at fault
-        entry_lines = body.splitlines()
-        table, bad = _parse_entries(entry_lines, dtype)
+
+def _raise_first_fault(path) -> None:
+    """Raise the first fault of a matrix file, split into lines as
+    ``str.splitlines`` splits it; return when its lines hold none."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    if not lines:
+        raise ParseError("empty file", 1)
+    n, m, z = _header(lines[0])
+    if len(lines) != 1 + n + m + z:
+        raise ParseError(f"expected {1 + n + m + z} lines per header, found {len(lines)}", 1)
+    _labels("\n".join(lines[1:1 + n]), n, 2, "c")
+    _labels("\n".join(lines[1 + n:1 + n + m]), m, 2 + n, "p")
+
+    entry_lines, first = lines[1 + n + m:], 2 + n + m  # first: physical line of entry 0
+    valued = z > 0 and len(entry_lines[0].split()) == 3
+    dtype = _entry_dtype(valued)
+    table, bad = _parse_entries(entry_lines, dtype)
     rows, cols = table["i"], table["j"]
     vals = table["v"] if valued else np.ones(len(table))
     late = None  # the first unparsable line's fault, unless an earlier line has one
@@ -334,12 +402,9 @@ def read_matrix(path):
         messages = (
             f"entry ({rows[k]}, {cols[k]}) out of range",
             "entries must be sorted by (i, j) without repeats",
-            f"non-finite value {body.splitlines()[k].split()[-1]!r}",  # the value field
+            f"non-finite value {entry_lines[k].split()[-1]!r}",  # the value field
             "stored values must be positive",
         )
         raise ParseError(messages[kind], first + k)
     if late is not None:
         raise ParseError(late, first + bad)
-    if valued:
-        return ExportMatrix(countries, products, rows, cols, vals)
-    return BinaryMatrix(countries, products, rows, cols)

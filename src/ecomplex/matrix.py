@@ -225,13 +225,8 @@ def binarize(x: ExportMatrix) -> BinaryMatrix:
     return BinaryMatrix(x.country_labels, x.product_labels, x.rows, x.cols)
 
 
-def rca(x: ExportMatrix) -> np.ndarray:
-    """Dense matrix of revealed-comparative-advantage ratios.
-
-    RCA_ij = (x_ij / row_i total) / (column_j total / world total), zero
-    where x_ij = 0. Raises ZeroMarginal when any retained row or column
-    sums to zero, since the ratio is then undefined; prune first.
-    """
+def _entry_rca(x: ExportMatrix) -> np.ndarray:
+    """The RCA ratio of each stored entry, in entry order."""
     if x.n_entries == 0:  # entries lie inside the matrix, so it has rows and columns
         raise ZeroMarginal("matrix has no positive entries")
     row_tot = np.bincount(x.rows, weights=x.vals, minlength=x.n_countries)
@@ -243,8 +238,18 @@ def rca(x: ExportMatrix) -> np.ndarray:
         j = int(np.argmin(col_tot > 0))
         raise ZeroMarginal(f"product {x.product_labels[j]!r} has zero total exports")
     world = float(x.vals.sum())
+    return (x.vals / row_tot[x.rows]) / (col_tot[x.cols] / world)
+
+
+def rca(x: ExportMatrix) -> np.ndarray:
+    """Dense matrix of revealed-comparative-advantage ratios.
+
+    RCA_ij = (x_ij / row_i total) / (column_j total / world total), zero
+    where x_ij = 0. Raises ZeroMarginal when any retained row or column
+    sums to zero, since the ratio is then undefined; prune first.
+    """
     out = np.zeros((x.n_countries, x.n_products))
-    out[x.rows, x.cols] = (x.vals / row_tot[x.rows]) / (col_tot[x.cols] / world)
+    out[x.rows, x.cols] = _entry_rca(x)
     return out
 
 
@@ -252,10 +257,10 @@ def rca_binarize(x: ExportMatrix, threshold: float = 1.0) -> BinaryMatrix:
     """Binary matrix keeping cells whose RCA meets the threshold.
 
     Ties at the threshold are kept (>=). Only cells with positive exports
-    are candidates, so threshold 0 reproduces plain binarization.
+    are candidates, so threshold 0 reproduces plain binarization. The
+    ratios are computed per stored entry, with no dense matrix.
     """
-    ratios = rca(x)
-    keep = ratios[x.rows, x.cols] >= threshold
+    keep = _entry_rca(x) >= threshold
     rows, cols = x.rows[keep], x.cols[keep]
     rows.flags.writeable = cols.flags.writeable = False  # handed over, so stored uncopied
     return BinaryMatrix(x.country_labels, x.product_labels, rows, cols)

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import subprocess
@@ -26,6 +27,7 @@ from ecomplex import (
     world_distribution,
     write_matrix,
 )
+from ecomplex import cli
 from ecomplex.cli import main
 
 TRADE = (
@@ -482,6 +484,41 @@ class TestLabelsRoundTrip:
         tsi_values = [float(r[2]) for r in p_rows]
         report = json.loads((out / "tau_report.json").read_text())
         assert report["tau_hat"] == estimate_tau(tsi_values, 12)[0]
+
+
+class TestCsvWriter:
+    """Tables are written a block of rows at a time, byte for byte as
+    csv.writer writes them."""
+
+    HEADER = ["label", "x", "n", "blank"]
+
+    def assert_equals_csv_writer(self, path, labels, floats):
+        columns = [tuple(labels), np.array(floats, dtype=float),
+                   np.arange(len(labels), dtype=np.int64) - 2 ** 40, [None] * len(labels)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_CSV_BLOCK", 3)
+            cli._write_csv(path, self.HEADER, columns)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(self.HEADER)
+        writer.writerows(zip(labels, floats, (k - 2 ** 40 for k in range(len(labels))),
+                             [None] * len(labels)))
+        assert path.read_bytes() == buf.getvalue().encode("utf-8")
+
+    @pytest.mark.parametrize("rows", [0, 1, 2, 3, 4, 7])
+    def test_row_counts_around_a_block(self, tmp_path, rows):
+        labels = [f"p{k}" for k in range(rows)]
+        self.assert_equals_csv_writer(tmp_path / "t.csv", labels, [0.1 * k for k in range(rows)])
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(st.tuples(
+        st.text(st.one_of(st.sampled_from(',"\r\n '), st.characters(codec="utf-8")),
+                max_size=6),
+        st.floats()), max_size=20))
+    def test_equals_csv_writer(self, tmp_path_factory, rows):
+        labels = [label for label, _ in rows]
+        floats = [x for _, x in rows]
+        self.assert_equals_csv_writer(tmp_path_factory.mktemp("csv") / "t.csv", labels, floats)
 
 
 class TestLineBreakLabels:

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ecomplex import BinaryMatrix, write_matrix
+from ecomplex import BinaryMatrix, cli, fileio, write_matrix
 from ecomplex.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -108,6 +108,18 @@ def test_outputs_match_golden_files(outputs, name):
     assert sorted(outputs[name]) == sorted(expected)
     for filename, data in expected.items():
         assert outputs[name][filename].decode() == data.decode(), f"{name}/{filename}"
+
+
+def test_outputs_match_golden_files_in_small_blocks(tmp_path, monkeypatch):
+    """Blocks of three lines or characters: every matrix file and table
+    spans several blocks and still has the golden bytes."""
+    monkeypatch.setattr(fileio, "_ENTRY_BLOCK", 3)
+    monkeypatch.setattr(fileio, "_SCAN_BLOCK", 3)
+    monkeypatch.setattr(cli, "_CSV_BLOCK", 3)
+    monkeypatch.chdir(tmp_path)
+    outputs = run_all(Path("."))
+    for name in RUNS:
+        test_outputs_match_golden_files(outputs, name)
 
 
 def _regenerate() -> None:

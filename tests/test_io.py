@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -17,6 +18,7 @@ from ecomplex import (
     sha256_file,
     write_matrix,
 )
+from ecomplex import fileio
 
 
 def write(path, text):
@@ -249,6 +251,14 @@ class TestCanonicalMatrixFile:
         assert back.rows.tolist() == m.rows.tolist() and back.cols.tolist() == m.cols.tolist()
         assert back.vals.tolist() == m.vals.tolist()
 
+    @pytest.mark.parametrize("scan_block", [3, 1 << 20])
+    def test_no_final_line_break(self, tmp_path, monkeypatch, scan_block):
+        monkeypatch.setattr(fileio, "_SCAN_BLOCK", scan_block)
+        p = write(tmp_path / "m.txt", "countries=2 products=1 entries=2\nc x\nc y\np q\n0 0\n1 0")
+        assert read_matrix(p).rows.tolist() == [0, 1]
+        p = write(tmp_path / "m.txt", "countries=2 products=1 entries=0\nc x\nc y\np q")
+        assert read_matrix(p).country_labels == ("x", "y")
+
     def test_line_count_mismatch(self, tmp_path):
         p = write(tmp_path / "m.txt", "countries=2 products=1 entries=2\nc x\nc y\np q\n0 0\n")
         with pytest.raises(ParseError, match="expected 6 lines"):
@@ -338,6 +348,20 @@ class TestMatrixErrorLines:
         p = write(tmp_path / "m.txt",
                   "countries=2 products=1 entries=0\nc x\nc y\nc q\n")
         with pytest.raises(ParseError, match="^line 4: expected a 'p' label line"):
+            read_matrix(p)
+
+    @pytest.mark.parametrize("scan_block", [3, 1 << 20])
+    @pytest.mark.parametrize("brk", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                     "\u2028", "\u2029"])
+    def test_other_line_breaks(self, tmp_path, monkeypatch, scan_block, brk):
+        """A break str.splitlines honours besides \\n, \\r\\n and \\r ends a
+        line in error line numbers, and a file holding one is rejected at it."""
+        monkeypatch.setattr(fileio, "_SCAN_BLOCK", scan_block)
+        p = write(tmp_path / "m.txt", HEAD.format(z=2).replace("\np q\n", "\np q" + brk) + "0 0\n1 0\n")
+        with pytest.raises(ParseError, match=r"^line 4: line break .* is not \\n, \\r\\n or \\r$"):
+            read_matrix(p)
+        p = write(tmp_path / "m.txt", HEAD.format(z=2).replace("\nc y\n", "\nc y" + brk) + "0 0\n1 5\n")
+        with pytest.raises(ParseError, match=r"^line 6: entry \(1, 5\) out of range"):
             read_matrix(p)
 
     @pytest.mark.parametrize("valued", [False, True])
@@ -506,6 +530,97 @@ def test_write_matrix_rejects_out_of_range_entries(tmp_path, m):
     """The matrix types reject the entry before it can reach the writer."""
     with pytest.raises(ValueError, match="out of range"):
         write_matrix(m(), tmp_path / "m.txt")
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Blocks of three entry lines written and three characters scanned,
+    so that small files span several blocks."""
+    monkeypatch.setattr(fileio, "_ENTRY_BLOCK", 3)
+    monkeypatch.setattr(fileio, "_SCAN_BLOCK", 3)
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_read_matrix_agrees_with_line_reference_in_small_blocks(tmp_path, small_blocks, seed):
+    test_read_matrix_agrees_with_line_reference(tmp_path, seed)
+
+
+@pytest.mark.parametrize("valued", [False, True])
+def test_write_matrix_equals_line_reference_in_small_blocks(tmp_path, small_blocks, valued):
+    test_write_matrix_equals_line_reference(tmp_path, valued)
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_other_line_endings_read_the_same_in_small_blocks(tmp_path, small_blocks, newline):
+    TestCanonicalMatrixFile().test_other_line_endings_read_the_same(tmp_path, newline)
+
+
+@pytest.mark.parametrize("valued", [False, True])
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 4, 7])
+def test_round_trip_at_block_boundaries(tmp_path, small_blocks, valued, count):
+    """Entry counts of 0, 1, block - 1, block, block + 1 and more: the file
+    holds the line-by-line text and reads back to the same entries."""
+    rows, cols = np.divmod(np.arange(count), 3)
+    labels = ("a", "b", "c"), ("x", "y", "z")
+    if valued:
+        m = ExportMatrix(*labels, rows, cols, 1.0 / (1.0 + np.arange(count)))
+        entries = [f"{i} {j} {v!r}" for i, j, v in zip(rows, cols, m.vals.tolist())]
+    else:
+        m = BinaryMatrix(*labels, rows, cols)
+        entries = [f"{i} {j}" for i, j in zip(rows, cols)]
+    path = tmp_path / "m.txt"
+    write_matrix(m, path)
+    head = [f"countries=3 products=3 entries={count}", "c a", "c b", "c c", "p x", "p y", "p z"]
+    assert path.read_text() == "\n".join(head + entries) + "\n"
+    back = read_matrix(path)
+    assert isinstance(back, ExportMatrix) == (valued and count > 0)  # no entry line, no values
+    assert back.rows.tolist() == rows.tolist() and back.cols.tolist() == cols.tolist()
+    if valued and count:
+        assert back.vals.tolist() == m.vals.tolist()
+
+
+def _traced_peak(call) -> int:
+    """Bytes allocated at the peak of call() beyond those allocated before
+    it; numpy reports its buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def _sparse_matrix(n_entries: int, valued: bool, n: int = 100, m: int = 10_000):
+    rng = np.random.default_rng(n_entries)
+    rows, cols = np.divmod(np.sort(rng.choice(n * m, n_entries, replace=False)), m)
+    labels = tuple(f"c{i}" for i in range(n)), tuple(f"p{j}" for j in range(m))
+    if valued:
+        return ExportMatrix(*labels, rows, cols, rng.uniform(0.1, 9.0, n_entries))
+    return BinaryMatrix(*labels, rows, cols)
+
+
+class TestMatrixFileMemory:
+    """The matrix file is written a block at a time, and read into one copy
+    of the entry arrays."""
+
+    def test_write_peak_does_not_grow_with_entries(self, tmp_path):
+        peaks = []
+        for n_entries in (200_000, 800_000):
+            m = _sparse_matrix(n_entries, valued=False)
+            peaks.append(_traced_peak(partial(write_matrix, m, tmp_path / "m.txt")))
+        # writing all lines in one buffer grew by 2.2x this array
+        assert peaks[1] - peaks[0] < 0.05 * m.rows.nbytes
+
+    @pytest.mark.parametrize("valued", [False, True])
+    def test_read_peak_is_a_small_multiple_of_the_entries(self, tmp_path, valued):
+        write_matrix(_sparse_matrix(200_000, valued), tmp_path / "m.txt")
+        back = []
+        peak = _traced_peak(lambda: back.append(read_matrix(tmp_path / "m.txt")))
+        arrays = (back[0].rows, back[0].cols) + ((back[0].vals,) if valued else ())
+        # the parsed table and the entry arrays it is copied into; about 5.7x when
+        # the whole text, a copy of the entry block and per-check arrays were held
+        assert peak < 2.5 * sum(a.nbytes for a in arrays)
 
 
 class TestSha256:

@@ -106,6 +106,24 @@ class TestRcaBinarize:
         m = rca_binarize(ExportMatrix.from_dense(np.ones((2, 2))), 1.0)
         assert len(m.entries) == 4
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_keeps_the_cells_of_the_dense_rca(self, seed):
+        """The per-entry ratios equal the dense matrix's bit for bit, so a
+        threshold equal to a cell's ratio keeps that cell."""
+        rng = np.random.default_rng(seed)
+        dense = rng.random((8, 11))
+        dense[dense < 0.3] = 0.0
+        dense[:, 0] = dense[0, :] = 0.5  # no zero marginals
+        x = ExportMatrix.from_dense(dense)
+        ratios = rca(x)
+        for t in [1.0, *ratios[x.rows, x.cols][::5]]:
+            kept = {(int(i), int(j)) for i, j in zip(*np.nonzero(ratios >= t)) if dense[i, j] > 0}
+            assert rca_binarize(x, t).entries == kept
+
+    def test_zero_marginal_raises(self):
+        with pytest.raises(ZeroMarginal):
+            rca_binarize(ExportMatrix.from_dense([[1, 0], [1, 0]]))
+
 
 class TestPruneDegenerate:
     def test_drops_zero_row_and_column(self):
