@@ -35,7 +35,7 @@ __all__ = ["RunConfig", "main", "entry",
 
 DATA_DIR_ENV = "ECOMPLEX_DATA_DIR"
 
-_CSV_BLOCK = 1 << 12  # table rows formatted per write
+_CSV_BLOCK = 1 << 12  # table rows formatted per write, as CSV or JSON
 # a cell csv.writer may quote holds one of these
 _CSV_SPECIAL = re.compile('[,"\r\n]')
 
@@ -163,14 +163,27 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
             fh.write("\n".join(map(",".join, zip(*block))) + "\n")
 
 
+def _write_json_rows(path: Path, header: list[str], columns) -> None:
+    """Write {"rows": [one object per row]} a block of rows at a time,
+    byte for byte as _write_json writes it."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write('{\n  "rows": [')
+        for start in range(0, len(columns[0]), _CSV_BLOCK):
+            block = zip(*(column[start:start + _CSV_BLOCK] for column in columns))
+            text = json.dumps([dict(zip(header, row)) for row in block],
+                              indent=2, sort_keys=True, default=_json_default)
+            # the block's objects, one level deeper; JSON text holds no raw line break in a string
+            fh.write(("," if start else "") + text[1:-2].replace("\n", "\n  "))
+        fh.write("\n  ]\n}\n" if len(columns[0]) else "]\n}\n")
+
+
 def _write_table(path_stem: Path, fmt: str, header: list[str], columns) -> Path:
     if fmt == "csv":
         path = path_stem.with_suffix(".csv")
         _write_csv(path, header, columns)
     else:
         path = path_stem.with_suffix(".json")
-        records = [dict(zip(header, row)) for row in zip(*columns)]
-        _write_json(path, {"rows": records})
+        _write_json_rows(path, header, columns)
     return path
 
 
@@ -198,9 +211,9 @@ def _load_binary(config: RunConfig, matrix_path: str) -> tuple[BinaryMatrix, str
 
 def cmd_ingest(args) -> int:
     config = _merge_config(args)
-    out = _out_dir(config)
     resolved = _resolve_input(args.trade_csv)
     x = fileio.read_trade_csv(resolved)
+    out = _out_dir(config)
     matrix_path = out / "matrix.txt"
     fileio.write_matrix(x, matrix_path)
     cells = x.n_countries * x.n_products

@@ -23,10 +23,11 @@ import warnings
 from functools import partial
 from itertools import islice
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
-from .errors import DegenerateInput, NegativeValue, ParseError
+from .errors import DegenerateInput, EmptyMatrix, NegativeValue, ParseError
 from .matrix import BinaryMatrix, ExportMatrix
 from .validation import IncomePanel
 
@@ -80,19 +81,78 @@ def _csv_records(path):
                 yield lineno, row
 
 
-def read_trade_csv(path) -> ExportMatrix:
-    """country,product,value rows -> ExportMatrix with sorted labels.
-
-    Duplicate (country, product) rows are summed. Values must be
-    non-negative; cells whose total is zero are treated as absent.
-    Labels are stripped, and a label holding a line break is rejected,
-    since the canonical matrix file keeps one label per line. Error line
-    numbers are the physical line where the offending record starts.
-    """
-    totals: dict[tuple[str, str], float] = {}
+def _csv_header(path) -> list[str]:
+    """A CSV file's first record, as csv.reader reads it."""
     records = _csv_records(path)
-    if [h.strip() for h in next(records)] != ["country", "product", "value"]:
-        raise ParseError("expected header country,product,value", 1)
+    try:
+        return next(records)
+    finally:
+        records.close()
+
+
+class _Rejected(Exception):
+    """The tokenizer or a column check rejected a CSV file."""
+
+
+def _csv_table(path, header: list[str], column: int | None = None) -> np.ndarray:
+    """The records after the header, tokenized once by numpy's C parser:
+    a 2-d object array of str, with one column when ``column`` is given.
+
+    The file is read as csv.reader reads it (newline="", so "\\r\\n" and
+    "\\r" end a record and stay as they are inside quotes); the parser
+    quotes as csv.reader does and skips blank lines. Raises _Rejected
+    when it rejects the file, for example at a ragged record, or when
+    its first record is not ``header``.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh, warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a file with no records warns
+            table = np.loadtxt(fh, dtype=object, delimiter=",", quotechar='"',
+                               comments=None, ndmin=2, usecols=column)
+    except ValueError:
+        raise _Rejected from None
+    if not len(table) or table[0].tolist() != (header if column is None else [header[column]]):
+        raise _Rejected
+    return table[1:]
+
+
+def _finite_floats(cells, count: int) -> np.ndarray:
+    """Python's float of each cell; _Rejected unless every one parses
+    and is finite."""
+    try:
+        values = np.fromiter(map(float, cells), float, count)
+    except ValueError:
+        raise _Rejected from None
+    if not np.isfinite(values).all():
+        raise _Rejected
+    return values
+
+
+def _sorted_labels(column: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
+    """The distinct stripped labels of a column in sorted order, and each
+    cell's position among them. Each distinct cell is stripped and
+    checked once; _Rejected at an empty label or one holding a line break."""
+    stripped = {text: text.strip() for text in set(column)}
+    labels = sorted(set(stripped.values()))
+    if any(not label or label.splitlines() != [label] for label in labels):
+        raise _Rejected
+    position = {label: k for k, label in enumerate(labels)}
+    index = {text: position[label] for text, label in stripped.items()}
+    return tuple(labels), np.fromiter(map(index.__getitem__, column), np.intp, len(column))
+
+
+def _raise_first_csv_fault(path, find_fault) -> NoReturn:
+    """Raise the first fault of a CSV file that the tokenizer or a column
+    check rejected. ``find_fault`` runs the reader's per-record checks in
+    file order over (line, fields) and raises at the first failing one,
+    with that record's physical line; it returns no data."""
+    records = _csv_records(path)
+    next(records)  # the header, checked before the file was tokenized
+    find_fault(records)
+    raise ParseError("records do not tokenize as CSV")
+
+
+def _trade_fault(records) -> None:
     for lineno, row in records:
         if len(row) != 3:
             raise ParseError(f"expected 3 fields, got {len(row)}", lineno)
@@ -101,32 +161,48 @@ def read_trade_csv(path) -> ExportMatrix:
             raise ParseError("empty country or product label", lineno)
         if country.splitlines() != [country] or product.splitlines() != [product]:
             raise ParseError("country or product label holds a line break", lineno)
-        v = _parse_value(raw, lineno)
-        if v < 0:
+        if _parse_value(raw, lineno) < 0:
             raise NegativeValue(f"negative export value {raw}", lineno)
-        key = (country, product)
-        totals[key] = totals.get(key, 0.0) + v
-
-    countries = tuple(sorted({c for c, _ in totals}))
-    products = tuple(sorted({p for _, p in totals}))
-    c_pos = {lab: i for i, lab in enumerate(countries)}
-    p_pos = {lab: j for j, lab in enumerate(products)}
-    rows = np.fromiter((c_pos[c] for c, _ in totals), np.intp, len(totals))
-    cols = np.fromiter((p_pos[p] for _, p in totals), np.intp, len(totals))
-    vals = np.fromiter(totals.values(), float, len(totals))
-    keep = vals > 0
-    return ExportMatrix(countries, products, rows[keep], cols[keep], vals[keep])
 
 
-def read_income_csv(path) -> IncomePanel:
-    """country,gdp,natural_rents rows -> IncomePanel (file order kept)."""
-    labels: list[str] = []
-    gdp: list[float] = []
-    rents: list[float] = []
+def read_trade_csv(path) -> ExportMatrix:
+    """country,product,value rows -> ExportMatrix with sorted labels.
+
+    Duplicate (country, product) rows are summed. Values must be
+    non-negative; cells whose total is zero are treated as absent, and a
+    file with no positive cell raises EmptyMatrix. Labels are stripped,
+    and a label holding a line break is rejected, since the canonical
+    matrix file keeps one label per line. Error line numbers are the
+    physical line where the offending record starts.
+    """
+    header = _csv_header(path)
+    if [h.strip() for h in header] != ["country", "product", "value"]:
+        raise ParseError("expected header country,product,value", 1)
+    try:
+        table = _csv_table(path, header)
+        countries, rows = _sorted_labels(table[:, 0])
+        products, cols = _sorted_labels(table[:, 1])
+        vals = _finite_floats(map(str.strip, table[:, 2]), len(table))
+        if (vals < 0).any():
+            raise _Rejected
+    except _Rejected:
+        _raise_first_csv_fault(path, _trade_fault)
+    del table
+    cells, inverse = np.unique(rows * len(products) + cols, return_inverse=True)
+    # bincount adds each cell's values in file order from 0.0, as a running sum does
+    totals = np.bincount(inverse, weights=vals, minlength=len(cells))
+    keep = totals > 0
+    if not keep.any():
+        raise EmptyMatrix("no trade cell has a positive value")
+    rows, cols = np.divmod(cells[keep], len(products))
+    vals = totals[keep]
+    for array in (rows, cols, vals):  # handed over, so the constructor stores them uncopied
+        array.flags.writeable = False
+    return ExportMatrix(countries, products, rows, cols, vals)
+
+
+def _income_fault(records) -> None:
     seen: set[str] = set()
-    records = _csv_records(path)
-    if [h.strip() for h in next(records)] != ["country", "gdp", "natural_rents"]:
-        raise ParseError("expected header country,gdp,natural_rents", 1)
     for lineno, row in records:
         if len(row) != 3:
             raise ParseError(f"expected 3 fields, got {len(row)}", lineno)
@@ -136,16 +212,37 @@ def read_income_csv(path) -> IncomePanel:
         if country in seen:
             raise ParseError(f"duplicate country {country!r}", lineno)
         seen.add(country)
-        g = _parse_value(raw_gdp, lineno)
-        if g <= 0:
+        if _parse_value(raw_gdp, lineno) <= 0:
             raise ParseError(f"gdp must be positive, got {raw_gdp}", lineno)
-        r = _parse_value(raw_rents, lineno)
-        if r < 0:
+        if _parse_value(raw_rents, lineno) < 0:
             raise NegativeValue(f"negative natural rents {raw_rents}", lineno)
-        labels.append(country)
-        gdp.append(g)
-        rents.append(r)
-    return IncomePanel(tuple(labels), np.array(gdp), np.array(rents))
+
+
+def read_income_csv(path) -> IncomePanel:
+    """country,gdp,natural_rents rows -> IncomePanel (file order kept)."""
+    header = _csv_header(path)
+    if [h.strip() for h in header] != ["country", "gdp", "natural_rents"]:
+        raise ParseError("expected header country,gdp,natural_rents", 1)
+    try:
+        table = _csv_table(path, header)
+        labels = tuple(text.strip() for text in table[:, 0])
+        if "" in labels or len(set(labels)) != len(labels):
+            raise _Rejected
+        gdp = _finite_floats(map(str.strip, table[:, 1]), len(table))
+        rents = _finite_floats(map(str.strip, table[:, 2]), len(table))
+        if (gdp <= 0).any() or (rents < 0).any():
+            raise _Rejected
+    except _Rejected:
+        _raise_first_csv_fault(path, _income_fault)
+    return IncomePanel(labels, gdp, rents)
+
+
+def _tsi_fault(column: int, records) -> None:
+    for lineno, row in records:
+        if column >= len(row):
+            raise ParseError("short row", lineno)
+        if row[column] != "":
+            _parse_value(row[column], lineno)
 
 
 def read_tsi_column(path) -> np.ndarray:
@@ -154,9 +251,9 @@ def read_tsi_column(path) -> np.ndarray:
     Blank cells (JSON null) are skipped; every other value must parse as
     a finite float. A JSON file must parse, hold a list of row objects
     (bare or under "rows"), and give each tsi as a number (JSON admits
-    NaN, so its values are checked too).
+    NaN, so its values are checked too). A CSV file is tokenized for
+    its tsi column only.
     """
-    values: list[float] = []
     if str(path).endswith(".json"):
         try:
             payload = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -165,6 +262,7 @@ def read_tsi_column(path) -> np.ndarray:
         rows = payload.get("rows", []) if isinstance(payload, dict) else payload
         if not (isinstance(rows, list) and all(isinstance(row, dict) for row in rows)):
             raise ParseError("expected a list of row objects")
+        values = []
         for k, row in enumerate(rows):
             v = row.get("tsi")
             if v is not None:
@@ -172,16 +270,16 @@ def read_tsi_column(path) -> np.ndarray:
                     raise ParseError(f"row {k}: tsi {v!r} is not a number")
                 values.append(_parse_value(v, None))
     else:
-        records = _csv_records(path)
-        header = next(records)
+        header = _csv_header(path)
         if "tsi" not in header:
             raise ParseError("no tsi column in header", 1)
-        idx = header.index("tsi")
-        for lineno, row in records:
-            if idx >= len(row):
-                raise ParseError("short row", lineno)
-            if row[idx] != "":
-                values.append(_parse_value(row[idx], lineno))
+        column = header.index("tsi")
+        try:
+            cells = _csv_table(path, header, column)[:, 0]
+            cells = cells[cells != ""]
+            values = _finite_floats(cells, len(cells))
+        except _Rejected:
+            _raise_first_csv_fault(path, partial(_tsi_fault, column))
     if len(values) < 2:
         raise DegenerateInput("need at least two tsi values")
     return np.asarray(values)

@@ -93,6 +93,16 @@ class TestIngest:
         assert main(["ingest", str(tmp_path / "nope.csv"),
                      "--out-dir", str(tmp_path)]) == 2
 
+    def test_all_zero_values_exit_68_and_write_nothing(self, tmp_path, capsys):
+        """A trade CSV with no positive cell fails at ingest, not at a
+        later step that reads its matrix file."""
+        src = tmp_path / "trade.csv"
+        src.write_text("country,product,value\nUSA,phones,0\nNER,wheat,0.0\nUSA,phones,0\n")
+        out = tmp_path / "out"
+        assert main(["ingest", str(src), "--out-dir", str(out)]) == 68
+        assert "EmptyMatrix: no trade cell has a positive value" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestMetrics:
     def test_full_battery(self, tmp_path):
@@ -519,6 +529,40 @@ class TestCsvWriter:
         labels = [label for label, _ in rows]
         floats = [x for _, x in rows]
         self.assert_equals_csv_writer(tmp_path_factory.mktemp("csv") / "t.csv", labels, floats)
+
+
+
+class TestJsonWriter:
+    """JSON tables are written a block of rows at a time, byte for byte as
+    json.dumps(indent=2, sort_keys=True) writes the whole table."""
+
+    HEADER = ["label", "x", "n", "blank"]
+
+    def assert_equals_json_dumps(self, path, labels, floats):
+        columns = [tuple(labels), np.array(floats, dtype=float),
+                   np.arange(len(labels), dtype=np.int64) - 2 ** 40, [None] * len(labels)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_CSV_BLOCK", 3)
+            cli._write_table(path.with_suffix(""), "json", self.HEADER, columns)
+        rows = [dict(zip(self.HEADER, row)) for row in zip(*columns)]
+        expected = json.dumps({"rows": rows}, indent=2, sort_keys=True,
+                              default=cli._json_default) + "\n"
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    @pytest.mark.parametrize("rows", [0, 1, 2, 3, 4, 7])
+    def test_row_counts_around_a_block(self, tmp_path, rows):
+        labels = [f"p{k}" for k in range(rows)]
+        self.assert_equals_json_dumps(tmp_path / "t.json", labels, [0.1 * k for k in range(rows)])
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(st.tuples(
+        st.text(st.one_of(st.sampled_from(',"\r\n\\ '), st.characters(codec="utf-8")),
+                max_size=6),
+        st.floats()), max_size=20))
+    def test_equals_json_dumps(self, tmp_path_factory, rows):
+        labels = [label for label, _ in rows]
+        floats = [x for _, x in rows]
+        self.assert_equals_json_dumps(tmp_path_factory.mktemp("json") / "t.json", labels, floats)
 
 
 class TestLineBreakLabels:
