@@ -36,6 +36,7 @@ __all__ = ["RunConfig", "main", "entry",
 DATA_DIR_ENV = "ECOMPLEX_DATA_DIR"
 
 _CSV_BLOCK = 1 << 12  # table rows formatted per write, as CSV or JSON
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 # a cell csv.writer may quote holds one of these
 _CSV_SPECIAL = re.compile('[,"\r\n]')
 
@@ -163,17 +164,29 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
             fh.write("\n".join(map(",".join, zip(*block))) + "\n")
 
 
+def _json_values(column) -> list[str]:
+    """A column's values as json.dumps writes them: numbers as their repr
+    (json's NaN, Infinity and -Infinity for the non-finite floats), None
+    as null, and labels through json's C string escaper."""
+    if isinstance(column, np.ndarray):
+        values = list(map(repr, column.tolist()))
+        if not np.isfinite(column).all():
+            values = [_JSON_NON_FINITE.get(v, v) for v in values]
+        return values
+    return ["null" if v is None else json.dumps(v) for v in column]
+
+
 def _write_json_rows(path: Path, header: list[str], columns) -> None:
     """Write {"rows": [one object per row]} a block of rows at a time,
     byte for byte as _write_json writes it."""
+    order = sorted(range(len(header)), key=header.__getitem__)  # sort_keys
+    keys = (json.dumps(header[k]).replace("%", "%%") for k in order)
+    row = "\n    {" + ",".join(f"\n      {key}: %s" for key in keys) + "\n    }"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write('{\n  "rows": [')
         for start in range(0, len(columns[0]), _CSV_BLOCK):
-            block = zip(*(column[start:start + _CSV_BLOCK] for column in columns))
-            text = json.dumps([dict(zip(header, row)) for row in block],
-                              indent=2, sort_keys=True, default=_json_default)
-            # the block's objects, one level deeper; JSON text holds no raw line break in a string
-            fh.write(("," if start else "") + text[1:-2].replace("\n", "\n  "))
+            block = zip(*(_json_values(columns[k][start:start + _CSV_BLOCK]) for k in order))
+            fh.write(("," if start else "") + ",".join(map(row.__mod__, block)))
         fh.write("\n  ]\n}\n" if len(columns[0]) else "]\n}\n")
 
 

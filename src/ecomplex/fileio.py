@@ -66,19 +66,25 @@ def _csv_records(path):
     """Yield a CSV file's header row, then (line, fields) for each
     non-blank record, line being the physical line where it starts.
 
-    An empty file raises ParseError at line 1.
+    An empty file raises ParseError at line 1, and a record csv.reader
+    cannot read (a field longer than csv.field_size_limit()) raises
+    ParseError at the line where that record starts.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError("empty file", 1)
-        yield header
-        end = reader.line_num
-        for row in reader:
-            lineno, end = end + 1, reader.line_num
-            if row:
-                yield lineno, row
+        end = 0  # the physical line where the last record read ends
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise ParseError("empty file", 1)
+            yield header
+            end = reader.line_num
+            for row in reader:
+                lineno, end = end + 1, reader.line_num
+                if row:
+                    yield lineno, row
+        except csv.Error as exc:
+            raise ParseError(f"cannot read record: {exc}", end + 1) from None
 
 
 def _csv_header(path) -> list[str]:

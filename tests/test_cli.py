@@ -668,13 +668,34 @@ class TestReports:
 
 
 class TestImportFootprint:
-    def test_no_scipy_stats_after_import_or_any_command(self, tmp_path):
-        # A fresh interpreter: the test process itself may hold scipy.
-        # Only validate, run last, may load scipy, and only scipy.special.
+    """The runtime needs numpy alone: importing the package and running
+    every command, validate included, loads no scipy module. Each check
+    runs in a fresh interpreter, since the test process itself holds scipy."""
+
+    REFUSE_SCIPY = """
+import sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError("refused: " + name)
+        return None
+
+sys.meta_path.insert(0, RefuseScipy())
+try:
+    import scipy
+except ImportError:
+    pass
+else:
+    raise AssertionError("scipy was importable")
+"""
+
+    @staticmethod
+    def run_every_command(tmp_path, prelude=""):
         (tmp_path / "trade.csv").write_text(TRADE)
         matrix_file(tmp_path, CONVERGENT)
         income_file(tmp_path)
-        script = f"""
+        script = prelude + f"""
 import sys
 import ecomplex
 from ecomplex.cli import main
@@ -690,18 +711,20 @@ runs = [
     ["simulate", "--mode", "mc", "--K", "221", "--samples", "200"],
     ["simulate", "--mode", "exact", "--K", "6", "--tau", "0.3"],
     ["fit-tau", d + "/products.csv", "--K", "221"],
+    ["validate", d + "/m.txt", d + "/income.csv"],
 ]
 for argv in runs:
     assert main(argv + ["--out-dir", d]) == 0, argv
     assert not scipy_modules(), (argv[0], scipy_modules())
-assert main(["validate", d + "/m.txt", d + "/income.csv", "--out-dir", d]) == 0
-# scipy's private helpers and its version module come with any subpackage
-loaded = set(m.split(".")[1] for m in scipy_modules() if "." in m)
-public = set(p for p in loaded if not p.startswith("_")) - set(["version"])
-assert public == set(["special"]), scipy_modules()
 """
         src = str(Path(__file__).resolve().parents[1] / "src")
         proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
                               env={**os.environ, "PYTHONPATH": src}, capture_output=True,
                               text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
+
+    def test_no_scipy_stats_after_import_or_any_command(self, tmp_path):
+        self.run_every_command(tmp_path)
+
+    def test_every_command_runs_where_scipy_cannot_be_imported(self, tmp_path):
+        self.run_every_command(tmp_path, self.REFUSE_SCIPY)

@@ -11,7 +11,8 @@ Declared changes against the reference:
 - a trade file with no positive cell raises EmptyMatrix (the reference
   returned a matrix with no entries);
 - a field longer than csv.field_size_limit() (128 KiB) is read; the
-  reference raised csv.Error.
+  reference raised csv.Error. In a file with a later fault, or in the
+  header, such a field is a ParseError at its record's start line.
 """
 
 import csv
@@ -34,6 +35,7 @@ from ecomplex import (
     read_trade_csv,
     read_tsi_column,
 )
+from ecomplex.cli import main
 
 
 # --- the reference: per-record readers ------------------------------------
@@ -318,6 +320,28 @@ def test_field_longer_than_the_csv_module_limit_is_read(tmp_path):
     with pytest.raises(csv.Error):
         ref_read_trade_csv(path)
     assert read_trade_csv(path).country_labels == (label, "b")
+
+
+def test_field_longer_than_the_csv_module_limit_before_a_fault(tmp_path):
+    """The line-numbered fault search reads with csv.reader, which stops at
+    the long field: that record's start line is reported, as a ParseError,
+    and the process-wide field limit is left as it is."""
+    limit = csv.field_size_limit()
+    label = "a" * 200_000
+    path = _write(tmp_path / "t.csv",
+                  f"country,product,value\nb,x,1\n\n\"{label}\",x,1\nc,x,-3\n")
+    with pytest.raises(ParseError, match="^line 4: cannot read record: field larger"):
+        read_trade_csv(path)
+    assert main(["ingest", str(path), "--out-dir", str(tmp_path / "out")]) == 65
+    assert csv.field_size_limit() == limit
+
+
+def test_header_field_longer_than_the_csv_module_limit(tmp_path):
+    long_name = "v" * 200_000
+    for reader in (read_trade_csv, read_income_csv, read_tsi_column):
+        path = _write(tmp_path / "t.csv", f"country,product,{long_name}\nb,x,1\n")
+        with pytest.raises(ParseError, match="^line 1: cannot read record: field larger"):
+            reader(path)
 
 
 def test_values_are_stripped_before_float(tmp_path):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -19,6 +21,7 @@ from ecomplex import (
     run_paper_regressions,
     spearman,
 )
+from ecomplex.validation import _student_t_two_sided
 
 
 class TestSpearman:
@@ -153,8 +156,53 @@ class TestOls:
             res = ols(y, [x1, x2], intercept=intercept)
             dof = n - len(res.coefficients)
             t = res.coefficients / res.standard_errors
-            expected = 2.0 * scipy.stats.t.sf(np.abs(t), dof)
-            assert res.p_values.tobytes() == expected.tobytes()
+            assert_student_t_tail(res.p_values, 2.0 * scipy.stats.t.sf(np.abs(t), dof))
+
+
+def assert_student_t_tail(p, expected):
+    """p agrees with expected to 1e-12 relative where expected >= 1e-290,
+    and to 1e-300 absolute below that."""
+    p, expected = np.asarray(p), np.asarray(expected)
+    normal = expected >= 1e-290
+    assert_allclose(p[normal], expected[normal], rtol=1e-12, atol=0)
+    assert_allclose(p[~normal], expected[~normal], rtol=0, atol=1e-300)
+
+
+class TestStudentTail:
+    """The two-sided Student t p-value of ols, against scipy as an oracle
+    and against the closed forms for 1 and 2 degrees of freedom."""
+
+    T = np.concatenate([[0.0], np.geomspace(1e-8, 1e8, 801)])
+    DOFS = [*range(1, 61), 100, 227, 228, 1000, 10 ** 4, 10 ** 6]
+
+    @staticmethod
+    def tail(ts, dof):
+        return np.array([_student_t_two_sided(t, dof) for t in ts.tolist()])
+
+    @pytest.mark.parametrize("dof", DOFS[1:])
+    def test_matches_scipy(self, dof):
+        # dof 1 is checked against its closed form below: there scipy 1.17's
+        # t.sf is off by up to 3.1e-9 (at |t| = 1e-8, against atan and mpmath)
+        assert_student_t_tail(self.tail(self.T, dof), 2.0 * scipy.stats.t.sf(self.T, dof))
+
+    def test_one_degree_of_freedom_is_cauchy(self):
+        t = self.T[1:]
+        assert_student_t_tail(self.tail(t, 1), 2.0 / np.pi * np.arctan(1.0 / t))
+
+    def test_two_degrees_of_freedom(self):
+        t = self.T[1:]
+        r = np.sqrt(2.0 + t * t)
+        # 1 - t / r, without the cancellation at large t
+        assert_student_t_tail(self.tail(t, 2), 2.0 / (r * (r + t)))
+
+    @pytest.mark.parametrize("dof", DOFS)
+    def test_a_probability_falling_in_abs_t(self, dof):
+        p = self.tail(self.T, dof)
+        assert p[0] == 1.0
+        assert np.all((0.0 <= p) & (p <= 1.0))
+        assert np.all(np.diff(p) <= 0.0)
+        assert _student_t_two_sided(math.inf, dof) == 0.0
+        assert np.array_equal(self.tail(-self.T, dof), p)
 
 
 class TestRankTransform:
