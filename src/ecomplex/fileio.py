@@ -344,49 +344,6 @@ def _labels(block: str, count: int, line: int, prefix: str) -> tuple[str, ...]:
     return tuple(labels)
 
 
-def _entry_dtype(valued: bool) -> list:
-    # int64 index fields, so that a token such as "1.0" is not an index
-    return [("i", np.int64), ("j", np.int64)] + ([("v", float)] if valued else [])
-
-
-def _load_entries(source, dtype, skip: int = 0, rows: int | None = None) -> np.ndarray | None:
-    """numpy's C text parser over a file path or a list of lines; None
-    when it rejects a line."""
-    try:
-        with warnings.catch_warnings():  # a blank line or an all-blank input warns
-            warnings.simplefilter("ignore", UserWarning)
-            return np.loadtxt(source, dtype=dtype, comments=None, ndmin=1,
-                              skiprows=skip, max_rows=rows, encoding="utf-8")
-    except ValueError:
-        return None
-
-
-def _parse_entries(lines: list[str], dtype) -> tuple[np.ndarray, int | None]:
-    """Parse entry lines with numpy's C text parser.
-
-    Returns the table of the lines before the first line the parser
-    rejects, and that line's index (None when every line parses). The
-    parser skips blank lines, so a prefix parses only if it gives one row
-    per line; the first rejected line is found by bisection.
-    """
-    def load(k: int) -> np.ndarray | None:
-        table = _load_entries(lines[:k], dtype) if k else np.zeros(0, dtype)
-        return table if table is not None and len(table) == k else None
-
-    table = load(len(lines))
-    if table is not None:
-        return table, None
-    lo, hi, table = 0, len(lines), load(0)  # lines[:lo] parse, lines[:hi] do not
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        prefix = load(mid)
-        if prefix is None:
-            hi = mid
-        else:
-            lo, table = mid, prefix
-    return table, lo
-
-
 # Line breaks str.splitlines honours besides "\n"; reading in text mode
 # turns "\r\n" and "\r" into "\n".
 _OTHER_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
@@ -418,11 +375,12 @@ def read_matrix(path):
     entry block once, straight from the file; one pass checks the (i, j)
     order, since the matrix constructor would sort unsorted entries, and
     the constructor checks range, repeats and values. When any of these
-    rejects the file, it is split into lines to report the first fault at
-    its line, in the order a line is checked: field count, indices,
-    range, order, value. Lines end in "\\n", "\\r\\n" or "\\r"; another
-    break that ``str.splitlines`` honours ends a line in error line
-    numbers, and a file holding one is rejected at it.
+    rejects the file, its lines are checked one by one in file order to
+    report the first fault at its line: a repeated label, then for each
+    entry line field count, indices, range, order, value. Lines end in
+    "\\n", "\\r\\n" or "\\r"; another break that ``str.splitlines``
+    honours ends a line in error line numbers, and a file holding one is
+    rejected at it.
     """
     try:
         return _read_matrix(path)
@@ -443,8 +401,15 @@ def _read_matrix(path):
         countries = _labels("".join(islice(fh, n)).removesuffix("\n"), n, 2, "c")
         products = _labels("".join(islice(fh, m)).removesuffix("\n"), m, 2 + n, "p")
         valued = len(fh.readline().split()) == 3
-    dtype = _entry_dtype(valued)
-    table = _load_entries(path, dtype, skip=1 + n + m, rows=z)
+    # int64 index fields, so that a token such as "1.0" is not an index
+    dtype = [("i", np.int64), ("j", np.int64)] + ([("v", float)] if valued else [])
+    try:
+        with warnings.catch_warnings():  # a blank line or an all-blank input warns
+            warnings.simplefilter("ignore", UserWarning)
+            table = np.loadtxt(path, dtype=dtype, comments=None, ndmin=1,
+                               skiprows=1 + n + m, max_rows=z, encoding="utf-8")
+    except ValueError:
+        table = None
     if table is None or len(table) != z:
         raise ParseError("entry block does not parse")
     entries = [np.ascontiguousarray(table[name]) for name in table.dtype.names]
@@ -459,56 +424,57 @@ def _read_matrix(path):
     return BinaryMatrix(countries, products, *entries)
 
 
+def _number(kind, token: str):
+    """kind(token), int or float, for a token numpy's parser reads too;
+    None otherwise. Python also reads "_" between digits and non-ASCII
+    digits, which numpy rejects."""
+    if token.isascii() and "_" not in token:
+        try:
+            return kind(token)
+        except ValueError:
+            pass
+    return None
+
+
 def _raise_first_fault(path) -> None:
     """Raise the first fault of a matrix file, split into lines as
-    ``str.splitlines`` splits it; return when its lines hold none."""
+    ``str.splitlines`` splits it and checked line by line in file order;
+    return when its lines hold none."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines:
         raise ParseError("empty file", 1)
     n, m, z = _header(lines[0])
     if len(lines) != 1 + n + m + z:
         raise ParseError(f"expected {1 + n + m + z} lines per header, found {len(lines)}", 1)
-    _labels("\n".join(lines[1:1 + n]), n, 2, "c")
-    _labels("\n".join(lines[1 + n:1 + n + m]), m, 2 + n, "p")
+    start = 1  # index of the block's first line, at physical line start + 1
+    for kind, prefix, count in (("country", "c", n), ("product", "p", m)):
+        labels = _labels("\n".join(lines[start:start + count]), count, start + 1, prefix)
+        seen: set[str] = set()
+        for lineno, label in enumerate(labels, start + 1):
+            if label in seen:
+                raise ParseError(f"duplicate {kind} label {label!r}", lineno)
+            seen.add(label)
+        start += count
 
-    entry_lines, first = lines[1 + n + m:], 2 + n + m  # first: physical line of entry 0
-    valued = z > 0 and len(entry_lines[0].split()) == 3
-    dtype = _entry_dtype(valued)
-    table, bad = _parse_entries(entry_lines, dtype)
-    rows, cols = table["i"], table["j"]
-    vals = table["v"] if valued else np.ones(len(table))
-    late = None  # the first unparsable line's fault, unless an earlier line has one
-    if bad is not None:
-        parts = entry_lines[bad].split()
-        if len(parts) != len(dtype):
-            late = "inconsistent entry line"
-        else:
-            try:
-                i, j = np.loadtxt([" ".join(parts[:2])], dtype=np.int64, comments=None)
-            except ValueError:
-                late = "bad entry indices"
-            else:
-                # its value failed to parse; range and order are checked first
-                rows, cols, vals = np.append(rows, i), np.append(cols, j), np.append(vals, 1.0)
-                late = f"cannot parse value {parts[2]!r}"
-
-    prev_i = np.concatenate([[-1], rows[:-1]])
-    prev_j = np.concatenate([[-1], cols[:-1]])
-    faults = np.stack([
-        (rows < 0) | (rows >= n) | (cols < 0) | (cols >= m),
-        (rows < prev_i) | ((rows == prev_i) & (cols <= prev_j)),
-        ~np.isfinite(vals),
-        vals <= 0,
-    ])
-    if faults.any():
-        k = int(np.argmax(faults.any(axis=0)))
-        kind = int(np.argmax(faults[:, k]))
-        messages = (
-            f"entry ({rows[k]}, {cols[k]}) out of range",
-            "entries must be sorted by (i, j) without repeats",
-            f"non-finite value {entry_lines[k].split()[-1]!r}",  # the value field
-            "stored values must be positive",
-        )
-        raise ParseError(messages[kind], first + k)
-    if late is not None:
-        raise ParseError(late, first + bad)
+    width = 3 if z and len(lines[start].split()) == 3 else 2
+    prev = (-1, -1)
+    for lineno, line in enumerate(lines[start:], start + 1):
+        parts = line.split()
+        if len(parts) != width:
+            raise ParseError("inconsistent entry line", lineno)
+        i, j = _number(int, parts[0]), _number(int, parts[1])
+        if i is None or j is None:
+            raise ParseError("bad entry indices", lineno)
+        if not (0 <= i < n and 0 <= j < m):
+            raise ParseError(f"entry ({i}, {j}) out of range", lineno)
+        if (i, j) <= prev:
+            raise ParseError("entries must be sorted by (i, j) without repeats", lineno)
+        prev = (i, j)
+        if width == 3:
+            v = _number(float, parts[2])
+            if v is None:
+                raise ParseError(f"cannot parse value {parts[2]!r}", lineno)
+            if not math.isfinite(v):
+                raise ParseError(f"non-finite value {parts[2]!r}", lineno)
+            if v <= 0:
+                raise ParseError("stored values must be positive", lineno)

@@ -23,7 +23,6 @@ __all__ = [
     "BinaryMatrix",
     "ColumnClasses",
     "binarize",
-    "rca",
     "rca_binarize",
     "prune_degenerate",
 ]
@@ -225,8 +224,16 @@ def binarize(x: ExportMatrix) -> BinaryMatrix:
     return BinaryMatrix(x.country_labels, x.product_labels, x.rows, x.cols)
 
 
-def _entry_rca(x: ExportMatrix) -> np.ndarray:
-    """The RCA ratio of each stored entry, in entry order."""
+def rca_binarize(x: ExportMatrix, threshold: float = 1.0) -> BinaryMatrix:
+    """Binary matrix keeping cells whose RCA meets the threshold.
+
+    RCA_ij = (x_ij / row_i total) / (column_j total / world total). Ties
+    at the threshold are kept (>=). Only cells with positive exports are
+    candidates, so threshold 0 reproduces plain binarization. The ratios
+    are computed per stored entry, with no dense matrix. Raises
+    ZeroMarginal when any row or column sums to zero, since the ratio is
+    then undefined; prune first.
+    """
     if x.n_entries == 0:  # entries lie inside the matrix, so it has rows and columns
         raise ZeroMarginal("matrix has no positive entries")
     row_tot = np.bincount(x.rows, weights=x.vals, minlength=x.n_countries)
@@ -238,29 +245,7 @@ def _entry_rca(x: ExportMatrix) -> np.ndarray:
         j = int(np.argmin(col_tot > 0))
         raise ZeroMarginal(f"product {x.product_labels[j]!r} has zero total exports")
     world = float(x.vals.sum())
-    return (x.vals / row_tot[x.rows]) / (col_tot[x.cols] / world)
-
-
-def rca(x: ExportMatrix) -> np.ndarray:
-    """Dense matrix of revealed-comparative-advantage ratios.
-
-    RCA_ij = (x_ij / row_i total) / (column_j total / world total), zero
-    where x_ij = 0. Raises ZeroMarginal when any retained row or column
-    sums to zero, since the ratio is then undefined; prune first.
-    """
-    out = np.zeros((x.n_countries, x.n_products))
-    out[x.rows, x.cols] = _entry_rca(x)
-    return out
-
-
-def rca_binarize(x: ExportMatrix, threshold: float = 1.0) -> BinaryMatrix:
-    """Binary matrix keeping cells whose RCA meets the threshold.
-
-    Ties at the threshold are kept (>=). Only cells with positive exports
-    are candidates, so threshold 0 reproduces plain binarization. The
-    ratios are computed per stored entry, with no dense matrix.
-    """
-    keep = _entry_rca(x) >= threshold
+    keep = (x.vals / row_tot[x.rows]) / (col_tot[x.cols] / world) >= threshold
     rows, cols = x.rows[keep], x.cols[keep]
     rows.flags.writeable = cols.flags.writeable = False  # handed over, so stored uncopied
     return BinaryMatrix(x.country_labels, x.product_labels, rows, cols)

@@ -33,7 +33,6 @@ __all__ = [
     "conditional_distribution",
     "expected_sophistication",
     "world_distribution",
-    "gaussian_binomial_approx",
     "simulate_world",
     "estimate_tau",
 ]
@@ -178,25 +177,6 @@ def world_distribution(params: ModelParams) -> SophisticationDistribution:
                                       std=float(std[0]))
 
 
-def gaussian_binomial_approx(n: int, x: int) -> float:
-    """De Moivre-Laplace approximation to C(n, x).
-
-    Returns 2^n / sqrt(pi n / 2) * exp(-(x - n/2)^2 / (n/2)), evaluated
-    through a single exp so that n up to a few thousand stays finite.
-    Good near the central region, poor in the tails.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not (0 <= x <= n):
-        raise ValueError("x must be in [0, n]")
-    log_val = (
-        n * math.log(2.0)
-        - 0.5 * math.log(math.pi * n / 2.0)
-        - (x - n / 2.0) ** 2 / (n / 2.0)
-    )
-    return math.exp(log_val)
-
-
 def _subset_tables(K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All 2^K subset masks of techs theta_1..theta_K with their size and
     highest tech index."""
@@ -307,7 +287,7 @@ def simulate_world(
 
     exact mode flips one coherence coin per tech subset (2^K of them,
     feasible up to K = 20); the resulting products are every coherent
-    subset. monte_carlo mode draws ``samples`` subsets from the
+    subset. mc (Monte Carlo) mode draws ``samples`` subsets from the
     coherence-weighted law P(T) proportional to tau^|T| by sampling the
     size s from Binomial(K, tau/(1+tau)) and then a uniform s-subset;
     that proposal IS the target, so draws need no reweighting. Duplicates
@@ -328,9 +308,9 @@ def simulate_world(
         masks, pop, maxidx = masks[order], pop[order], maxidx[order]
         return _build_world(params, pop, maxidx, _hex_labels(masks[:, None]))
 
-    if mode in ("monte_carlo", "mc"):
+    if mode == "mc":
         if samples is None or samples < 1:
-            raise ValueError("monte_carlo mode needs samples >= 1")
+            raise ValueError("mc mode needs samples >= 1")
         q = params.tau / (1.0 + params.tau)
         sizes = rng.binomial(K, q, size=samples)
         words, top = _floyd_subsets(rng, K, sizes)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import Collinear, DegenerateInput, JoinEmpty
 from .matrix import BinaryMatrix
-from .metrics import CountryMetrics, ProductMetrics, _average_ranks, _spearman, compute_metrics
+from .metrics import CountryMetrics, ProductMetrics, _average_ranks, _spearman
 
 __all__ = [
     "IncomePanel",
@@ -277,18 +277,15 @@ def ols(y, X, intercept: bool = True) -> RegressionResult:
     )
 
 
-def rank_transform(v, reversed: bool = True) -> np.ndarray:
-    """Average ranks of v.
-
-    reversed=True gives the largest value the largest rank number (so the
-    most diversified of 160 countries gets rank 160); reversed=False is
-    the mirrored convention where the largest value ranks 1.
+def rank_transform(v) -> np.ndarray:
+    """Average ranks of v in the paper's reversed-rank convention: the
+    largest value gets the largest rank number (so the most diversified
+    of 160 countries gets rank 160).
     """
     v = np.asarray(v, dtype=float)
     if v.size < 1:
         raise ValueError("empty vector")
-    r = _average_ranks(v)
-    return r if reversed else v.size + 1 - r
+    return _average_ranks(v)
 
 
 def join_panel(m: BinaryMatrix, panel: IncomePanel) -> tuple[np.ndarray, np.ndarray, JoinReport]:
@@ -355,7 +352,7 @@ def run_paper_regressions(
     m: BinaryMatrix,
     panel: IncomePanel,
     metrics: CountryMetrics,
-    product_metrics: ProductMetrics | None = None,
+    product_metrics: ProductMetrics,
 ) -> RegressionReport:
     """Run the full validation battery on one matrix and income panel.
 
@@ -365,7 +362,7 @@ def run_paper_regressions(
     positive rent, ECI on TDI, and fitness on d log d / <d log d>. Each
     comes in with- and without-intercept variants. The product-side rank
     correlations (TSI vs PCI, TSI vs Q, PCI vs Q) use the supplied
-    product metrics, or compute them from the matrix when not given.
+    product metrics.
     """
     m_idx, p_idx, report = join_panel(m, panel)
     if metrics.country_labels != m.country_labels:
@@ -381,9 +378,9 @@ def run_paper_regressions(
     if dlogd.mean() > 0:
         dlogd = dlogd / dlogd.mean()
     design = {
-        "rank_gdp": rank_transform(gdp, reversed=True),
-        "rank_d": rank_transform(d, reversed=True),
-        "rank_rents": rank_transform(rents, reversed=True),
+        "rank_gdp": rank_transform(gdp),
+        "rank_d": rank_transform(d),
+        "rank_rents": rank_transform(rents),
         "log_gdp": np.log(gdp),
         "log_d": np.log(d),
         "log_rents_offset": np.log(rents + delta),
@@ -405,8 +402,6 @@ def run_paper_regressions(
 
     sp = spearman(gdp, d)
 
-    if product_metrics is None:
-        _, product_metrics, _, _ = compute_metrics(m)
     prod = {
         "tsi_pci": spearman(product_metrics.tsi, product_metrics.pci),
         "tsi_q": spearman(product_metrics.tsi, product_metrics.q),

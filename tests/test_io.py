@@ -19,6 +19,7 @@ from ecomplex import (
     write_matrix,
 )
 from ecomplex import fileio
+from ecomplex.cli import main
 
 
 def write(path, text):
@@ -332,6 +333,11 @@ class TestMatrixErrorLines:
         (["0 0 1.0", "1 0 -1.0", "1 0 abc"], 6, "positive"),
         (["0 0 abc", "1 0 -1.0"], 5, "cannot parse value"),
         (["0 9 abc"], 5, "out of range"),
+        # numpy's parser reads no "_" and no non-ASCII digit, which Python's int and float read
+        (["0 0", "1_0 0"], 6, "bad entry indices"),
+        (["0 0", "\u0661 0"], 6, "bad entry indices"),
+        (["0 0 1.0", "1 0 1_0"], 6, "cannot parse value '1_0'"),
+        (["0 0 1.0", "1 0 \u0661.5"], 6, "cannot parse value '\u0661.5'"),
     ])
     def test_entry_block(self, tmp_path, entries, line, message):
         p = write(tmp_path / "m.txt",
@@ -339,6 +345,22 @@ class TestMatrixErrorLines:
         with pytest.raises(ParseError, match=f"^line {line}: .*{message}") as info:
             read_matrix(p)
         assert info.value.line == line
+
+    @pytest.mark.parametrize("entries", [["0 0", "1 0"], ["0 0 1.0", "1 0 2.5"]],
+                             ids=["binary", "valued"])
+    @pytest.mark.parametrize("labels, line, message", [
+        ("c x\nc y\nc x\np q\n", 4, "duplicate country label 'x'"),
+        ("c x\nc y\np q\np r\np r\n", 6, "duplicate product label 'r'"),
+    ], ids=["country", "product"])
+    def test_repeated_label(self, tmp_path, capsys, entries, labels, line, message):
+        """A repeated label is a fault of the file, named at its line."""
+        n, m = labels.count("c "), labels.count("p ")
+        p = write(tmp_path / "m.txt", f"countries={n} products={m} entries={len(entries)}\n"
+                  + labels + "\n".join(entries) + "\n")
+        with pytest.raises(ParseError, match=f"^line {line}: {message}$"):
+            read_matrix(p)
+        assert main(["metrics", str(p), "--out-dir", str(tmp_path / "out")]) == 65
+        assert f"line {line}: {message}" in capsys.readouterr().err
 
     def test_wrong_label_prefix(self, tmp_path):
         p = write(tmp_path / "m.txt",

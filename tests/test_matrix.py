@@ -11,7 +11,6 @@ from ecomplex import (
     ZeroMarginal,
     binarize,
     prune_degenerate,
-    rca,
     rca_binarize,
     read_matrix,
     write_matrix,
@@ -52,35 +51,60 @@ class TestBinarize:
         assert m.diversification.sum() == m.ubiquity.sum() == len(m.entries)
 
 
+def _dense_rca(dense: np.ndarray) -> np.ndarray:
+    """RCA ratio of every cell, zero where nothing is exported. Totals are
+    summed one entry at a time in (i, j) order, and the world total over
+    the positive cells in that order, as rca_binarize sums them, so the
+    ratios are its own bit for bit."""
+    row_tot = np.cumsum(dense, axis=1)[:, -1]
+    col_tot = np.cumsum(dense, axis=0)[-1]
+    world = dense[dense > 0].sum()
+    return (dense / row_tot[:, None]) / (col_tot / world)
+
+
+def _kept_between(x: ExportMatrix, low: float, high: float) -> frozenset:
+    """The cells rca_binarize keeps at threshold low but not at high."""
+    return rca_binarize(x, low).entries - rca_binarize(x, high).entries
+
+
 class TestRca:
+    """The ratios rca_binarize thresholds, read off by the cells kept
+    between two thresholds."""
+
     def test_hand_example(self):
         # row shares / world column shares, worked out by hand:
         # totals row=[10,20], col=[20,10], world=30.
-        out = rca(ExportMatrix.from_dense([[10, 0], [10, 10]]))
-        assert_allclose(out[0, 0], 1.5)
-        assert_allclose(out[1, 0], 0.75)
-        assert_allclose(out[1, 1], 1.5)
-        assert out[0, 1] == 0.0
+        x = ExportMatrix.from_dense([[10, 0], [10, 10]])
+        assert _kept_between(x, 1.5 - 1e-12, 1.5 + 1e-12) == {(0, 0), (1, 1)}
+        assert _kept_between(x, 0.75 - 1e-12, 0.75 + 1e-12) == {(1, 0)}
+        assert rca_binarize(x, 1.5 + 1e-12).entries == set()
 
     def test_single_cell_is_unity(self):
-        assert_allclose(rca(ExportMatrix.from_dense([[5.0]])), [[1.0]])
+        x = ExportMatrix.from_dense([[5.0]])
+        assert _kept_between(x, 1.0 - 1e-12, 1.0 + 1e-12) == {(0, 0)}
 
     def test_uniform_matrix_is_unity(self):
-        out = rca(ExportMatrix.from_dense(np.full((3, 4), 2.5)))
-        assert_allclose(out, 1.0)
+        x = ExportMatrix.from_dense(np.full((3, 4), 2.5))
+        assert len(_kept_between(x, 1.0 - 1e-12, 1.0 + 1e-12)) == 12
 
     def test_zero_marginal_raises(self):
-        with pytest.raises(ZeroMarginal):
-            rca(ExportMatrix.from_dense([[1, 0], [1, 0]]))
+        with pytest.raises(ZeroMarginal, match="country 'C1' has zero total exports"):
+            rca_binarize(ExportMatrix.from_dense([[1, 1], [0, 0]]))
 
     def test_shares_reconstruct(self):
+        """Each country's ratios average to 1 under the world column
+        shares, and each product's under the world row shares, so at
+        threshold 1 every country and every product keeps a cell."""
         rng = np.random.default_rng(4)
         dense = rng.random((5, 7)) + 0.1
-        x = ExportMatrix.from_dense(dense)
-        out = rca(x)
+        dense[dense < 0.4] = 0.0
+        dense[:, 0] = dense[0, :] = 0.5  # no zero marginals
+        ratios = _dense_rca(dense)
         world = dense.sum()
-        col_share = dense.sum(axis=0) / world
-        assert_allclose((out * col_share).sum(axis=1), 1.0)
+        assert_allclose(ratios @ (dense.sum(axis=0) / world), 1.0)
+        assert_allclose(dense.sum(axis=1) / world @ ratios, 1.0)
+        m = rca_binarize(ExportMatrix.from_dense(dense), 1.0)
+        assert m.diversification.min() >= 1 and m.ubiquity.min() >= 1
 
 
 class TestRcaBinarize:
@@ -115,7 +139,7 @@ class TestRcaBinarize:
         dense[dense < 0.3] = 0.0
         dense[:, 0] = dense[0, :] = 0.5  # no zero marginals
         x = ExportMatrix.from_dense(dense)
-        ratios = rca(x)
+        ratios = _dense_rca(dense)
         for t in [1.0, *ratios[x.rows, x.cols][::5]]:
             kept = {(int(i), int(j)) for i, j in zip(*np.nonzero(ratios >= t)) if dense[i, j] > 0}
             assert rca_binarize(x, t).entries == kept

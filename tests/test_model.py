@@ -15,7 +15,6 @@ from ecomplex import (
     estimate_tau,
     expected_diversification,
     expected_sophistication,
-    gaussian_binomial_approx,
     simulate_world,
     world_distribution,
 )
@@ -192,22 +191,6 @@ def test_distributions_match_exact_rationals(K, tau):
         assert checked > 10
 
 
-class TestGaussianApprox:
-    def test_central_region(self):
-        exact = float(math.comb(1000, 500))
-        ratio = gaussian_binomial_approx(1000, 500) / exact
-        assert abs(ratio - 1) < 0.01
-
-    def test_tail_is_poor(self):
-        # C(10, 0) = 1; the normal approximation misses badly out here
-        ratio = gaussian_binomial_approx(10, 0) / 1.0
-        assert abs(ratio - 1) > 0.5
-
-    def test_symmetric(self):
-        for n, x in ((10, 3), (11, 2), (100, 41)):
-            assert gaussian_binomial_approx(n, x) == gaussian_binomial_approx(n, n - x)
-
-
 class TestSimulator:
     def test_tau_one_makes_every_subset(self):
         w = simulate_world(ModelParams(tau=1.0, K=3), "exact", seed=0)
@@ -243,12 +226,14 @@ class TestSimulator:
 
     def test_mc_needs_samples(self):
         with pytest.raises(ValueError):
-            simulate_world(ModelParams(tau=0.1, K=50), "monte_carlo", seed=0)
+            simulate_world(ModelParams(tau=0.1, K=50), "mc", seed=0)
+        with pytest.raises(ValueError, match="unknown mode 'monte_carlo'"):
+            simulate_world(ModelParams(tau=0.1, K=50), "monte_carlo", samples=5, seed=0)
 
     def test_mc_deterministic_and_consistent(self):
         params = ModelParams(tau=0.07, K=100)
-        a = simulate_world(params, "monte_carlo", samples=500, seed=3)
-        b = simulate_world(params, "monte_carlo", samples=500, seed=3)
+        a = simulate_world(params, "mc", samples=500, seed=3)
+        b = simulate_world(params, "mc", samples=500, seed=3)
         assert a.matrix.entries == b.matrix.entries
         assert np.array_equal(a.matrix.ubiquity, 101 - a.product_max_tech)
         pop = [bin(int(lab[1:], 16)).count("1") for lab in a.matrix.product_labels]

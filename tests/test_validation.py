@@ -208,18 +208,9 @@ class TestStudentTail:
 class TestRankTransform:
     def test_plain(self):
         assert_allclose(rank_transform([10.0, 30.0, 20.0]), [1.0, 3.0, 2.0])
-        assert_allclose(rank_transform([10.0, 30.0, 20.0], reversed=False),
-                        [3.0, 1.0, 2.0])
 
     def test_ties(self):
         assert_allclose(rank_transform([5.0, 5.0, 7.0]), [1.5, 1.5, 3.0])
-
-    def test_conventions_mirror(self):
-        v = np.array([3.0, 8.0, 1.0, 8.0, 2.0])
-        fwd = rank_transform(v, reversed=False)
-        rev = rank_transform(v, reversed=True)
-        assert_allclose(fwd + rev, np.full(5, 6.0))
-        assert rev.sum() == 15.0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -329,11 +320,6 @@ class TestRegressionBattery:
         for corr in report.product_spearman.values():
             assert -1 <= corr.statistic <= 1
             assert corr.n == m.n_products
-        # omitting the product metrics recomputes the identical numbers
-        again = run_paper_regressions(m, panel, metrics)
-        for key in report.product_spearman:
-            assert (report.product_spearman[key].statistic
-                    == again.product_spearman[key].statistic)
 
     def test_variant_flags_present(self):
         m, panel, metrics, product_metrics = self._setup()
