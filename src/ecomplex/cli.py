@@ -138,7 +138,8 @@ def _cells(column) -> list[str]:
     """A column's CSV cells: numbers as repr text (an int's repr is its
     str), None as a blank cell, and labels as csv.writer writes them."""
     if isinstance(column, np.ndarray):
-        return list(map(repr, column.tolist()))
+        texts, inverse = fileio._distinct_reprs(column)
+        return np.array(texts, dtype=object)[inverse].tolist()
     cells = ["" if v is None else v for v in column]
     if _CSV_SPECIAL.search("".join(cells)):
         cells = list(map(_csv_cell, cells))
@@ -169,10 +170,9 @@ def _json_values(column) -> list[str]:
     (json's NaN, Infinity and -Infinity for the non-finite floats), None
     as null, and labels through json's C string escaper."""
     if isinstance(column, np.ndarray):
-        values = list(map(repr, column.tolist()))
-        if not np.isfinite(column).all():
-            values = [_JSON_NON_FINITE.get(v, v) for v in values]
-        return values
+        texts, inverse = fileio._distinct_reprs(column)
+        texts = [_JSON_NON_FINITE.get(text, text) for text in texts]
+        return np.array(texts, dtype=object)[inverse].tolist()
     return ["null" if v is None else json.dumps(v) for v in column]
 
 

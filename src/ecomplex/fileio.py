@@ -19,9 +19,10 @@ import csv
 import hashlib
 import json
 import math
+import re
 import warnings
 from functools import partial
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import NoReturn
 
@@ -62,29 +63,66 @@ def _parse_value(text: str | float, line: int | None) -> float:
     return v
 
 
+# One field of a CSV record, as csv.reader reads it with its default
+# dialect, and what ends it. A quoted field keeps the text after its
+# closing quote; one still open at the end of the text goes on in the
+# next line.
+_CSV_FIELD = re.compile(r'(?:"([^"]*(?:""[^"]*)*)(?:"([^,\r\n]*)|\Z)|([^,\r\n]*))(,|\r\n|\r|\n|\Z)')
+
+
+def _split_record(text: str, last: bool) -> list[str] | None:
+    """The fields of the record held by ``text``, one or more whole
+    lines; None when a quoted field is still open at its end, unless it
+    is the ``last`` text of the file, where csv.reader ends the field."""
+    fields, pos = [], 0
+    while True:
+        match = _CSV_FIELD.match(text, pos)
+        quoted, tail, plain, end = match.groups()
+        if quoted is None:
+            fields.append(plain)
+        elif tail is None and not last:
+            return None
+        else:
+            fields.append(quoted.replace('""', '"') + (tail or ""))
+        if end != ",":
+            return fields
+        pos = match.end()
+
+
 def _csv_records(path):
     """Yield a CSV file's header row, then (line, fields) for each
     non-blank record, line being the physical line where it starts.
 
-    An empty file raises ParseError at line 1, and a record csv.reader
-    cannot read (a field longer than csv.field_size_limit()) raises
-    ParseError at the line where that record starts.
+    The header is read by csv.reader: an empty file raises ParseError at
+    line 1, and so does a header csv.reader cannot read (a field longer
+    than csv.field_size_limit()). The records after it are split as
+    csv.reader splits them, with no limit on a field's length.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        end = 0  # the physical line where the last record read ends
         try:
             header = next(reader, None)
-            if header is None:
-                raise ParseError("empty file", 1)
-            yield header
-            end = reader.line_num
-            for row in reader:
-                lineno, end = end + 1, reader.line_num
-                if row:
-                    yield lineno, row
         except csv.Error as exc:
-            raise ParseError(f"cannot read record: {exc}", end + 1) from None
+            raise ParseError(f"cannot read record: {exc}", 1) from None
+        if header is None:
+            raise ParseError("empty file", 1)
+        yield header
+        text, start = "", 0  # the lines of a record that goes on, and its first line
+        for lineno, line in enumerate(fh, reader.line_num + 1):
+            if not text:
+                if line in ("\n", "\r\n", "\r"):
+                    continue
+                start = lineno
+                if '"' not in line:
+                    yield lineno, line.rstrip("\r\n").split(",")
+                    continue
+            text += line
+            fields = _split_record(text, last=False)
+            if fields is not None:
+                yield start, fields
+                text = ""
+        if text:
+            yield start, _split_record(text, last=True)
 
 
 def _csv_header(path) -> list[str]:
@@ -291,6 +329,19 @@ def read_tsi_column(path) -> np.ndarray:
     return np.asarray(values)
 
 
+def _distinct_reprs(values: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The repr of each distinct value of a bool, int or float array, and
+    each value's position among them: ``[texts[k] for k in inverse]`` is
+    ``[repr(v) for v in values.tolist()]``.
+
+    Values are told apart by their bits, so -0.0 and 0.0 keep their own
+    text, and repr runs once per distinct value.
+    """
+    bits = values.view(f"u{values.itemsize}")
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    return list(map(repr, distinct.view(values.dtype).tolist())), inverse
+
+
 def write_matrix(m, path) -> None:
     """Write an ExportMatrix (valued) or BinaryMatrix (binary) canonically.
 
@@ -302,17 +353,19 @@ def write_matrix(m, path) -> None:
     row_text = np.array([f"{i} " for i in range(m.n_countries)], dtype="S")
     col_end = " " if valued else "\n"
     col_text = np.array([f"{j}{col_end}" for j in range(m.n_products)], dtype="S")
-    head = [f"countries={m.n_countries} products={m.n_products} entries={m.n_entries}"]
-    head.extend(f"c {lab}" for lab in m.country_labels)
-    head.extend(f"p {lab}" for lab in m.product_labels)
     with open(path, "wb") as fh:
-        fh.write(("\n".join(head) + "\n").encode("utf-8"))
+        fh.write(f"countries={m.n_countries} products={m.n_products} entries={m.n_entries}\n"
+                 .encode("utf-8"))
+        for prefix, labels in (("c ", m.country_labels), ("p ", m.product_labels)):
+            if labels:
+                fh.write((prefix + f"\n{prefix}".join(labels) + "\n").encode("utf-8"))
         for start in range(0, m.n_entries, _ENTRY_BLOCK):
             block = slice(start, start + _ENTRY_BLOCK)
             lines = np.strings.add(row_text[m.rows[block]], col_text[m.cols[block]])
             if valued:
-                values = [repr(v) + "\n" for v in m.vals[block].tolist()]
-                lines = np.strings.add(lines, np.array(values, dtype="S"))
+                texts, inverse = _distinct_reprs(m.vals[block])
+                values = np.array([text + "\n" for text in texts], dtype="S")[inverse]
+                lines = np.strings.add(lines, values)
             # the lines are NUL-padded to one width; they hold no NUL, so dropping NULs leaves the text
             text = lines.view(np.uint8)
             fh.write(text[text != 0])
@@ -349,22 +402,37 @@ def _labels(block: str, count: int, line: int, prefix: str) -> tuple[str, ...]:
 _OTHER_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
 
-def _count_lines(path) -> int:
-    """The file's line count, read a block at a time.
-
-    Raises ParseError at the first line ended by a break other than
-    "\\n", "\\r\\n" or "\\r", where numpy's parser would not end it.
+def _count_lines(path) -> tuple[int, ParseError | None]:
+    """The file's line count, as ``str.splitlines`` counts the lines of
+    its text, read a block at a time; and the ParseError for its first
+    line ended by a break other than "\\n", "\\r\\n" or "\\r", where
+    numpy's parser would not end it (None when it holds no such break).
     """
-    count, last = 0, "\n"
-    with open(path, encoding="utf-8") as fh:
+    count, last, other = 0, "\n", None
+    with open(path, encoding="utf-8") as fh:  # reads "\r\n" and "\r" as "\n"
         for block in iter(partial(fh.read, _SCAN_BLOCK), ""):
             found = [k for k in map(block.find, _OTHER_BREAKS) if k >= 0]
             if found:
-                raise ParseError(f"line break {block[min(found)]!r} is not \\n, \\r\\n or \\r",
-                                 count + block.count("\n", 0, min(found)) + 1)
+                if other is None:
+                    other = ParseError(f"line break {block[min(found)]!r} is not \\n, \\r\\n or \\r",
+                                       count + block.count("\n", 0, min(found)) + 1)
+                count += sum(map(block.count, _OTHER_BREAKS))
             count += block.count("\n")
             last = block[-1]
-    return count + (last != "\n")
+    return count + (last not in "\n" + _OTHER_BREAKS), other
+
+
+def _text_lines(fh):
+    """Lists of a text file's lines, as ``str.splitlines`` splits its
+    text, about a block at a time."""
+    parts = []  # the text after the last "\n" read
+    for block in iter(partial(fh.read, _SCAN_BLOCK), ""):
+        cut = block.rfind("\n") + 1
+        if cut:
+            yield "".join([*parts, block[:cut]]).splitlines()
+            parts = []
+        parts.append(block[cut:])
+    yield "".join(parts).splitlines()
 
 
 def read_matrix(path):
@@ -391,7 +459,9 @@ def read_matrix(path):
 
 
 def _read_matrix(path):
-    found = _count_lines(path)
+    found, other = _count_lines(path)
+    if other is not None:
+        raise other
     if not found:
         raise ParseError("empty file", 1)
     with open(path, encoding="utf-8") as fh:  # reads "\r\n" and "\r" as "\n"
@@ -439,42 +509,45 @@ def _number(kind, token: str):
 def _raise_first_fault(path) -> None:
     """Raise the first fault of a matrix file, split into lines as
     ``str.splitlines`` splits it and checked line by line in file order;
-    return when its lines hold none."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines:
+    return when its lines hold none. The file is read a block at a time,
+    once to count its lines and once to check them."""
+    found, _ = _count_lines(path)
+    if not found:
         raise ParseError("empty file", 1)
-    n, m, z = _header(lines[0])
-    if len(lines) != 1 + n + m + z:
-        raise ParseError(f"expected {1 + n + m + z} lines per header, found {len(lines)}", 1)
-    start = 1  # index of the block's first line, at physical line start + 1
-    for kind, prefix, count in (("country", "c", n), ("product", "p", m)):
-        labels = _labels("\n".join(lines[start:start + count]), count, start + 1, prefix)
-        seen: set[str] = set()
-        for lineno, label in enumerate(labels, start + 1):
-            if label in seen:
-                raise ParseError(f"duplicate {kind} label {label!r}", lineno)
-            seen.add(label)
-        start += count
+    with open(path, encoding="utf-8") as fh:
+        lines = chain.from_iterable(_text_lines(fh))
+        n, m, z = _header(next(lines))
+        if found != 1 + n + m + z:
+            raise ParseError(f"expected {1 + n + m + z} lines per header, found {found}", 1)
+        start = 2  # physical line of the block's first line
+        for kind, prefix, count in (("country", "c", n), ("product", "p", m)):
+            labels = _labels("\n".join(islice(lines, count)), count, start, prefix)
+            seen: set[str] = set()
+            for lineno, label in enumerate(labels, start):
+                if label in seen:
+                    raise ParseError(f"duplicate {kind} label {label!r}", lineno)
+                seen.add(label)
+            start += count
 
-    width = 3 if z and len(lines[start].split()) == 3 else 2
-    prev = (-1, -1)
-    for lineno, line in enumerate(lines[start:], start + 1):
-        parts = line.split()
-        if len(parts) != width:
-            raise ParseError("inconsistent entry line", lineno)
-        i, j = _number(int, parts[0]), _number(int, parts[1])
-        if i is None or j is None:
-            raise ParseError("bad entry indices", lineno)
-        if not (0 <= i < n and 0 <= j < m):
-            raise ParseError(f"entry ({i}, {j}) out of range", lineno)
-        if (i, j) <= prev:
-            raise ParseError("entries must be sorted by (i, j) without repeats", lineno)
-        prev = (i, j)
-        if width == 3:
-            v = _number(float, parts[2])
-            if v is None:
-                raise ParseError(f"cannot parse value {parts[2]!r}", lineno)
-            if not math.isfinite(v):
-                raise ParseError(f"non-finite value {parts[2]!r}", lineno)
-            if v <= 0:
-                raise ParseError("stored values must be positive", lineno)
+        width, prev = 0, (-1, -1)  # width: 3 when the first entry line has three fields, else 2
+        for lineno, line in enumerate(lines, start):
+            parts = line.split()
+            width = width or (3 if len(parts) == 3 else 2)
+            if len(parts) != width:
+                raise ParseError("inconsistent entry line", lineno)
+            i, j = _number(int, parts[0]), _number(int, parts[1])
+            if i is None or j is None:
+                raise ParseError("bad entry indices", lineno)
+            if not (0 <= i < n and 0 <= j < m):
+                raise ParseError(f"entry ({i}, {j}) out of range", lineno)
+            if (i, j) <= prev:
+                raise ParseError("entries must be sorted by (i, j) without repeats", lineno)
+            prev = (i, j)
+            if width == 3:
+                v = _number(float, parts[2])
+                if v is None:
+                    raise ParseError(f"cannot parse value {parts[2]!r}", lineno)
+                if not math.isfinite(v):
+                    raise ParseError(f"non-finite value {parts[2]!r}", lineno)
+                if v <= 0:
+                    raise ParseError("stored values must be positive", lineno)

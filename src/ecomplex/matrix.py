@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
@@ -197,7 +198,10 @@ class BinaryMatrix(_CoordinateMatrix):
         """
         n, m = self.n_countries, self.n_products
         present = np.zeros((m, n + 1), dtype=bool)  # one row per product
-        present.reshape(-1)[self.cols * (n + 1) + self.rows] = True
+        cells = self.cols * (n + 1)
+        cells += self.rows  # in place: one index array at a time
+        present.reshape(-1)[cells] = True
+        del cells
         packed = np.packbits(present, axis=1)
         keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
         _, first, inverse, counts = np.unique(
@@ -265,10 +269,14 @@ def prune_degenerate(m: BinaryMatrix) -> BinaryMatrix:
         raise EmptyMatrix("no countries or products with entries remain")
     if keep_c.all() and keep_p.all():
         return m
-    new_row = np.cumsum(keep_c) - 1
-    new_col = np.cumsum(keep_p) - 1
-    countries = tuple(lab for lab, k in zip(m.country_labels, keep_c) if k)
-    products = tuple(lab for lab, k in zip(m.product_labels, keep_p) if k)
-    rows, cols = new_row[m.rows], new_col[m.cols]
+    # an axis that loses nothing keeps its labels and read-only coordinates as they are
+    countries, rows = m.country_labels, m.rows
+    products, cols = m.product_labels, m.cols
+    if not keep_c.all():
+        countries = tuple(compress(countries, keep_c))
+        rows = (np.cumsum(keep_c) - 1)[rows]
+    if not keep_p.all():
+        products = tuple(compress(products, keep_p))
+        cols = (np.cumsum(keep_p) - 1)[cols]
     rows.flags.writeable = cols.flags.writeable = False  # handed over, so stored uncopied
     return BinaryMatrix(countries, products, rows, cols)

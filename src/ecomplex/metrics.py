@@ -219,15 +219,12 @@ def eci_pci(m: BinaryMatrix) -> tuple[np.ndarray, np.ndarray, EigenReport]:
     return eci, pci, report
 
 
-def fitness_iterations(m: BinaryMatrix):
-    """Generator over (F, Q) iterates of the normalized fixed point.
+def _class_iterations(m: BinaryMatrix):
+    """Generator over (F, Q per column class) iterates, as
+    fitness_iterations yields them before Q is expanded to products.
 
-    Yields the normalized pair after each synchronous update, starting
-    from the all-ones state (yielded first). The state is kept per column
-    class, each class weighted by its product count, and Q is expanded to
-    one value per product on every yield. Infinite; callers slice or
-    drive it via fitness_complexity. Raises NumericalUnderflow if any
-    component of the unnormalized state drops below 1e-300.
+    The state is kept per column class, each class weighted by its
+    product count.
     """
     cls = m.column_classes
     mat, cnt, n_p = cls.matrix.astype(float), cls.counts, m.n_products
@@ -235,7 +232,7 @@ def fitness_iterations(m: BinaryMatrix):
     p = np.ones(len(cnt))  # one value per class
     weighted = cnt * p
     p_mean = weighted.sum() / n_p
-    yield c / c.mean(), (p / p_mean)[cls.inverse]
+    yield c / c.mean(), p / p_mean
     while True:
         c_new = (mat @ weighted) / p_mean
         p_new = 1.0 / (c.mean() * ((1.0 / c) @ mat))
@@ -246,7 +243,21 @@ def fitness_iterations(m: BinaryMatrix):
         c, p = c_new, p_new
         weighted = cnt * p
         p_mean = weighted.sum() / n_p
-        yield c / c.mean(), (p / p_mean)[cls.inverse]
+        yield c / c.mean(), p / p_mean
+
+
+def fitness_iterations(m: BinaryMatrix):
+    """Generator over (F, Q) iterates of the normalized fixed point.
+
+    Yields the normalized pair after each synchronous update, starting
+    from the all-ones state (yielded first), with one Q value per
+    product. Infinite; callers slice or drive it via fitness_complexity.
+    Raises NumericalUnderflow if any component of the unnormalized state
+    drops below 1e-300.
+    """
+    inverse = m.column_classes.inverse
+    for f, q in _class_iterations(m):
+        yield f, q[inverse]
 
 
 def fitness_complexity(
@@ -258,11 +269,14 @@ def fitness_complexity(
     Stops when the largest relative change across the concatenated
     normalized (F, Q) vector drops below tol; raises NonConvergence when
     max_iter synchronous steps do not get there, attaching the last
-    iterate for inspection.
+    iterate for inspection. Every product's Q is its column class's Q,
+    so the largest change is taken over the classes, and Q is expanded
+    to products only for the result.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    it = fitness_iterations(m)
+    inverse = m.column_classes.inverse
+    it = _class_iterations(m)
     f, q = next(it)
     prev = np.concatenate([f, q])
     for n in range(1, max_iter + 1):
@@ -270,13 +284,13 @@ def fitness_complexity(
         cur = np.concatenate([f, q])
         change = float(np.max(np.abs(cur - prev) / np.abs(prev)))
         if change < tol:
-            return f, q, n
+            return f, q[inverse], n
         prev = cur
     raise NonConvergence(
         f"fitness iteration did not converge in {max_iter} steps "
         f"(last relative change {change:.3e})",
         fitness=f,
-        q=q,
+        q=q[inverse],
         iterations=max_iter,
         last_change=change,
     )

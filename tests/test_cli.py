@@ -8,12 +8,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ecomplex import (
     BinaryMatrix,
     DegenerateInput,
+    ExportMatrix,
     ModelParams,
     ParseError,
     binarize,
@@ -27,7 +28,7 @@ from ecomplex import (
     world_distribution,
     write_matrix,
 )
-from ecomplex import cli
+from ecomplex import cli, fileio
 from ecomplex.cli import main
 
 TRADE = (
@@ -563,6 +564,60 @@ class TestJsonWriter:
         labels = [label for label, _ in rows]
         floats = [x for _, x in rows]
         self.assert_equals_json_dumps(tmp_path_factory.mktemp("json") / "t.json", labels, floats)
+
+
+_NAN_PAYLOADS = np.array([0x7FF8000000000001, 0xFFF8000000000000], dtype=np.uint64).view(float)
+_FLOAT_EDGES = [0.0, -0.0, float("inf"), float("-inf"), *_NAN_PAYLOADS.tolist(),
+                5e-324, -5e-324, 2.225073858507201e-308, 1.7976931348623157e308, 0.1]
+_INT_EDGES = [np.iinfo(np.int64).min, np.iinfo(np.int64).max, -1, 0, 1]
+
+
+def _repeats(values):
+    """Lists drawn from a pool of at most four values, so that values
+    repeat within and across blocks."""
+    return st.lists(values, min_size=1, max_size=4).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), max_size=20))
+
+
+class TestDistinctNumbers:
+    """Each distinct number is formatted once per block; every table and
+    matrix file holds per-value repr (and json.dumps) text, bit patterns
+    such as -0.0 and NaN payloads included."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(floats=_repeats(st.one_of(st.sampled_from(_FLOAT_EDGES), st.floats())),
+           ints=_repeats(st.one_of(st.sampled_from(_INT_EDGES), st.integers(-2**63, 2**63 - 1))))
+    @example(floats=[-0.0, 0.0, -0.0, 0.0], ints=[0, 1, 0, 1])  # equal values, distinct bits
+    def test_tables_equal_per_value_text(self, tmp_path, monkeypatch, floats, ints):
+        monkeypatch.setattr(cli, "_CSV_BLOCK", 3)
+        rows = min(len(floats), len(ints))
+        floats, ints = floats[:rows], ints[:rows]
+        labels = tuple(f"p{k}" for k in range(rows))
+        columns = [labels, np.array(floats), np.array(ints, dtype=np.int64)]
+        header = ["label", "x", "n"]
+        cli._write_csv(tmp_path / "t.csv", header, columns)
+        expected = ["label,x,n"] + [f"{lab},{x!r},{n!r}" for lab, x, n in zip(labels, floats, ints)]
+        assert (tmp_path / "t.csv").read_text() == "\n".join(expected) + "\n"
+        cli._write_table(tmp_path / "t", "json", header, columns)
+        rows = [dict(zip(header, row)) for row in zip(labels, floats, ints)]
+        assert (tmp_path / "t.json").read_text() == json.dumps(
+            {"rows": rows}, indent=2, sort_keys=True) + "\n"
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(vals=_repeats(st.one_of(
+        st.sampled_from([x for x in _FLOAT_EDGES if 0 < x < float("inf")]),
+        st.floats(min_value=5e-324, allow_infinity=False))))
+    def test_matrix_file_equals_per_value_text(self, tmp_path, monkeypatch, vals):
+        monkeypatch.setattr(fileio, "_ENTRY_BLOCK", 3)
+        rows, cols = np.divmod(np.arange(len(vals)), 4)
+        m = ExportMatrix(tuple(f"c{i}" for i in range(len(vals) // 4 + 1)),
+                         ("a", "b", "c", "d"), rows, cols, np.array(vals, dtype=float))
+        write_matrix(m, tmp_path / "m.txt")
+        lines = (tmp_path / "m.txt").read_text().splitlines()
+        assert lines[1 + m.n_countries + 4:] == [
+            f"{i} {j} {v!r}" for i, j, v in zip(rows.tolist(), cols.tolist(), vals)]
 
 
 class TestLineBreakLabels:

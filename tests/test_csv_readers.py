@@ -11,8 +11,8 @@ Declared changes against the reference:
 - a trade file with no positive cell raises EmptyMatrix (the reference
   returned a matrix with no entries);
 - a field longer than csv.field_size_limit() (128 KiB) is read; the
-  reference raised csv.Error. In a file with a later fault, or in the
-  header, such a field is a ParseError at its record's start line.
+  reference raised csv.Error. In the header such a field is a
+  ParseError at line 1.
 """
 
 import csv
@@ -35,6 +35,7 @@ from ecomplex import (
     read_trade_csv,
     read_tsi_column,
 )
+from ecomplex import fileio
 from ecomplex.cli import main
 
 
@@ -323,17 +324,36 @@ def test_field_longer_than_the_csv_module_limit_is_read(tmp_path):
 
 
 def test_field_longer_than_the_csv_module_limit_before_a_fault(tmp_path):
-    """The line-numbered fault search reads with csv.reader, which stops at
-    the long field: that record's start line is reported, as a ParseError,
-    and the process-wide field limit is left as it is."""
+    """The line-numbered fault search reads the long field, as the
+    tokenizer does, and names the fault after it; the process-wide field
+    limit is left as it is."""
     limit = csv.field_size_limit()
     label = "a" * 200_000
     path = _write(tmp_path / "t.csv",
                   f"country,product,value\nb,x,1\n\n\"{label}\",x,1\nc,x,-3\n")
-    with pytest.raises(ParseError, match="^line 4: cannot read record: field larger"):
+    with pytest.raises(NegativeValue, match="^line 5: negative export value -3$"):
         read_trade_csv(path)
-    assert main(["ingest", str(path), "--out-dir", str(tmp_path / "out")]) == 65
+    assert main(["ingest", str(path), "--out-dir", str(tmp_path / "out")]) == 66
     assert csv.field_size_limit() == limit
+
+
+@_SETTINGS
+@given(text=st.tuples(st.lists(_field, max_size=4).map(",".join),
+                      st.lists(st.lists(_field, max_size=4).map(",".join), max_size=6),
+                      st.sampled_from(["\n", "\r\n", "\r"]), st.booleans())
+       .map(lambda t: t[2].join([t[0], *t[1]]) + (t[2] if t[3] else "")))
+def test_records_split_as_csv_reader_splits_them(tmp_path, text):
+    """The fault search's record splitter gives csv.reader's records and
+    start lines, quotes, blank lines and line breaks included."""
+    path = _write(tmp_path / "t.csv", text)
+    try:
+        expected = list(_ref_records(path))
+    except ParseError as exc:
+        with pytest.raises(ParseError) as info:
+            list(fileio._csv_records(path))
+        _same_error(info.value, exc)
+        return
+    assert list(fileio._csv_records(path)) == expected
 
 
 def test_header_field_longer_than_the_csv_module_limit(tmp_path):

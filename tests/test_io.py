@@ -623,8 +623,8 @@ def _sparse_matrix(n_entries: int, valued: bool, n: int = 100, m: int = 10_000):
 
 
 class TestMatrixFileMemory:
-    """The matrix file is written a block at a time, and read into one copy
-    of the entry arrays."""
+    """The matrix file is written a block at a time, read into one copy
+    of the entry arrays, and searched for a fault a line at a time."""
 
     def test_write_peak_does_not_grow_with_entries(self, tmp_path):
         peaks = []
@@ -643,6 +643,21 @@ class TestMatrixFileMemory:
         # the parsed table and the entry arrays it is copied into; about 5.7x when
         # the whole text, a copy of the entry block and per-check arrays were held
         assert peak < 2.5 * sum(a.nbytes for a in arrays)
+
+    @pytest.mark.parametrize("valued", [False, True])
+    @pytest.mark.parametrize("line", [3, -1], ids=["label", "last"])
+    def test_naming_a_fault_peaks_below_a_clean_read(self, tmp_path, monkeypatch, valued, line):
+        monkeypatch.setattr(fileio, "_SCAN_BLOCK", 1 << 14)  # a block far smaller than the file
+        path = tmp_path / "m.txt"
+        write_matrix(_sparse_matrix(50_000, valued), path)
+        clean = _traced_peak(partial(read_matrix, path))
+        lines = path.read_text().splitlines()
+        lines[line] = "x" + lines[line]
+        path.write_text("\n".join(lines) + "\n")
+        peak = _traced_peak(partial(pytest.raises, ParseError, read_matrix, path))
+        # at most 0.9x, the rejected clean read's table; 1.9x to 2.7x when the
+        # fault search held the file's text and one string per line
+        assert peak < clean
 
 
 class TestSha256:

@@ -349,6 +349,109 @@ def _with_repeated_columns(m: BinaryMatrix, rng, copies: int) -> BinaryMatrix:
     return BinaryMatrix.from_dense(np.hstack([dense, dense[:, extra]])[:, order])
 
 
+def _per_product_fitness_iterations(m: BinaryMatrix):
+    """The class-weighted fitness iteration with Q expanded to every
+    product on each step, as it ran before the loop kept Q per class."""
+    cls = m.column_classes
+    mat, cnt, n_p = cls.matrix.astype(float), cls.counts, m.n_products
+    c = np.ones(m.n_countries)
+    p = np.ones(len(cnt))
+    weighted = cnt * p
+    p_mean = weighted.sum() / n_p
+    yield c / c.mean(), (p / p_mean)[cls.inverse]
+    while True:
+        c_new = (mat @ weighted) / p_mean
+        p_new = 1.0 / (c.mean() * ((1.0 / c) @ mat))
+        if np.any(c_new < 1e-300) or np.any(p_new < 1e-300):
+            raise NumericalUnderflow("below the floor")
+        c, p = c_new, p_new
+        weighted = cnt * p
+        p_mean = weighted.sum() / n_p
+        yield c / c.mean(), (p / p_mean)[cls.inverse]
+
+
+def _per_product_fitness_complexity(m: BinaryMatrix, tol: float, max_iter: int):
+    """The stopping rule on the per-product iterates, the relative change
+    taken over every product on each step: the reference the per-class
+    rule must match bit for bit. Returns ("converged", f, q, steps),
+    ("nonconvergence", f, q, last change) or ("underflow", step)."""
+    it = _per_product_fitness_iterations(m)
+    f, q = next(it)
+    prev = np.concatenate([f, q])
+    for n in range(1, max_iter + 1):
+        try:
+            f, q = next(it)
+        except NumericalUnderflow:
+            return ("underflow", n)
+        cur = np.concatenate([f, q])
+        change = float(np.max(np.abs(cur - prev) / np.abs(prev)))
+        if change < tol:
+            return ("converged", f, q, n)
+        prev = cur
+    return ("nonconvergence", f, q, change)
+
+
+def _fitness_outcome(m: BinaryMatrix, tol: float, max_iter: int):
+    """fitness_complexity's result in the reference's shape, bits compared."""
+    try:
+        f, q, n = fitness_complexity(m, tol=tol, max_iter=max_iter)
+        return ("converged", f.tobytes(), q.tobytes(), n)
+    except NonConvergence as exc:
+        assert exc.iterations == max_iter
+        return ("nonconvergence", exc.fitness.tobytes(), exc.q.tobytes(), exc.last_change)
+
+
+_STAR = [[1, 1, 1, 1], [1, 0, 0, 0], [1, 0, 0, 0]]  # two countries decay to the floor
+
+
+class TestFitnessPerClass:
+    """fitness_complexity tests the relative change on the per-class
+    state and expands Q once; it gives the per-product loop's F, Q, step
+    count and errors bit for bit."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 40), st.sampled_from([1e-10, 1e-4]),
+           st.sampled_from([2, 25, 10000]))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_per_product_loop(self, seed, copies, tol, max_iter):
+        rng = np.random.default_rng(seed)
+        m = _with_repeated_columns(random_connected_matrix(rng, 20, 60), rng, copies)
+        expected = _per_product_fitness_complexity(m, tol, max_iter)
+        if expected[0] == "underflow":
+            with pytest.raises(NumericalUnderflow):
+                fitness_complexity(m, tol=tol, max_iter=max_iter)
+            return
+        bits = (expected[0], expected[1].tobytes(), expected[2].tobytes(), expected[3])
+        assert _fitness_outcome(m, tol, max_iter) == bits
+        for (f, q), (ref_f, ref_q) in islice(
+                zip(fitness_iterations(m), _per_product_fitness_iterations(m)), 30):
+            assert f.tobytes() == ref_f.tobytes() and q.tobytes() == ref_q.tobytes()
+
+    @pytest.mark.parametrize("copies", [0, 5])
+    def test_underflow_at_the_same_step(self, copies):
+        rng = np.random.default_rng(copies)
+        m = _with_repeated_columns(BinaryMatrix.from_dense(_STAR), rng, copies)
+        outcome = _per_product_fitness_complexity(m, 1e-10, 1_000_000)
+        assert outcome[0] == "underflow"
+        step = outcome[1]
+        with pytest.raises(NumericalUnderflow):
+            fitness_complexity(m, max_iter=step)
+        # one step short of the underflow, both stop with the same last iterate
+        expected = _per_product_fitness_complexity(m, 1e-10, step - 1)
+        assert expected[0] == "nonconvergence"
+        assert _fitness_outcome(m, 1e-10, step - 1) == (
+            expected[0], expected[1].tobytes(), expected[2].tobytes(), expected[3])
+        yielded = 0
+        with pytest.raises(NumericalUnderflow):
+            for _ in fitness_iterations(m):
+                yielded += 1
+        assert yielded == step  # the all-ones state and step - 1 updates
+
+    def test_nested_nonconvergence(self, nested3):
+        expected = _per_product_fitness_complexity(nested3, 1e-10, 500)
+        assert _fitness_outcome(nested3, 1e-10, 500) == (
+            expected[0], expected[1].tobytes(), expected[2].tobytes(), expected[3])
+
+
 class TestColumnClasses:
     """ECI/PCI and fitness run on the country x column-class matrix."""
 
