@@ -70,22 +70,24 @@ def _parse_value(text: str | float, line: int | None) -> float:
 _CSV_FIELD = re.compile(r'(?:"([^"]*(?:""[^"]*)*)(?:"([^,\r\n]*)|\Z)|([^,\r\n]*))(,|\r\n|\r|\n|\Z)')
 
 
-def _split_record(text: str, last: bool) -> list[str] | None:
-    """The fields of the record held by ``text``, one or more whole
-    lines; None when a quoted field is still open at its end, unless it
-    is the ``last`` text of the file, where csv.reader ends the field."""
-    fields, pos = [], 0
+def _split_record(text: str, fields: list[str], last: bool) -> int | None:
+    """Append the fields of the record held by ``text``, one or more
+    whole lines, to ``fields`` and return None; when a quoted field is
+    still open at its end, return where that field starts, unless
+    ``text`` is the ``last`` text of the file, where csv.reader ends the
+    field."""
+    pos = 0
     while True:
         match = _CSV_FIELD.match(text, pos)
         quoted, tail, plain, end = match.groups()
         if quoted is None:
             fields.append(plain)
         elif tail is None and not last:
-            return None
+            return pos
         else:
             fields.append(quoted.replace('""', '"') + (tail or ""))
         if end != ",":
-            return fields
+            return None
         pos = match.end()
 
 
@@ -107,22 +109,32 @@ def _csv_records(path):
         if header is None:
             raise ParseError("empty file", 1)
         yield header
-        text, start = "", 0  # the lines of a record that goes on, and its first line
+        # A record that goes on: its first line, its fields so far, and the
+        # lines of its open quoted field. Only a line holding a quote that
+        # is not one of a doubled pair can close that field, so only such
+        # a line has the field scanned again.
+        start, fields, parts = 0, [], []
         for lineno, line in enumerate(fh, reader.line_num + 1):
-            if not text:
+            if not parts:
                 if line in ("\n", "\r\n", "\r"):
                     continue
                 start = lineno
                 if '"' not in line:
                     yield lineno, line.rstrip("\r\n").split(",")
                     continue
-            text += line
-            fields = _split_record(text, last=False)
-            if fields is not None:
+            elif '"' not in line.replace('""', ""):
+                parts.append(line)
+                continue
+            text = "".join([*parts, line])
+            open_at = _split_record(text, fields, last=False)
+            if open_at is None:
                 yield start, fields
-                text = ""
-        if text:
-            yield start, _split_record(text, last=True)
+                fields, parts = [], []
+            else:
+                parts = [text[open_at:]]
+        if parts:
+            _split_record("".join(parts), fields, last=True)
+            yield start, fields
 
 
 def _csv_header(path) -> list[str]:
@@ -402,24 +414,22 @@ def _labels(block: str, count: int, line: int, prefix: str) -> tuple[str, ...]:
 _OTHER_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
 
-def _count_lines(path) -> tuple[int, ParseError | None]:
-    """The file's line count, as ``str.splitlines`` counts the lines of
-    its text, read a block at a time; and the ParseError for its first
-    line ended by a break other than "\\n", "\\r\\n" or "\\r", where
-    numpy's parser would not end it (None when it holds no such break).
+def _count_lines(path) -> int:
+    """The file's line count, read a block at a time.
+
+    Raises ParseError at the first line ended by a break other than
+    "\\n", "\\r\\n" or "\\r", where numpy's parser would not end it.
     """
-    count, last, other = 0, "\n", None
-    with open(path, encoding="utf-8") as fh:  # reads "\r\n" and "\r" as "\n"
+    count, last = 0, "\n"
+    with open(path, encoding="utf-8") as fh:
         for block in iter(partial(fh.read, _SCAN_BLOCK), ""):
             found = [k for k in map(block.find, _OTHER_BREAKS) if k >= 0]
             if found:
-                if other is None:
-                    other = ParseError(f"line break {block[min(found)]!r} is not \\n, \\r\\n or \\r",
-                                       count + block.count("\n", 0, min(found)) + 1)
-                count += sum(map(block.count, _OTHER_BREAKS))
+                raise ParseError(f"line break {block[min(found)]!r} is not \\n, \\r\\n or \\r",
+                                 count + block.count("\n", 0, min(found)) + 1)
             count += block.count("\n")
             last = block[-1]
-    return count + (last not in "\n" + _OTHER_BREAKS), other
+    return count + (last != "\n")
 
 
 def _text_lines(fh):
@@ -459,9 +469,7 @@ def read_matrix(path):
 
 
 def _read_matrix(path):
-    found, other = _count_lines(path)
-    if other is not None:
-        raise other
+    found = _count_lines(path)
     if not found:
         raise ParseError("empty file", 1)
     with open(path, encoding="utf-8") as fh:  # reads "\r\n" and "\r" as "\n"
@@ -511,7 +519,8 @@ def _raise_first_fault(path) -> None:
     ``str.splitlines`` splits it and checked line by line in file order;
     return when its lines hold none. The file is read a block at a time,
     once to count its lines and once to check them."""
-    found, _ = _count_lines(path)
+    with open(path, encoding="utf-8") as fh:
+        found = sum(map(len, _text_lines(fh)))
     if not found:
         raise ParseError("empty file", 1)
     with open(path, encoding="utf-8") as fh:

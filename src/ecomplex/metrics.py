@@ -41,6 +41,7 @@ __all__ = [
     "tdi",
     "tsi",
     "eci_pci",
+    "fitness_class_iterations",
     "fitness_iterations",
     "fitness_complexity",
     "compute_metrics",
@@ -219,9 +220,10 @@ def eci_pci(m: BinaryMatrix) -> tuple[np.ndarray, np.ndarray, EigenReport]:
     return eci, pci, report
 
 
-def _class_iterations(m: BinaryMatrix):
-    """Generator over (F, Q per column class) iterates, as
-    fitness_iterations yields them before Q is expanded to products.
+def fitness_class_iterations(m: BinaryMatrix):
+    """Generator over (F, Q per column class) iterates: the iterates of
+    fitness_iterations before Q is expanded to products through
+    ``m.column_classes.inverse``. fitness_complexity drives it.
 
     The state is kept per column class, each class weighted by its
     product count.
@@ -256,7 +258,7 @@ def fitness_iterations(m: BinaryMatrix):
     drops below 1e-300.
     """
     inverse = m.column_classes.inverse
-    for f, q in _class_iterations(m):
+    for f, q in fitness_class_iterations(m):
         yield f, q[inverse]
 
 
@@ -276,7 +278,7 @@ def fitness_complexity(
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     inverse = m.column_classes.inverse
-    it = _class_iterations(m)
+    it = fitness_class_iterations(m)
     f, q = next(it)
     prev = np.concatenate([f, q])
     for n in range(1, max_iter + 1):

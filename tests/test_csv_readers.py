@@ -17,6 +17,7 @@ Declared changes against the reference:
 
 import csv
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -335,6 +336,19 @@ def test_field_longer_than_the_csv_module_limit_before_a_fault(tmp_path):
         read_trade_csv(path)
     assert main(["ingest", str(path), "--out-dir", str(tmp_path / "out")]) == 66
     assert csv.field_size_limit() == limit
+
+
+@pytest.mark.parametrize("tail, fields", [("b,x,2\n", 1), ('x","y,1\n', 100_001)])
+def test_quote_left_open_before_many_lines(tmp_path, tail, fields):
+    """A quote left open on line 2 runs to the end of the file. The fault
+    search scans the open field again only on a line that can close it,
+    and from where the field starts, so it names line 2 without
+    rescanning the file's text once per line."""
+    path = _write(tmp_path / "t.csv", 'country,product,value\n"Korea, Rep.,x,1\n' + tail * 100_000)
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match=f"^line 2: expected 3 fields, got {fields}$"):
+        read_trade_csv(path)
+    assert time.perf_counter() - start < 10
 
 
 @_SETTINGS

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from itertools import islice
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -450,6 +454,38 @@ class TestFitnessPerClass:
         expected = _per_product_fitness_complexity(nested3, 1e-10, 500)
         assert _fitness_outcome(nested3, 1e-10, 500) == (
             expected[0], expected[1].tobytes(), expected[2].tobytes(), expected[3])
+
+
+_CONVERGENT = [[1, 1, 1, 1, 1, 1], [1, 1, 1, 1, 0, 0], [1, 1, 0, 0, 1, 1],
+               [0, 0, 1, 1, 1, 1], [1, 1, 1, 0, 1, 0]]
+
+
+class TestTracedFitness:
+    """The benchmark's tracer (bench/tracer.py) counts the iterates a
+    traced run draws from the fitness generators on the span of
+    fitness_complexity, and reports them as the fitness iteration count.
+    It wraps only public functions, so the generator fitness_complexity
+    drives must be one."""
+
+    @pytest.mark.parametrize("dense, status", [(_CONVERGENT, "ok"), (_STAR, "NumericalUnderflow")])
+    def test_span_counts_every_iterate(self, tmp_path, dense, status):
+        m = BinaryMatrix.from_dense(dense)
+        outcome = _per_product_fitness_complexity(m, 1e-10, 10000)
+        # the all-ones state, then one iterate per step (the last one raising)
+        yields = outcome[3] + 1 if outcome[0] == "converged" else outcome[1]
+        write_matrix(m, tmp_path / "m.txt")
+        root = Path(__file__).resolve().parents[1]
+        spans_path = tmp_path / "spans.json"
+        proc = subprocess.run(
+            [sys.executable, str(root / "bench" / "tracer.py"), str(spans_path), "p", "--",
+             "metrics", str(tmp_path / "m.txt"), "--out-dir", str(tmp_path / "out")],
+            env={**os.environ, "PYTHONPATH": str(root / "src")}, capture_output=True,
+            text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        spans = [span for span in json.loads(spans_path.read_text())["spans"]
+                 if span["name"] == "metrics.fitness_complexity"]
+        assert [span["status"] for span in spans] == [status]
+        assert spans[0]["counts"] == {"cells": m.n_countries * m.n_products, "yields": yields}
 
 
 class TestColumnClasses:
