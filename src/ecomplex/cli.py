@@ -16,7 +16,6 @@ import csv
 import io
 import json
 import os
-import re
 import sys
 from dataclasses import asdict, dataclass, fields, is_dataclass
 from pathlib import Path
@@ -37,8 +36,6 @@ DATA_DIR_ENV = "ECOMPLEX_DATA_DIR"
 
 _CSV_BLOCK = 1 << 12  # table rows formatted per write, as CSV or JSON
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-# a cell csv.writer may quote holds one of these
-_CSV_SPECIAL = re.compile('[,"\r\n]')
 
 
 @dataclass(frozen=True)
@@ -141,14 +138,20 @@ def _cells(column) -> list[str]:
         texts, inverse = fileio._distinct_reprs(column)
         return np.array(texts, dtype=object)[inverse].tolist()
     cells = ["" if v is None else v for v in column]
-    if _CSV_SPECIAL.search("".join(cells)):
+    if _csv_special("".join(cells)):
         cells = list(map(_csv_cell, cells))
     return cells
 
 
+def _csv_special(text: str) -> bool:
+    """Whether text holds a character csv.writer may quote a cell for;
+    plain substring tests, several times faster than a regex search."""
+    return "," in text or '"' in text or "\r" in text or "\n" in text
+
+
 def _csv_cell(text: str) -> str:
     """One cell as csv.writer writes it in a row of two or more cells."""
-    if not _CSV_SPECIAL.search(text):
+    if not _csv_special(text):
         return text
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow([text])

@@ -29,6 +29,16 @@ __all__ = [
 ]
 
 
+def _in_entry_order(rows: np.ndarray, cols: np.ndarray) -> bool:
+    """Whether the entries are in strictly increasing (i, j) order, found
+    with byte-per-entry masks and no entry-sized integer key."""
+    row_up = rows[1:] > rows[:-1]
+    same_row = rows[1:] == rows[:-1]
+    same_row &= cols[1:] > cols[:-1]
+    row_up |= same_row
+    return bool(row_up.all())
+
+
 @dataclass(frozen=True)
 class _CoordinateMatrix:
     """Country and product labels plus parallel entry coordinates.
@@ -68,9 +78,9 @@ class _CoordinateMatrix:
         if len(rows) and not (0 <= rows.min() and rows.max() < n
                               and 0 <= cols.min() and cols.max() < m):
             raise ValueError("matrix entry out of range")
-        key = rows * m + cols
         order = slice(None)  # sorted input is kept in place
-        if not np.all(key[1:] > key[:-1]):
+        if not _in_entry_order(rows, cols):
+            key = rows * m + cols
             order = np.argsort(key, kind="stable")
             if np.any(np.diff(key[order]) == 0):
                 raise ValueError("repeated matrix entry")
@@ -148,9 +158,9 @@ class ColumnClasses(NamedTuple):
     repeated column has one class per product, in product order.
     """
 
-    matrix: np.ndarray  # n_countries x n_classes bool: each class's column
+    matrix: np.ndarray  # n_countries x n_classes bool: each class's column, unpacked from its key
     counts: np.ndarray  # float number of products in each class
-    inverse: np.ndarray  # class of each product
+    inverse: np.ndarray  # class of each product, from grouping the packed column keys
     first: np.ndarray  # first product of each class
 
 
@@ -169,8 +179,11 @@ class BinaryMatrix(_CoordinateMatrix):
 
     def __post_init__(self):
         super().__post_init__()
-        d = np.bincount(self.rows, minlength=self.n_countries)
-        u = np.bincount(self.cols, minlength=self.n_products)
+        # the rows are sorted, so each country's entries are one run
+        d = np.diff(np.searchsorted(self.rows, np.arange(self.n_countries + 1)))
+        # np.bincount would copy the read-only column array first
+        u = np.zeros(self.n_products, dtype=np.intp)
+        np.add.at(u, self.cols, 1)
         object.__setattr__(self, "diversification", d)
         object.__setattr__(self, "ubiquity", u)
 
@@ -191,18 +204,19 @@ class BinaryMatrix(_CoordinateMatrix):
     def column_classes(self) -> ColumnClasses:
         """Products grouped by column, built once per matrix.
 
-        Each product's column is packed into bytes and the byte strings
-        are compared as opaque keys, which is far cheaper than comparing
-        dense columns. A spare always-absent country keeps the key at
-        least one byte wide when the matrix has no countries.
+        Each product's column is packed into bytes, one bit per country,
+        and the byte strings are compared as opaque keys, which is far
+        cheaper than comparing dense columns. The keys are set straight
+        from the (i, j)-sorted entries: country i's products are one run
+        of ``cols``, and one OR per country sets bit i in each of their
+        keys. A spare always-absent country keeps the key at least one
+        byte wide when the matrix has no countries.
         """
         n, m = self.n_countries, self.n_products
-        present = np.zeros((m, n + 1), dtype=bool)  # one row per product
-        cells = self.cols * (n + 1)
-        cells += self.rows  # in place: one index array at a time
-        present.reshape(-1)[cells] = True
-        del cells
-        packed = np.packbits(present, axis=1)
+        packed = np.zeros((m, n // 8 + 1), dtype=np.uint8)  # one key per product, n + 1 bits
+        bounds = np.searchsorted(self.rows, np.arange(n + 1)).tolist()
+        for i in range(n):  # bit i of a key is bit 7 - i % 8 of byte i // 8, as np.packbits packs
+            packed[self.cols[bounds[i]:bounds[i + 1]], i >> 3] |= np.uint8(0x80 >> (i & 7))
         keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
         _, first, inverse, counts = np.unique(
             keys, return_index=True, return_inverse=True, return_counts=True)
@@ -210,7 +224,8 @@ class BinaryMatrix(_CoordinateMatrix):
         rank = np.empty_like(order)
         rank[order] = np.arange(len(order))
         first = first[order]
-        classes = ColumnClasses(matrix=np.ascontiguousarray(present[first, :n].T),
+        columns = np.unpackbits(packed[first], axis=1, count=n).view(bool)
+        classes = ColumnClasses(matrix=np.ascontiguousarray(columns.T),
                                 counts=counts[order].astype(float),
                                 inverse=rank[inverse],
                                 first=first)

@@ -230,9 +230,14 @@ def _build_world(params: ModelParams, s_arr, maxidx_arr, labels) -> SyntheticWor
     K = params.K
     top = np.asarray(maxidx_arr)
     # row by row, so the entries come in the (i, j) order BinaryMatrix keeps
-    per_row = [np.flatnonzero(top <= k) for k in range(K + 1)]
-    rows = np.repeat(np.arange(K + 1), [len(c) for c in per_row])
-    cols = np.concatenate(per_row)
+    # country k makes every product whose top is at most k
+    row_sizes = np.cumsum(np.bincount(top, minlength=K + 1))
+    rows = np.repeat(np.arange(K + 1), row_sizes)
+    cols = np.empty(len(rows), dtype=np.intp)
+    start = 0
+    for k, size in enumerate(row_sizes.tolist()):
+        cols[start:start + size] = np.flatnonzero(top <= k)
+        start += size
     rows.flags.writeable = cols.flags.writeable = False  # handed over, so stored uncopied
     matrix = BinaryMatrix(tuple(f"k{k}" for k in range(K + 1)), tuple(labels), rows, cols)
     return SyntheticWorld(
@@ -382,7 +387,8 @@ def estimate_tau(tsi_values, K: int) -> tuple[float, float]:
     if tsi_values.size < 2 or tsi_values.std() == 0:
         raise DegenerateInput("input values have zero variance")
     sample_sorted = np.sort(tsi_values)
-    atoms = np.unique(sample_sorted)
+    run_starts = np.concatenate(([True], sample_sorted[1:] != sample_sorted[:-1]))
+    atoms = sample_sorted[run_starts]
     emp_at_atoms = np.searchsorted(sample_sorted, atoms, side="right") / len(sample_sorted)
     taus = np.arange(1, 501) / 1000.0
     p, mean, std = _world_grid(K, taus)

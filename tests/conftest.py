@@ -1,9 +1,24 @@
-"""Shared fixtures: the nested 3x3 matrix and a random-matrix factory."""
+"""Shared fixtures: the nested 3x3 matrix and a random-matrix factory,
+plus a tracemalloc peak probe."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ecomplex import BinaryMatrix, EmptyMatrix, prune_degenerate
+
+
+def traced_peak(call) -> int:
+    """Bytes allocated at the peak of call() beyond those allocated before
+    it; numpy reports its buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 def bipartite_connected(m: BinaryMatrix) -> bool:

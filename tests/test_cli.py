@@ -724,8 +724,9 @@ class TestReports:
 
 class TestImportFootprint:
     """The runtime needs numpy alone: importing the package and running
-    every command, validate included, loads no scipy module. Each check
-    runs in a fresh interpreter, since the test process itself holds scipy."""
+    every command, validate included, loads no scipy module, nor
+    numpy.ma, which np.unique with no flags imports. Each check runs in a
+    fresh interpreter, since the test process itself holds scipy."""
 
     REFUSE_SCIPY = """
 import sys
@@ -755,10 +756,12 @@ import sys
 import ecomplex
 from ecomplex.cli import main
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+def unwanted_modules():
+    return sorted(m for m in sys.modules
+                  if m == "scipy" or m.startswith("scipy.")
+                  or m == "numpy.ma" or m.startswith("numpy.ma."))
 
-assert not scipy_modules(), ("import ecomplex", scipy_modules())
+assert not unwanted_modules(), ("import ecomplex", unwanted_modules())
 d = {str(tmp_path)!r}
 runs = [
     ["ingest", d + "/trade.csv"],
@@ -770,7 +773,7 @@ runs = [
 ]
 for argv in runs:
     assert main(argv + ["--out-dir", d]) == 0, argv
-    assert not scipy_modules(), (argv[0], scipy_modules())
+    assert not unwanted_modules(), (argv[0], unwanted_modules())
 """
         src = str(Path(__file__).resolve().parents[1] / "src")
         proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,

@@ -1,8 +1,8 @@
-import tracemalloc
 from functools import partial
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 from numpy.testing import assert_allclose
 
 from ecomplex import (
@@ -601,18 +601,6 @@ def test_round_trip_at_block_boundaries(tmp_path, small_blocks, valued, count):
         assert back.vals.tolist() == m.vals.tolist()
 
 
-def _traced_peak(call) -> int:
-    """Bytes allocated at the peak of call() beyond those allocated before
-    it; numpy reports its buffers to tracemalloc."""
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        call()
-        return tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-
-
 def _sparse_matrix(n_entries: int, valued: bool, n: int = 100, m: int = 10_000):
     rng = np.random.default_rng(n_entries)
     rows, cols = np.divmod(np.sort(rng.choice(n * m, n_entries, replace=False)), m)
@@ -630,7 +618,7 @@ class TestMatrixFileMemory:
         peaks = []
         for n_entries in (200_000, 800_000):
             m = _sparse_matrix(n_entries, valued=False)
-            peaks.append(_traced_peak(partial(write_matrix, m, tmp_path / "m.txt")))
+            peaks.append(traced_peak(partial(write_matrix, m, tmp_path / "m.txt")))
         # writing all lines in one buffer grew by 2.2x this array
         assert peaks[1] - peaks[0] < 0.05 * m.rows.nbytes
 
@@ -638,7 +626,7 @@ class TestMatrixFileMemory:
     def test_read_peak_is_a_small_multiple_of_the_entries(self, tmp_path, valued):
         write_matrix(_sparse_matrix(200_000, valued), tmp_path / "m.txt")
         back = []
-        peak = _traced_peak(lambda: back.append(read_matrix(tmp_path / "m.txt")))
+        peak = traced_peak(lambda: back.append(read_matrix(tmp_path / "m.txt")))
         arrays = (back[0].rows, back[0].cols) + ((back[0].vals,) if valued else ())
         # the parsed table and the entry arrays it is copied into; about 5.7x when
         # the whole text, a copy of the entry block and per-check arrays were held
@@ -650,11 +638,11 @@ class TestMatrixFileMemory:
         monkeypatch.setattr(fileio, "_SCAN_BLOCK", 1 << 14)  # a block far smaller than the file
         path = tmp_path / "m.txt"
         write_matrix(_sparse_matrix(50_000, valued), path)
-        clean = _traced_peak(partial(read_matrix, path))
+        clean = traced_peak(partial(read_matrix, path))
         lines = path.read_text().splitlines()
         lines[line] = "x" + lines[line]
         path.write_text("\n".join(lines) + "\n")
-        peak = _traced_peak(partial(pytest.raises, ParseError, read_matrix, path))
+        peak = traced_peak(partial(pytest.raises, ParseError, read_matrix, path))
         # at most 0.9x, the rejected clean read's table; 1.9x to 2.7x when the
         # fault search held the file's text and one string per line
         assert peak < clean

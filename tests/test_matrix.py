@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import traced_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
@@ -320,6 +321,14 @@ def test_caller_arrays_stay_apart_from_stored_entries(tmp_path):
     assert x.vals.tolist() == [1.0, 2.0]
     write_matrix(m, tmp_path / "m.txt")
     assert read_matrix(tmp_path / "m.txt").entries == {(0, 0), (1, 1)}
+
+
+def test_sorted_read_only_entries_are_checked_and_counted_in_place():
+    rows, cols = np.divmod(np.flatnonzero(np.random.default_rng(5).random(200 * 5000) < 0.5), 5000)
+    rows.flags.writeable = cols.flags.writeable = False
+    labels = tuple(f"c{i}" for i in range(200)), tuple(f"p{j}" for j in range(5000))
+    # an int64 (i, j) key alone is 1x, and np.bincount copies a read-only index array
+    assert traced_peak(lambda: BinaryMatrix(*labels, rows, cols)) < 0.75 * rows.nbytes
 
 
 def test_read_only_entries_are_shared_not_copied():

@@ -8,10 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.stats
-from conftest import random_connected_matrix
+from conftest import random_connected_matrix, traced_peak
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from hypothesis.extra import numpy as hnp
+from numpy.testing import assert_allclose, assert_array_equal
 
 from ecomplex import (
     BinaryMatrix,
@@ -353,6 +354,29 @@ def _with_repeated_columns(m: BinaryMatrix, rng, copies: int) -> BinaryMatrix:
     return BinaryMatrix.from_dense(np.hstack([dense, dense[:, extra]])[:, order])
 
 
+@st.composite
+def _columns_from_a_pool(draw) -> BinaryMatrix:
+    """An unpruned matrix whose columns are drawn, with repeats, from a
+    small pool that holds an all-zero column; the country counts put the
+    packed column key on either side of a byte boundary."""
+    n = draw(st.sampled_from([0, 1, 7, 8, 9, 16, 17]))
+    pool = draw(hnp.arrays(np.uint8, (n, draw(st.integers(1, 6))), elements=st.integers(0, 1)))
+    pool[:, 0] = 0
+    picks = draw(st.lists(st.integers(0, pool.shape[1] - 1), max_size=40))
+    return BinaryMatrix.from_dense(pool[:, picks].reshape(n, len(picks)))
+
+
+def _dense_column_classes(m: BinaryMatrix):
+    """Unique dense columns in order of first occurrence."""
+    dense = m.to_dense().astype(bool)
+    classes = {}
+    inverse = [classes.setdefault(dense[:, j].tobytes(), len(classes))
+               for j in range(m.n_products)]
+    first = [inverse.index(c) for c in range(len(classes))]
+    return (dense[:, first], np.bincount(inverse, minlength=len(classes)).astype(float),
+            np.array(inverse, dtype=np.intp), np.array(first, dtype=np.intp))
+
+
 def _per_product_fitness_iterations(m: BinaryMatrix):
     """The class-weighted fitness iteration with Q expanded to every
     product on each step, as it ran before the loop kept Q per class."""
@@ -501,6 +525,17 @@ class TestColumnClasses:
         assert m.column_classes is cls  # built once per matrix
         with pytest.raises(ValueError, match="read-only"):
             cls.inverse[0] = 1
+
+    @given(_columns_from_a_pool())
+    @settings(max_examples=200, deadline=None)
+    def test_classes_match_unique_dense_columns(self, m):
+        for got, ref in zip(m.column_classes, _dense_column_classes(m), strict=True):
+            assert_array_equal(got, ref, strict=True)
+
+    def test_class_keys_peak_below_the_entry_array(self):
+        m = simulate_world(ModelParams(tau=0.07, K=221), mode="mc", samples=20_000, seed=1).matrix
+        # 2.8x when the keys were packed from a dense products x countries block
+        assert traced_peak(lambda: m.column_classes) < 1.5 * m.rows.nbytes
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 60))
     @settings(max_examples=40, deadline=None)
