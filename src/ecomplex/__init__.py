@@ -7,135 +7,15 @@ predicts how those metrics behave, and ships a statistical harness to
 validate the two against income data and each other.
 """
 
-from .errors import (
-    Collinear,
-    DegenerateInput,
-    DegenerateSpectrum,
-    DegenerateVector,
-    DisconnectedMatrix,
-    EcomplexError,
-    EmptyMatrix,
-    InfeasibleEnumeration,
-    JoinEmpty,
-    NegativeValue,
-    NonConvergence,
-    NumericalUnderflow,
-    ParseError,
-    ZeroMarginal,
-)
-from .matrix import (
-    BinaryMatrix,
-    ColumnClasses,
-    ExportMatrix,
-    binarize,
-    prune_degenerate,
-    rca_binarize,
-)
-from .metrics import (
-    CountryMetrics,
-    EigenReport,
-    ProductMetrics,
-    compute_metrics,
-    eci_pci,
-    fitness_class_iterations,
-    fitness_complexity,
-    fitness_iterations,
-    standardize,
-    tdi,
-    tsi,
-)
-from .model import (
-    ModelParams,
-    SophisticationDistribution,
-    SyntheticWorld,
-    coherence_prob,
-    conditional_distribution,
-    estimate_tau,
-    expected_diversification,
-    expected_sophistication,
-    simulate_world,
-    world_distribution,
-)
-from .validation import (
-    CorrelationResult,
-    IncomePanel,
-    JoinReport,
-    RegressionReport,
-    RegressionResult,
-    join_panel,
-    ols,
-    rank_transform,
-    run_paper_regressions,
-    spearman,
-)
-from .fileio import (
-    read_income_csv,
-    read_matrix,
-    read_trade_csv,
-    read_tsi_column,
-    sha256_file,
-    write_matrix,
-)
+from . import errors, matrix, metrics, model, validation, fileio
+from .errors import *
+from .matrix import *
+from .metrics import *
+from .model import *
+from .validation import *
+from .fileio import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BinaryMatrix",
-    "Collinear",
-    "ColumnClasses",
-    "CorrelationResult",
-    "CountryMetrics",
-    "DegenerateInput",
-    "DegenerateSpectrum",
-    "DegenerateVector",
-    "DisconnectedMatrix",
-    "EcomplexError",
-    "EigenReport",
-    "EmptyMatrix",
-    "ExportMatrix",
-    "IncomePanel",
-    "InfeasibleEnumeration",
-    "JoinEmpty",
-    "JoinReport",
-    "ModelParams",
-    "NegativeValue",
-    "NonConvergence",
-    "NumericalUnderflow",
-    "ParseError",
-    "ProductMetrics",
-    "RegressionReport",
-    "RegressionResult",
-    "SophisticationDistribution",
-    "SyntheticWorld",
-    "ZeroMarginal",
-    "binarize",
-    "coherence_prob",
-    "compute_metrics",
-    "conditional_distribution",
-    "eci_pci",
-    "estimate_tau",
-    "expected_diversification",
-    "expected_sophistication",
-    "fitness_class_iterations",
-    "fitness_complexity",
-    "fitness_iterations",
-    "join_panel",
-    "ols",
-    "prune_degenerate",
-    "rank_transform",
-    "rca_binarize",
-    "read_income_csv",
-    "read_matrix",
-    "read_trade_csv",
-    "read_tsi_column",
-    "run_paper_regressions",
-    "sha256_file",
-    "simulate_world",
-    "spearman",
-    "standardize",
-    "tdi",
-    "tsi",
-    "world_distribution",
-    "write_matrix",
-    "__version__",
-]
+__all__ = [*errors.__all__, *matrix.__all__, *metrics.__all__, *model.__all__,
+           *validation.__all__, *fileio.__all__, "__version__"]

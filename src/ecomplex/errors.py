@@ -4,6 +4,23 @@ Every error carries a process exit code (used by the CLI) so that scripted
 callers can tell failure classes apart without parsing messages.
 """
 
+__all__ = [
+    "EcomplexError",
+    "ParseError",
+    "NegativeValue",
+    "ZeroMarginal",
+    "EmptyMatrix",
+    "DegenerateVector",
+    "DisconnectedMatrix",
+    "DegenerateSpectrum",
+    "NonConvergence",
+    "NumericalUnderflow",
+    "InfeasibleEnumeration",
+    "DegenerateInput",
+    "Collinear",
+    "JoinEmpty",
+]
+
 
 class EcomplexError(Exception):
     """Base class for all domain errors raised by this package."""

@@ -170,8 +170,8 @@ class BinaryMatrix(_CoordinateMatrix):
 
     ``diversification[i]`` is the number of entries in row i and
     ``ubiquity[j]`` the number in column j; both are computed once at
-    construction. The invariant sum(d) == sum(u) == number of entries
-    holds by construction.
+    construction and read-only, like the entries. The invariant
+    sum(d) == sum(u) == number of entries holds by construction.
     """
 
     diversification: np.ndarray = field(init=False, repr=False)
@@ -184,6 +184,7 @@ class BinaryMatrix(_CoordinateMatrix):
         # np.bincount would copy the read-only column array first
         u = np.zeros(self.n_products, dtype=np.intp)
         np.add.at(u, self.cols, 1)
+        d.flags.writeable = u.flags.writeable = False  # they stay the counts of the entries
         object.__setattr__(self, "diversification", d)
         object.__setattr__(self, "ubiquity", u)
 
@@ -255,8 +256,9 @@ def rca_binarize(x: ExportMatrix, threshold: float = 1.0) -> BinaryMatrix:
     """
     if x.n_entries == 0:  # entries lie inside the matrix, so it has rows and columns
         raise ZeroMarginal("matrix has no positive entries")
-    row_tot = np.bincount(x.rows, weights=x.vals, minlength=x.n_countries)
-    col_tot = np.bincount(x.cols, weights=x.vals, minlength=x.n_products)
+    row_tot, col_tot = np.zeros(x.n_countries), np.zeros(x.n_products)
+    np.add.at(row_tot, x.rows, x.vals)  # as for ubiquity, np.bincount would copy
+    np.add.at(col_tot, x.cols, x.vals)
     if np.any(row_tot == 0):
         i = int(np.argmin(row_tot > 0))
         raise ZeroMarginal(f"country {x.country_labels[i]!r} has zero total exports")

@@ -308,14 +308,14 @@ def compute_metrics(
     f, q, iters = fitness_complexity(m, tol=tol, max_iter=max_iter)
     cm = CountryMetrics(
         country_labels=m.country_labels,
-        diversification=m.diversification.copy(),
+        diversification=m.diversification,
         tdi=t_c,
         eci=eci,
         fitness=f,
     )
     pm = ProductMetrics(
         product_labels=m.product_labels,
-        ubiquity=m.ubiquity.copy(),
+        ubiquity=m.ubiquity,
         tsi=t_p,
         pci=pci,
         q=q,

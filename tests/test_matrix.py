@@ -149,6 +149,24 @@ class TestRcaBinarize:
         with pytest.raises(ZeroMarginal):
             rca_binarize(ExportMatrix.from_dense([[1, 0], [1, 0]]))
 
+    def test_totals_copy_no_entry_array(self):
+        """The row and column totals are summed from the read-only entry
+        arrays as they are. A matrix whose last product has no entry is
+        rejected right after the totals, so that call allocates next to
+        nothing."""
+        rng = np.random.default_rng(6)
+        rows, cols = np.divmod(np.flatnonzero(rng.random(200 * 5000) < 0.2), 5000)
+        present = cols < 4999
+        labels = tuple(f"c{i}" for i in range(200)), tuple(f"p{j}" for j in range(5000))
+        x = ExportMatrix(*labels, rows[present], cols[present], rng.random(present.sum()) + 1.0)
+
+        def reject():
+            with pytest.raises(ZeroMarginal, match="'p4999'"):
+                rca_binarize(x)
+
+        # np.bincount copies a read-only index array and its weights: 2x
+        assert traced_peak(reject) < 0.5 * x.rows.nbytes
+
 
 class TestPruneDegenerate:
     def test_drops_zero_row_and_column(self):
@@ -307,6 +325,14 @@ def test_stored_entries_are_read_only():
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = -1
     rows[0] = 0  # the caller's own arrays stay writable
+
+
+def test_diversification_and_ubiquity_are_read_only():
+    m = BinaryMatrix.from_dense([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+    for counts in (m.diversification, m.ubiquity):
+        with pytest.raises(ValueError, match="read-only"):
+            counts[0] = 99
+    assert m.diversification.sum() == m.ubiquity.sum() == m.n_entries == 6
 
 
 def test_caller_arrays_stay_apart_from_stored_entries(tmp_path):
