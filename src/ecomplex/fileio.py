@@ -41,7 +41,7 @@ __all__ = [
     "sha256_file",
 ]
 
-_ENTRY_BLOCK = 1 << 16  # entry lines formatted per write
+_ENTRY_BLOCK = 1 << 16  # label or entry lines formatted per write
 _SCAN_BLOCK = 1 << 20  # characters read at a time when counting lines
 
 
@@ -358,7 +358,7 @@ def write_matrix(m, path) -> None:
     """Write an ExportMatrix (valued) or BinaryMatrix (binary) canonically.
 
     The matrix types hold their entries in range and in (i, j) order, so
-    they are written as stored, a fixed block of entry lines at a time.
+    they are written as stored, a fixed block of label or entry lines at a time.
     """
     valued = isinstance(m, ExportMatrix)
     # each line is "<i> <j>\n" or "<i> <j> <value>\n", as bytes built from per-index strings
@@ -369,8 +369,9 @@ def write_matrix(m, path) -> None:
         fh.write(f"countries={m.n_countries} products={m.n_products} entries={m.n_entries}\n"
                  .encode("utf-8"))
         for prefix, labels in (("c ", m.country_labels), ("p ", m.product_labels)):
-            if labels:
-                fh.write((prefix + f"\n{prefix}".join(labels) + "\n").encode("utf-8"))
+            for start in range(0, len(labels), _ENTRY_BLOCK):
+                block = labels[start:start + _ENTRY_BLOCK]
+                fh.write((prefix + f"\n{prefix}".join(block) + "\n").encode("utf-8"))
         for start in range(0, m.n_entries, _ENTRY_BLOCK):
             block = slice(start, start + _ENTRY_BLOCK)
             lines = np.strings.add(row_text[m.rows[block]], col_text[m.cols[block]])
@@ -395,17 +396,15 @@ def _header(line: str) -> tuple[int, int, int]:
     return counts
 
 
-def _labels(block: str, count: int, line: int, prefix: str) -> tuple[str, ...]:
-    """The labels of ``count`` lines "<prefix> <label>" joined by "\\n",
-    the first of them at physical line ``line``."""
-    if not count:
-        return ()
-    tag = prefix + " "
-    # one piece per line exactly when every line after the first starts with tag
-    labels = block[len(tag):].split("\n" + tag)
-    if not block.startswith(tag) or len(labels) != count:
-        k = next(k for k, text in enumerate(block.split("\n")) if not text.startswith(tag))
-        raise ParseError(f"expected a {prefix!r} label line", line + k)
+def _labels(lines, count: int, line: int, prefix: str) -> tuple[str, ...]:
+    """The labels of the next ``count`` lines "<prefix> <label>" of the
+    iterator ``lines``, the first of them at physical line ``line``;
+    each line is checked and stripped on its own."""
+    tag, labels = prefix + " ", []
+    for text in islice(lines, count):
+        if not text.startswith(tag):
+            raise ParseError(f"expected a {prefix!r} label line", line + len(labels))
+        labels.append(text[len(tag):].removesuffix("\n"))
     return tuple(labels)
 
 
@@ -463,7 +462,7 @@ def read_matrix(path):
     try:
         return _read_matrix(path)
     except (ParseError, ValueError) as exc:  # ValueError: the matrix constructor
-        rejected = exc
+        rejected = exc.with_traceback(None)  # frees the failed read's labels and table
     _raise_first_fault(path)
     raise rejected
 
@@ -476,11 +475,12 @@ def _read_matrix(path):
         n, m, z = _header(fh.readline())
         if found != 1 + n + m + z:
             raise ParseError(f"expected {1 + n + m + z} lines per header, found {found}", 1)
-        countries = _labels("".join(islice(fh, n)).removesuffix("\n"), n, 2, "c")
-        products = _labels("".join(islice(fh, m)).removesuffix("\n"), m, 2 + n, "p")
+        countries = _labels(fh, n, 2, "c")
+        products = _labels(fh, m, 2 + n, "p")
         valued = len(fh.readline().split()) == 3
-    # int64 index fields, so that a token such as "1.0" is not an index
-    dtype = [("i", np.int64), ("j", np.int64)] + ([("v", float)] if valued else [])
+    # int32 index fields, so that a token such as "1.0" is not an index and the table
+    # is half as wide while each field is widened; a wider index is a parse failure
+    dtype = [("i", np.int32), ("j", np.int32)] + ([("v", float)] if valued else [])
     try:
         with warnings.catch_warnings():  # a blank line or an all-blank input warns
             warnings.simplefilter("ignore", UserWarning)
@@ -490,7 +490,8 @@ def _read_matrix(path):
         table = None
     if table is None or len(table) != z:
         raise ParseError("entry block does not parse")
-    entries = [np.ascontiguousarray(table[name]) for name in table.dtype.names]
+    kinds = (np.intp, np.intp, float)
+    entries = [table[name].astype(kind) for name, kind in zip(table.dtype.names, kinds)]
     del table  # one copy of the entries from here on
     rows, cols = entries[:2]
     if not np.all((rows[1:] > rows[:-1]) | ((rows[1:] == rows[:-1]) & (cols[1:] > cols[:-1]))):
@@ -530,7 +531,7 @@ def _raise_first_fault(path) -> None:
             raise ParseError(f"expected {1 + n + m + z} lines per header, found {found}", 1)
         start = 2  # physical line of the block's first line
         for kind, prefix, count in (("country", "c", n), ("product", "p", m)):
-            labels = _labels("\n".join(islice(lines, count)), count, start, prefix)
+            labels = _labels(lines, count, start, prefix)
             seen: set[str] = set()
             for lineno, label in enumerate(labels, start):
                 if label in seen:

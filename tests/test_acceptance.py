@@ -1,6 +1,6 @@
 """Acceptance gate.
 
-Criteria 1-7 run unconditionally and each prints one line,
+Criteria 1-7 and 13 run unconditionally and each prints one line,
 ACCEPTANCE-<n> PASS or ACCEPTANCE-<n> FAIL, before asserting. Criteria
 8-12 compare against published reference numbers on a specific data
 vintage (a 2008 product-level trade extract plus an income/rents
@@ -218,6 +218,26 @@ def test_criterion_07_tau_recovery():
         ok = ok and abs(tau_hat - tau) <= bound
         results.append(f"{tau}->{tau_hat:.3f}")
     report(7, ok, ", ".join(results))
+
+
+def test_criterion_13_model_worlds():
+    """On MC worlds of the model, ECI tracks TDI, and diversification
+    grows as (1+tau)^k wherever sampling leaves it large (d >= 50)."""
+    worst_corr, worst_slope = 1.0, 0.0
+    for tau in (0.05, 0.07, 0.15):
+        for seed in range(3):
+            world = ec.simulate_world(ec.ModelParams(tau=tau, K=221), "mc",
+                                      samples=20_000, seed=seed)
+            m = ec.prune_degenerate(world.matrix)
+            eci, _, _ = ec.eci_pci(m)
+            worst_corr = min(worst_corr, float(np.corrcoef(eci, ec.tdi(m))[0, 1]))
+            d = world.matrix.diversification  # country k holds techs 1..k
+            k = np.flatnonzero(d >= 50)
+            slope = np.polyfit(k, np.log(d[k]), 1)[0] / math.log1p(tau)
+            worst_slope = max(worst_slope, abs(slope - 1.0))
+    report(13, worst_corr > 0.9 and worst_slope <= 0.05,
+           f"min corr(ECI, TDI) {worst_corr:.3f}, "
+           f"max |slope / log(1+tau) - 1| {worst_slope:.3f}")
 
 
 def _real_paths():
