@@ -252,9 +252,9 @@ def read_trade_csv(path) -> ExportMatrix:
         raise EmptyMatrix("no trade cell has a positive value")
     rows, cols = np.divmod(cells[keep], len(products))
     vals = totals[keep]
-    for array in (rows, cols, vals):  # handed over, so the constructor stores them uncopied
+    for array in (cols, vals):  # handed over, so the constructor stores them uncopied
         array.flags.writeable = False
-    return ExportMatrix(countries, products, rows, cols, vals)
+    return ExportMatrix.from_coordinates(countries, products, rows, cols, vals)
 
 
 def _income_fault(records) -> None:
@@ -373,10 +373,11 @@ def write_matrix(m, path) -> None:
                 block = labels[start:start + _ENTRY_BLOCK]
                 fh.write((prefix + f"\n{prefix}".join(block) + "\n").encode("utf-8"))
         for start in range(0, m.n_entries, _ENTRY_BLOCK):
-            block = slice(start, start + _ENTRY_BLOCK)
-            lines = np.strings.add(row_text[m.rows[block]], col_text[m.cols[block]])
+            stop = min(start + _ENTRY_BLOCK, m.n_entries)
+            runs = np.diff(np.clip(m.offsets, start, stop))  # each country's entries in the block
+            lines = np.strings.add(row_text.repeat(runs), col_text[m.cols[start:stop]])
             if valued:
-                texts, inverse = _distinct_reprs(m.vals[block])
+                texts, inverse = _distinct_reprs(m.vals[start:stop])
                 values = np.array([text + "\n" for text in texts], dtype="S")[inverse]
                 lines = np.strings.add(lines, values)
             # the lines are NUL-padded to one width; they hold no NUL, so dropping NULs leaves the text
@@ -449,15 +450,15 @@ def read_matrix(path):
     entry lines carry values, BinaryMatrix otherwise.
 
     Only the header and label lines become strings. numpy parses the
-    entry block once, straight from the file; one pass checks the (i, j)
-    order, since the matrix constructor would sort unsorted entries, and
-    the constructor checks range, repeats and values. When any of these
-    rejects the file, its lines are checked one by one in file order to
-    report the first fault at its line: a repeated label, then for each
-    entry line field count, indices, range, order, value. Lines end in
-    "\\n", "\\r\\n" or "\\r"; another break that ``str.splitlines``
-    honours ends a line in error line numbers, and a file holding one is
-    rejected at it.
+    entry block once, straight from the file; one pass checks that the
+    rows do not decrease, and the matrix constructor checks the row
+    offsets searched from them (which a row outside the matrix breaks),
+    the columns and the values. When any of these rejects the file, its
+    lines are checked one by one in file order to report the first fault
+    at its line: a repeated label, then for each entry line field count,
+    indices, range, order, value. Lines end in "\\n", "\\r\\n" or "\\r";
+    another break that ``str.splitlines`` honours ends a line in error
+    line numbers, and a file holding one is rejected at it.
     """
     try:
         return _read_matrix(path)
@@ -479,7 +480,7 @@ def _read_matrix(path):
         products = _labels(fh, m, 2 + n, "p")
         valued = len(fh.readline().split()) == 3
     # int32 index fields, so that a token such as "1.0" is not an index and the table
-    # is half as wide while each field is widened; a wider index is a parse failure
+    # is half as wide while the columns are widened; a wider index is a parse failure
     dtype = [("i", np.int32), ("j", np.int32)] + ([("v", float)] if valued else [])
     try:
         with warnings.catch_warnings():  # a blank line or an all-blank input warns
@@ -490,17 +491,16 @@ def _read_matrix(path):
         table = None
     if table is None or len(table) != z:
         raise ParseError("entry block does not parse")
-    kinds = (np.intp, np.intp, float)
-    entries = [table[name].astype(kind) for name, kind in zip(table.dtype.names, kinds)]
-    del table  # one copy of the entries from here on
-    rows, cols = entries[:2]
-    if not np.all((rows[1:] > rows[:-1]) | ((rows[1:] == rows[:-1]) & (cols[1:] > cols[:-1]))):
+    rows = table["i"]
+    if np.any(rows[1:] < rows[:-1]):
         raise ParseError("entries must be sorted by (i, j) without repeats")
-    for array in entries:  # handed over, so the constructor stores them uncopied
+    # int32 keys, so that the int32 rows are searched as they are, with no wider copy
+    offsets = np.searchsorted(rows, np.arange(n + 1, dtype=np.int32))
+    entries = [table["j"].astype(np.intp)] + ([table["v"].astype(float)] if valued else [])
+    del table, rows  # one copy of the entries from here on
+    for array in (offsets, *entries):  # handed over, so the constructor stores them uncopied
         array.flags.writeable = False
-    if valued:
-        return ExportMatrix(countries, products, *entries)
-    return BinaryMatrix(countries, products, *entries)
+    return (ExportMatrix if valued else BinaryMatrix)(countries, products, offsets, *entries)
 
 
 def _number(kind, token: str):

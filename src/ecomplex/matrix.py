@@ -1,7 +1,7 @@
 """Country-product matrices: construction, binarization, RCA filtering.
 
-The two core types are thin immutable wrappers over coordinate arrays
-that hold each entry once, inside the matrix, in (i, j) order.
+The two core types are thin immutable wrappers over row offsets and
+columns that hold each entry once, inside the matrix, in (i, j) order.
 ``ExportMatrix`` holds finite, strictly positive export values; ``BinaryMatrix``
 holds presence/absence plus the derived diversification and ubiquity
 count vectors. Everything downstream (complexity metrics, validation)
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress
+from itertools import compress, pairwise
 from typing import NamedTuple
 
 import numpy as np
@@ -29,69 +29,81 @@ __all__ = [
 ]
 
 
-def _in_entry_order(rows: np.ndarray, cols: np.ndarray) -> bool:
-    """Whether the entries are in strictly increasing (i, j) order, found
-    with byte-per-entry masks and no entry-sized integer key."""
-    row_up = rows[1:] > rows[:-1]
-    same_row = rows[1:] == rows[:-1]
-    same_row &= cols[1:] > cols[:-1]
-    row_up |= same_row
-    return bool(row_up.all())
-
-
 @dataclass(frozen=True)
 class _CoordinateMatrix:
-    """Country and product labels plus parallel entry coordinates.
+    """Country and product labels plus the entries as row offsets and
+    columns: country i's entries are ``cols[offsets[i]:offsets[i + 1]]``.
 
     Construction enforces the invariant every consumer relies on: labels
-    are unique, and each entry lies inside the matrix, appears once, and
-    is stored in row-major (i, j) order. Entries given in another order
-    are sorted once, together with any per-entry values. The stored
-    arrays are read-only and shared with no array the caller can still
-    write to.
+    are unique, the offsets rise from 0 to the entry count, and each
+    row's columns lie inside the matrix and increase strictly. It never
+    sorts; ``from_coordinates`` does. The stored arrays are read-only and
+    shared with no array the caller can still write to.
     """
 
     country_labels: tuple[str, ...]
     product_labels: tuple[str, ...]
-    rows: np.ndarray = field(repr=False)
+    offsets: np.ndarray = field(repr=False)
     cols: np.ndarray = field(repr=False)
 
-    # per-entry arrays, permuted together, and the dtype each is stored in
-    _entry_dtypes = {"rows": np.intp, "cols": np.intp}
+    # the stored arrays and their dtypes; each after the offsets holds one element per entry
+    _array_dtypes = {"offsets": np.intp, "cols": np.intp}
 
     def __post_init__(self):
-        for kind, labels in (("country", self.country_labels),
-                             ("product", self.product_labels)):
+        for kind, labels in (("country", self.country_labels), ("product", self.product_labels)):
             if len(set(labels)) != len(labels):
                 raise ValueError(f"duplicate {kind} labels")
-        given = {name: getattr(self, name) for name in self._entry_dtypes}
-        arrays = {}
-        for name, dtype in self._entry_dtypes.items():
-            array = np.asarray(given[name], order="C")
-            if (array.size and np.issubdtype(dtype, np.integer)
-                    and not np.issubdtype(array.dtype, np.integer)):
-                raise ValueError("matrix coordinates must be integers")
-            arrays[name] = array.astype(dtype, copy=False)
-        rows, cols, n, m = arrays["rows"], arrays["cols"], self.n_countries, self.n_products
-        if rows.ndim != 1 or any(a.shape != rows.shape for a in arrays.values()):
+        for name, dtype in self._array_dtypes.items():
+            given = getattr(self, name)
+            array = np.asarray(given, order="C")
+            if array.size and dtype is np.intp and array.dtype.kind not in "iu":
+                raise ValueError("row offsets and columns must be integers")
+            array = array.astype(dtype, copy=False)
+            if (isinstance(given, np.ndarray) and given.flags.writeable
+                    and np.may_share_memory(array, given)):
+                array = array.copy()  # the caller could still change it
+            array.flags.writeable = False  # read-only, so the entries stay as checked
+            object.__setattr__(self, name, array)
+        offsets, cols, *vals = (getattr(self, name) for name in self._array_dtypes)
+        if cols.ndim != 1 or any(v.shape != cols.shape for v in vals):
             raise ValueError("entry arrays must be 1-d and of equal length")
-        if len(rows) and not (0 <= rows.min() and rows.max() < n
+        if (offsets.shape != (self.n_countries + 1,) or offsets[0] != 0
+                or offsets[-1] != len(cols) or np.any(offsets[1:] < offsets[:-1])):
+            raise ValueError("row offsets must be n_countries + 1 rising from 0 to n_entries")
+        if len(cols) and not (0 <= cols.min() and cols.max() < self.n_products):
+            raise ValueError("matrix entry out of range")
+        rising = np.empty(len(cols) + 1, dtype=bool)  # rising[k]: entry k follows entry k - 1
+        np.greater(cols[1:], cols[:-1], out=rising[1:-1])
+        rising[offsets] = True  # a row may start at any column
+        if not rising.all():
+            raise ValueError("repeated matrix entry, or columns out of order in a row")
+
+    @classmethod
+    def from_coordinates(cls, country_labels, product_labels, rows, cols, *vals):
+        """The matrix of entries given in any order by coordinates (and
+        values): the one path that sorts them into (i, j) order. Raises
+        ValueError for a repeated or out-of-range entry, non-integer
+        coordinates and entry arrays of different lengths."""
+        n, m = len(country_labels), len(product_labels)
+        rows, cols, *vals = map(np.asarray, (rows, cols, *vals))
+        if rows.ndim != 1 or any(a.shape != rows.shape for a in (cols, *vals)):
+            raise ValueError("entry arrays must be 1-d and of equal length")
+        if rows.size and not {rows.dtype.kind, cols.dtype.kind} <= set("iu"):
+            raise ValueError("matrix coordinates must be integers")
+        if rows.size and not (0 <= rows.min() and rows.max() < n
                               and 0 <= cols.min() and cols.max() < m):
             raise ValueError("matrix entry out of range")
-        order = slice(None)  # sorted input is kept in place
-        if not _in_entry_order(rows, cols):
-            key = rows * m + cols
+        key = rows.astype(np.intp) * m + cols.astype(np.intp, copy=False)
+        if not np.all(key[1:] > key[:-1]):  # sorted input is stored as given
             order = np.argsort(key, kind="stable")
-            if np.any(np.diff(key[order]) == 0):
+            key = key[order]
+            if np.any(key[1:] == key[:-1]):
                 raise ValueError("repeated matrix entry")
-        for name, array in arrays.items():  # read-only, so the entries stay as checked
-            stored = array[order]
-            source = given[name]
-            if (isinstance(source, np.ndarray) and source.flags.writeable
-                    and np.may_share_memory(stored, source)):
-                stored = stored.copy()  # the caller could still change it
-            stored.flags.writeable = False
-            object.__setattr__(self, name, stored)
+            cols, *vals = (array[order] for array in (cols, *vals))
+            for array in (cols, *vals):  # fresh, so the constructor stores them uncopied
+                array.flags.writeable = False
+        offsets = np.searchsorted(key, np.arange(n + 1) * m)
+        return cls(country_labels, product_labels, offsets, cols, *vals)
 
     @staticmethod
     def _dense_labels(dense: np.ndarray, country_labels, product_labels):
@@ -114,7 +126,15 @@ class _CoordinateMatrix:
 
     @property
     def n_entries(self) -> int:
-        return len(self.rows)
+        return len(self.cols)
+
+    @property
+    def rows(self) -> np.ndarray:
+        """Each entry's row: derived from the offsets on each call, never
+        stored, and entry-sized, so the model path never asks for it."""
+        rows = np.repeat(np.arange(self.n_countries), np.diff(self.offsets))
+        rows.flags.writeable = False
+        return rows
 
     def to_dense(self) -> np.ndarray:
         dense = np.zeros((self.n_countries, self.n_products))
@@ -127,13 +147,13 @@ class ExportMatrix(_CoordinateMatrix):
     """Sparse country-by-product matrix of finite, strictly positive
     export values.
 
-    ``rows``/``cols`` are parallel int arrays of coordinates, ``vals`` the
-    matching values. Zeros mean absence and are never stored.
+    ``vals`` holds each entry's value, parallel to ``cols``. Zeros mean
+    absence and are never stored.
     """
 
     vals: np.ndarray = field(repr=False)
 
-    _entry_dtypes = {**_CoordinateMatrix._entry_dtypes, "vals": np.float64}
+    _array_dtypes = {**_CoordinateMatrix._array_dtypes, "vals": np.float64}
 
     def __post_init__(self):
         vals = np.asarray(self.vals, dtype=float)
@@ -147,7 +167,7 @@ class ExportMatrix(_CoordinateMatrix):
         dense = np.asarray(dense, dtype=float)
         labels = cls._dense_labels(dense, country_labels, product_labels)
         rows, cols = np.nonzero(~(dense <= 0))
-        return cls(*labels, rows, cols, dense[rows, cols])
+        return cls.from_coordinates(*labels, rows, cols, dense[rows, cols])
 
 
 class ColumnClasses(NamedTuple):
@@ -179,14 +199,11 @@ class BinaryMatrix(_CoordinateMatrix):
 
     def __post_init__(self):
         super().__post_init__()
-        # the rows are sorted, so each country's entries are one run
-        d = np.diff(np.searchsorted(self.rows, np.arange(self.n_countries + 1)))
-        # np.bincount would copy the read-only column array first
         u = np.zeros(self.n_products, dtype=np.intp)
-        np.add.at(u, self.cols, 1)
-        d.flags.writeable = u.flags.writeable = False  # they stay the counts of the entries
-        object.__setattr__(self, "diversification", d)
-        object.__setattr__(self, "ubiquity", u)
+        np.add.at(u, self.cols, 1)  # np.bincount would copy the read-only column array first
+        for name, counts in (("diversification", np.diff(self.offsets)), ("ubiquity", u)):
+            counts.flags.writeable = False  # they stay the counts of the entries
+            object.__setattr__(self, name, counts)
 
     @classmethod
     def from_dense(cls, dense, country_labels=None, product_labels=None) -> "BinaryMatrix":
@@ -195,11 +212,7 @@ class BinaryMatrix(_CoordinateMatrix):
         labels = cls._dense_labels(dense, country_labels, product_labels)
         if not np.all(np.isfinite(dense) & (dense >= 0)):
             raise ValueError("binary matrix cells must be finite and non-negative")
-        return cls(*labels, *np.nonzero(dense))
-
-    @cached_property
-    def entries(self) -> frozenset[tuple[int, int]]:
-        return frozenset(zip(self.rows.tolist(), self.cols.tolist()))
+        return cls.from_coordinates(*labels, *np.nonzero(dense))
 
     @cached_property
     def column_classes(self) -> ColumnClasses:
@@ -208,14 +221,14 @@ class BinaryMatrix(_CoordinateMatrix):
         Each product's column is packed into bytes, one bit per country,
         and the byte strings are compared as opaque keys, which is far
         cheaper than comparing dense columns. The keys are set straight
-        from the (i, j)-sorted entries: country i's products are one run
-        of ``cols``, and one OR per country sets bit i in each of their
-        keys. A spare always-absent country keeps the key at least one
-        byte wide when the matrix has no countries.
+        from the entries: country i's products are its run of ``cols``,
+        and one OR per country sets bit i in each of their keys. A spare
+        always-absent country keeps the key at least one byte wide when
+        the matrix has no countries.
         """
         n, m = self.n_countries, self.n_products
         packed = np.zeros((m, n // 8 + 1), dtype=np.uint8)  # one key per product, n + 1 bits
-        bounds = np.searchsorted(self.rows, np.arange(n + 1)).tolist()
+        bounds = self.offsets.tolist()
         for i in range(n):  # bit i of a key is bit 7 - i % 8 of byte i // 8, as np.packbits packs
             packed[self.cols[bounds[i]:bounds[i + 1]], i >> 3] |= np.uint8(0x80 >> (i & 7))
         keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
@@ -239,9 +252,9 @@ def binarize(x: ExportMatrix) -> BinaryMatrix:
     """m_ij = 1 exactly where x_ij > 0.
 
     Positivity is enforced at ExportMatrix construction, so the binary
-    matrix shares the export matrix's read-only coordinates.
+    matrix shares the export matrix's read-only offsets and columns.
     """
-    return BinaryMatrix(x.country_labels, x.product_labels, x.rows, x.cols)
+    return BinaryMatrix(x.country_labels, x.product_labels, x.offsets, x.cols)
 
 
 def rca_binarize(x: ExportMatrix, threshold: float = 1.0) -> BinaryMatrix:
@@ -256,20 +269,21 @@ def rca_binarize(x: ExportMatrix, threshold: float = 1.0) -> BinaryMatrix:
     """
     if x.n_entries == 0:  # entries lie inside the matrix, so it has rows and columns
         raise ZeroMarginal("matrix has no positive entries")
-    row_tot, col_tot = np.zeros(x.n_countries), np.zeros(x.n_products)
-    np.add.at(row_tot, x.rows, x.vals)  # as for ubiquity, np.bincount would copy
-    np.add.at(col_tot, x.cols, x.vals)
-    if np.any(row_tot == 0):
-        i = int(np.argmin(row_tot > 0))
-        raise ZeroMarginal(f"country {x.country_labels[i]!r} has zero total exports")
-    if np.any(col_tot == 0):
-        j = int(np.argmin(col_tot > 0))
-        raise ZeroMarginal(f"product {x.product_labels[j]!r} has zero total exports")
+    sizes = np.diff(x.offsets)  # values are positive, so only an empty row totals zero
+    if not sizes.all():
+        raise ZeroMarginal(f"country {x.country_labels[sizes.argmin()]!r} has zero total exports")
+    col_tot = np.zeros(x.n_products)
+    np.add.at(col_tot, x.cols, x.vals)  # as for ubiquity, np.bincount would copy
+    if not col_tot.all():
+        raise ZeroMarginal(f"product {x.product_labels[col_tot.argmin()]!r} has zero total exports")
+    row_tot = np.zeros(x.n_countries)
+    np.add.at(row_tot, x.rows, x.vals)  # the rows are entry-sized, so built after both checks
     world = float(x.vals.sum())
-    keep = (x.vals / row_tot[x.rows]) / (col_tot[x.cols] / world) >= threshold
-    rows, cols = x.rows[keep], x.cols[keep]
-    rows.flags.writeable = cols.flags.writeable = False  # handed over, so stored uncopied
-    return BinaryMatrix(x.country_labels, x.product_labels, rows, cols)
+    keep = (x.vals / np.repeat(row_tot, sizes)) / (col_tot[x.cols] / world) >= threshold
+    kept = [np.count_nonzero(keep[a:b]) for a, b in pairwise(x.offsets.tolist())]
+    offsets, cols = np.concatenate([[0], np.cumsum(kept, dtype=np.intp)]), x.cols[keep]
+    offsets.flags.writeable = cols.flags.writeable = False  # handed over, so stored uncopied
+    return BinaryMatrix(x.country_labels, x.product_labels, offsets, cols)
 
 
 def prune_degenerate(m: BinaryMatrix) -> BinaryMatrix:
@@ -286,14 +300,14 @@ def prune_degenerate(m: BinaryMatrix) -> BinaryMatrix:
         raise EmptyMatrix("no countries or products with entries remain")
     if keep_c.all() and keep_p.all():
         return m
-    # an axis that loses nothing keeps its labels and read-only coordinates as they are
-    countries, rows = m.country_labels, m.rows
+    # an axis that loses nothing keeps its labels and read-only arrays as they are
+    countries, offsets = m.country_labels, m.offsets
     products, cols = m.product_labels, m.cols
     if not keep_c.all():
         countries = tuple(compress(countries, keep_c))
-        rows = (np.cumsum(keep_c) - 1)[rows]
+        offsets = np.append(offsets[:-1][keep_c], offsets[-1])  # an empty row holds no entry
     if not keep_p.all():
         products = tuple(compress(products, keep_p))
         cols = (np.cumsum(keep_p) - 1)[cols]
-    rows.flags.writeable = cols.flags.writeable = False  # handed over, so stored uncopied
-    return BinaryMatrix(countries, products, rows, cols)
+    offsets.flags.writeable = cols.flags.writeable = False  # handed over, so stored uncopied
+    return BinaryMatrix(countries, products, offsets, cols)

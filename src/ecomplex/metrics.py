@@ -42,7 +42,6 @@ __all__ = [
     "tsi",
     "eci_pci",
     "fitness_class_iterations",
-    "fitness_iterations",
     "fitness_complexity",
     "compute_metrics",
 ]
@@ -221,12 +220,14 @@ def eci_pci(m: BinaryMatrix) -> tuple[np.ndarray, np.ndarray, EigenReport]:
 
 
 def fitness_class_iterations(m: BinaryMatrix):
-    """Generator over (F, Q per column class) iterates: the iterates of
-    fitness_iterations before Q is expanded to products through
-    ``m.column_classes.inverse``. fitness_complexity drives it.
+    """Generator over (F, Q) iterates of the normalized fixed point, one
+    Q per column class, each class weighted by its product count
+    (``q[m.column_classes.inverse]`` is each product's Q).
 
-    The state is kept per column class, each class weighted by its
-    product count.
+    Yields the normalized pair after each synchronous update, starting
+    from the all-ones state. Infinite; fitness_complexity drives it.
+    Raises NumericalUnderflow if any component of the unnormalized state
+    drops below 1e-300.
     """
     cls = m.column_classes
     mat, cnt, n_p = cls.matrix.astype(float), cls.counts, m.n_products
@@ -246,20 +247,6 @@ def fitness_class_iterations(m: BinaryMatrix):
         weighted = cnt * p
         p_mean = weighted.sum() / n_p
         yield c / c.mean(), p / p_mean
-
-
-def fitness_iterations(m: BinaryMatrix):
-    """Generator over (F, Q) iterates of the normalized fixed point.
-
-    Yields the normalized pair after each synchronous update, starting
-    from the all-ones state (yielded first), with one Q value per
-    product. Infinite; callers slice or drive it via fitness_complexity.
-    Raises NumericalUnderflow if any component of the unnormalized state
-    drops below 1e-300.
-    """
-    inverse = m.column_classes.inverse
-    for f, q in fitness_class_iterations(m):
-        yield f, q[inverse]
 
 
 def fitness_complexity(

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import pairwise
 
 import numpy as np
 
@@ -232,14 +233,12 @@ def _build_world(params: ModelParams, s_arr, maxidx_arr, labels) -> SyntheticWor
     # row by row, so the entries come in the (i, j) order BinaryMatrix keeps
     # country k makes every product whose top is at most k
     row_sizes = np.cumsum(np.bincount(top, minlength=K + 1))
-    rows = np.repeat(np.arange(K + 1), row_sizes)
-    cols = np.empty(len(rows), dtype=np.intp)
-    start = 0
-    for k, size in enumerate(row_sizes.tolist()):
-        cols[start:start + size] = np.flatnonzero(top <= k)
-        start += size
-    rows.flags.writeable = cols.flags.writeable = False  # handed over, so stored uncopied
-    matrix = BinaryMatrix(tuple(f"k{k}" for k in range(K + 1)), tuple(labels), rows, cols)
+    offsets = np.concatenate([[0], np.cumsum(row_sizes)])
+    cols = np.empty(offsets[-1], dtype=np.intp)
+    for k, (start, stop) in enumerate(pairwise(offsets.tolist())):
+        cols[start:stop] = np.flatnonzero(top <= k)
+    offsets.flags.writeable = cols.flags.writeable = False  # handed over, so stored uncopied
+    matrix = BinaryMatrix(tuple(f"k{k}" for k in range(K + 1)), tuple(labels), offsets, cols)
     return SyntheticWorld(
         params=params,
         matrix=matrix,

@@ -1,12 +1,26 @@
 """Shared fixtures: the nested 3x3 matrix and a random-matrix factory,
-plus a tracemalloc peak probe."""
+plus a tracemalloc peak probe and per-entry and per-product views that
+only tests need."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from ecomplex import BinaryMatrix, EmptyMatrix, prune_degenerate
+from ecomplex import BinaryMatrix, EmptyMatrix, fitness_class_iterations, prune_degenerate
+
+
+def entries(m) -> frozenset[tuple[int, int]]:
+    """The matrix's (i, j) entries as a set."""
+    return frozenset(zip(m.rows.tolist(), m.cols.tolist()))
+
+
+def fitness_iterations(m: BinaryMatrix):
+    """The (F, Q) iterates of fitness_class_iterations with Q expanded
+    from column classes to products."""
+    inverse = m.column_classes.inverse
+    for f, q in fitness_class_iterations(m):
+        yield f, q[inverse]
 
 
 def traced_peak(call) -> int:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import random_connected_matrix
+from conftest import fitness_iterations, random_connected_matrix
 
 import ecomplex as ec
 
@@ -161,7 +161,7 @@ def test_criterion_05_fitness_contract(sweep):
     for m in mats:
         f, q, iters = ec.fitness_complexity(m)
         max_iters = max(max_iters, iters)
-        for fv, qv in islice(ec.fitness_iterations(m), iters + 1):
+        for fv, qv in islice(fitness_iterations(m), iters + 1):
             mean_err = max(mean_err, abs(float(fv.mean()) - 1.0),
                            abs(float(qv.mean()) - 1.0))
     converged_ok = max_iters <= 10000

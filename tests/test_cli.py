@@ -612,8 +612,9 @@ class TestDistinctNumbers:
     def test_matrix_file_equals_per_value_text(self, tmp_path, monkeypatch, vals):
         monkeypatch.setattr(fileio, "_ENTRY_BLOCK", 3)
         rows, cols = np.divmod(np.arange(len(vals)), 4)
-        m = ExportMatrix(tuple(f"c{i}" for i in range(len(vals) // 4 + 1)),
-                         ("a", "b", "c", "d"), rows, cols, np.array(vals, dtype=float))
+        m = ExportMatrix.from_coordinates(tuple(f"c{i}" for i in range(len(vals) // 4 + 1)),
+                                          ("a", "b", "c", "d"), rows, cols,
+                                          np.array(vals, dtype=float))
         write_matrix(m, tmp_path / "m.txt")
         lines = (tmp_path / "m.txt").read_text().splitlines()
         assert lines[1 + m.n_countries + 4:] == [

@@ -92,7 +92,7 @@ def ref_read_trade_csv(path):
     cols = np.fromiter((p_pos[p] for _, p in totals), np.intp, len(totals))
     vals = np.fromiter(totals.values(), float, len(totals))
     keep = vals > 0
-    return ExportMatrix(countries, products, rows[keep], cols[keep], vals[keep])
+    return ExportMatrix.from_coordinates(countries, products, rows[keep], cols[keep], vals[keep])
 
 
 def ref_read_income_csv(path):

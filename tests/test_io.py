@@ -2,7 +2,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from conftest import traced_peak
+from conftest import entries, traced_peak
 from numpy.testing import assert_allclose
 
 from ecomplex import (
@@ -172,7 +172,7 @@ class TestPhysicalLineNumbers:
 
 class TestCanonicalMatrixFile:
     def test_valued_round_trip(self, tmp_path):
-        m = ExportMatrix(
+        m = ExportMatrix.from_coordinates(
             ("NER", "USA"),
             ("phones", "wheat"),
             np.array([0, 1, 1]),
@@ -196,7 +196,7 @@ class TestCanonicalMatrixFile:
         write_matrix(m, path)
         back = read_matrix(path)
         assert isinstance(back, BinaryMatrix)
-        assert back.entries == m.entries
+        assert entries(back) == entries(m)
         assert np.array_equal(back.to_dense(), dense)
 
     def test_write_is_byte_stable(self, tmp_path):
@@ -210,7 +210,7 @@ class TestCanonicalMatrixFile:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_labels_with_spaces_survive(self, tmp_path):
-        m = BinaryMatrix(
+        m = BinaryMatrix.from_coordinates(
             ("United States", "New Zealand"),
             ("machine tools", "frozen fish"),
             np.array([0, 1]),
@@ -223,7 +223,7 @@ class TestCanonicalMatrixFile:
         assert back.product_labels == ("machine tools", "frozen fish")
 
     def test_expected_layout(self, tmp_path):
-        m = BinaryMatrix(("x", "y"), ("q",), np.array([0, 1]), np.array([0, 0]))
+        m = BinaryMatrix.from_coordinates(("x", "y"), ("q",), np.array([0, 1]), np.array([0, 0]))
         path = tmp_path / "m.txt"
         write_matrix(m, path)
         assert path.read_text() == (
@@ -370,6 +370,20 @@ class TestMatrixErrorLines:
         assert main(["metrics", str(p), "--out-dir", str(tmp_path / "out")]) == 65
         assert f"line {line}: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("block, line, message", [
+        (["-1 0", "0 1", "1 1"], 6, r"entry \(-1, 0\) out of range"),
+        (["0 0", "0 1", "2 1"], 8, r"entry \(2, 1\) out of range"),
+    ], ids=["first", "last"])
+    def test_row_outside_the_matrix(self, tmp_path, capsys, block, line, message):
+        """A row outside the matrix, in entries that are in order, breaks
+        the row offsets; the fault is named at its line."""
+        p = write(tmp_path / "m.txt", "countries=2 products=2 entries=3\nc x\nc y\np q\np r\n"
+                  + "\n".join(block) + "\n")
+        with pytest.raises(ParseError, match=f"^line {line}: {message}$"):
+            read_matrix(p)
+        assert main(["metrics", str(p), "--out-dir", str(tmp_path / "out")]) == 65
+        assert f"line {line}: entry" in capsys.readouterr().err
+
     def test_wrong_label_prefix(self, tmp_path):
         p = write(tmp_path / "m.txt",
                   "countries=2 products=1 entries=0\nc x\nq y\np q\n")
@@ -435,8 +449,8 @@ class TestMatrixErrorLines:
                                       0.1, 3.0, 123456789012345678.0, 2.5e-308]])
         rows = np.arange(len(vals)) // 50
         cols = np.arange(len(vals)) % 50
-        m = ExportMatrix(tuple(f"c{i}" for i in range(rows.max() + 1)),
-                         tuple(f"p{j}" for j in range(50)), rows, cols, vals)
+        m = ExportMatrix.from_coordinates(tuple(f"c{i}" for i in range(rows.max() + 1)),
+                                          tuple(f"p{j}" for j in range(50)), rows, cols, vals)
         path = tmp_path / "m.txt"
         write_matrix(m, path)
         back = read_matrix(path)
@@ -537,12 +551,13 @@ def test_write_matrix_equals_line_reference(tmp_path, valued):
     m = (ExportMatrix if valued else BinaryMatrix).from_dense(np.maximum(dense, 0))
     perm = rng.permutation(len(m.rows))
     if valued:
-        m = ExportMatrix(m.country_labels, m.product_labels,
-                         m.rows[perm], m.cols[perm], m.vals[perm])
+        m = ExportMatrix.from_coordinates(m.country_labels, m.product_labels,
+                                          m.rows[perm], m.cols[perm], m.vals[perm])
         cells = sorted(zip(m.rows.tolist(), m.cols.tolist(), m.vals.tolist()))
         entries = [f"{i} {j} {v!r}" for i, j, v in cells]
     else:
-        m = BinaryMatrix(m.country_labels, m.product_labels, m.rows[perm], m.cols[perm])
+        m = BinaryMatrix.from_coordinates(m.country_labels, m.product_labels,
+                                          m.rows[perm], m.cols[perm])
         entries = [f"{i} {j}" for i, j in sorted(zip(m.rows.tolist(), m.cols.tolist()))]
     expected = [f"countries=40 products=120 entries={len(entries)}"]
     expected += [f"c {lab}" for lab in m.country_labels]
@@ -552,9 +567,11 @@ def test_write_matrix_equals_line_reference(tmp_path, valued):
 
 
 @pytest.mark.parametrize("m", [
-    partial(BinaryMatrix, ("a", "b"), ("x",), np.array([0, 2]), np.array([0, 0])),
-    partial(ExportMatrix, ("a", "b"), ("x",), np.array([0, -1]), np.array([0, 0]), np.ones(2)),
-    partial(ExportMatrix, ("a", "b"), ("x",), np.array([0, 1]), np.array([0, 1]), np.ones(2)),
+    partial(BinaryMatrix.from_coordinates, ("a", "b"), ("x",), np.array([0, 2]), np.array([0, 0])),
+    partial(ExportMatrix.from_coordinates, ("a", "b"), ("x",), np.array([0, -1]), np.array([0, 0]),
+            np.ones(2)),
+    partial(ExportMatrix.from_coordinates, ("a", "b"), ("x",), np.array([0, 1]), np.array([0, 1]),
+            np.ones(2)),
 ])
 def test_write_matrix_rejects_out_of_range_entries(tmp_path, m):
     """The matrix types reject the entry before it can reach the writer."""
@@ -593,10 +610,10 @@ def test_round_trip_at_block_boundaries(tmp_path, small_blocks, valued, count):
     rows, cols = np.divmod(np.arange(count), 3)
     labels = ("a", "b", "c"), ("x", "y", "z")
     if valued:
-        m = ExportMatrix(*labels, rows, cols, 1.0 / (1.0 + np.arange(count)))
+        m = ExportMatrix.from_coordinates(*labels, rows, cols, 1.0 / (1.0 + np.arange(count)))
         entries = [f"{i} {j} {v!r}" for i, j, v in zip(rows, cols, m.vals.tolist())]
     else:
-        m = BinaryMatrix(*labels, rows, cols)
+        m = BinaryMatrix.from_coordinates(*labels, rows, cols)
         entries = [f"{i} {j}" for i, j in zip(rows, cols)]
     path = tmp_path / "m.txt"
     write_matrix(m, path)
@@ -614,8 +631,8 @@ def _sparse_matrix(n_entries: int, valued: bool, n: int = 100, m: int = 10_000):
     rows, cols = np.divmod(np.sort(rng.choice(n * m, n_entries, replace=False)), m)
     labels = tuple(f"c{i}" for i in range(n)), tuple(f"p{j}" for j in range(m))
     if valued:
-        return ExportMatrix(*labels, rows, cols, rng.uniform(0.1, 9.0, n_entries))
-    return BinaryMatrix(*labels, rows, cols)
+        return ExportMatrix.from_coordinates(*labels, rows, cols, rng.uniform(0.1, 9.0, n_entries))
+    return BinaryMatrix.from_coordinates(*labels, rows, cols)
 
 
 class TestMatrixFileMemory:
@@ -628,14 +645,14 @@ class TestMatrixFileMemory:
             m = _sparse_matrix(n_entries, valued=False)
             peaks.append(traced_peak(partial(write_matrix, m, tmp_path / "m.txt")))
         # writing all lines in one buffer grew by 2.2x this array
-        assert peaks[1] - peaks[0] < 0.05 * m.rows.nbytes
+        assert peaks[1] - peaks[0] < 0.05 * m.cols.nbytes
 
     @pytest.mark.parametrize("valued", [False, True])
     def test_read_peak_is_a_small_multiple_of_the_entries(self, tmp_path, valued):
         write_matrix(_sparse_matrix(200_000, valued), tmp_path / "m.txt")
         back = []
         peak = traced_peak(lambda: back.append(read_matrix(tmp_path / "m.txt")))
-        arrays = (back[0].rows, back[0].cols) + ((back[0].vals,) if valued else ())
+        arrays = (back[0].cols, back[0].cols) + ((back[0].vals,) if valued else ())
         # the parsed table, with int32 indices, and the entry arrays widened from it:
         # about 1.7x; 2.1x to 2.2x with an int64 table, and about 5.7x when the whole
         # text, a copy of the entry block and per-check arrays were held
@@ -643,7 +660,7 @@ class TestMatrixFileMemory:
 
     def test_label_write_peak_is_below_the_label_text(self, tmp_path):
         labels = tuple(f"product-{j:053d}" for j in range(200_000))
-        m = BinaryMatrix(("a", "b"), labels, [0, 1], [0, 1])
+        m = BinaryMatrix.from_coordinates(("a", "b"), labels, [0, 1], [0, 1])
         peak = traced_peak(partial(write_matrix, m, tmp_path / "m.txt"))
         # label lines written a block at a time: about 1.2x; 2.2x when all of them
         # were joined and encoded at once

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import traced_peak
+from conftest import entries, traced_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
@@ -22,19 +22,19 @@ class TestBinarize:
     def test_thresholds_positive_cells(self):
         x = ExportMatrix.from_dense([[0.5, 0], [0, 0]])
         m = binarize(x)
-        assert m.entries == {(0, 0)}
+        assert entries(m) == {(0, 0)}
         assert_array_equal(m.diversification, [1, 0])
         assert_array_equal(m.ubiquity, [1, 0])
 
     def test_all_positive(self):
         m = binarize(ExportMatrix.from_dense([[3, 7], [2, 9]]))
-        assert m.entries == {(0, 0), (0, 1), (1, 0), (1, 1)}
+        assert entries(m) == {(0, 0), (0, 1), (1, 0), (1, 1)}
         assert_array_equal(m.diversification, [2, 2])
         assert_array_equal(m.ubiquity, [2, 2])
 
     def test_empty(self):
         m = binarize(ExportMatrix.from_dense(np.zeros((0, 0))))
-        assert m.entries == frozenset()
+        assert entries(m) == frozenset()
         assert m.diversification.shape == (0,)
         assert m.ubiquity.shape == (0,)
 
@@ -49,7 +49,7 @@ class TestBinarize:
             assert m.diversification[i] == int((dense[i] > 0).sum())
         for j in range(dense.shape[1]):
             assert m.ubiquity[j] == int((dense[:, j] > 0).sum())
-        assert m.diversification.sum() == m.ubiquity.sum() == len(m.entries)
+        assert m.diversification.sum() == m.ubiquity.sum() == len(entries(m))
 
 
 def _dense_rca(dense: np.ndarray) -> np.ndarray:
@@ -65,7 +65,7 @@ def _dense_rca(dense: np.ndarray) -> np.ndarray:
 
 def _kept_between(x: ExportMatrix, low: float, high: float) -> frozenset:
     """The cells rca_binarize keeps at threshold low but not at high."""
-    return rca_binarize(x, low).entries - rca_binarize(x, high).entries
+    return entries(rca_binarize(x, low)) - entries(rca_binarize(x, high))
 
 
 class TestRca:
@@ -78,7 +78,7 @@ class TestRca:
         x = ExportMatrix.from_dense([[10, 0], [10, 10]])
         assert _kept_between(x, 1.5 - 1e-12, 1.5 + 1e-12) == {(0, 0), (1, 1)}
         assert _kept_between(x, 0.75 - 1e-12, 0.75 + 1e-12) == {(1, 0)}
-        assert rca_binarize(x, 1.5 + 1e-12).entries == set()
+        assert entries(rca_binarize(x, 1.5 + 1e-12)) == set()
 
     def test_single_cell_is_unity(self):
         x = ExportMatrix.from_dense([[5.0]])
@@ -111,11 +111,11 @@ class TestRca:
 class TestRcaBinarize:
     def test_hand_example(self):
         m = rca_binarize(ExportMatrix.from_dense([[10, 0], [10, 10]]), 1.0)
-        assert m.entries == {(0, 0), (1, 1)}
+        assert entries(m) == {(0, 0), (1, 1)}
 
     def test_uniform_all_kept(self):
         m = rca_binarize(ExportMatrix.from_dense(np.full((3, 4), 1.0)))
-        assert len(m.entries) == 12
+        assert len(entries(m)) == 12
 
     def test_threshold_zero_equals_binarize(self):
         rng = np.random.default_rng(9)
@@ -124,12 +124,12 @@ class TestRcaBinarize:
         dense[:, 0] = 0.5  # no zero marginals
         dense[0, :] = 0.5
         x = ExportMatrix.from_dense(dense)
-        assert rca_binarize(x, 0.0).entries == binarize(x).entries
+        assert entries(rca_binarize(x, 0.0)) == entries(binarize(x))
 
     def test_ties_at_threshold_kept(self):
         # uniform matrix: every RCA is exactly 1
         m = rca_binarize(ExportMatrix.from_dense(np.ones((2, 2))), 1.0)
-        assert len(m.entries) == 4
+        assert len(entries(m)) == 4
 
     @pytest.mark.parametrize("seed", range(5))
     def test_keeps_the_cells_of_the_dense_rca(self, seed):
@@ -143,7 +143,7 @@ class TestRcaBinarize:
         ratios = _dense_rca(dense)
         for t in [1.0, *ratios[x.rows, x.cols][::5]]:
             kept = {(int(i), int(j)) for i, j in zip(*np.nonzero(ratios >= t)) if dense[i, j] > 0}
-            assert rca_binarize(x, t).entries == kept
+            assert entries(rca_binarize(x, t)) == kept
 
     def test_zero_marginal_raises(self):
         with pytest.raises(ZeroMarginal):
@@ -158,14 +158,15 @@ class TestRcaBinarize:
         rows, cols = np.divmod(np.flatnonzero(rng.random(200 * 5000) < 0.2), 5000)
         present = cols < 4999
         labels = tuple(f"c{i}" for i in range(200)), tuple(f"p{j}" for j in range(5000))
-        x = ExportMatrix(*labels, rows[present], cols[present], rng.random(present.sum()) + 1.0)
+        x = ExportMatrix.from_coordinates(*labels, rows[present], cols[present],
+                                          rng.random(present.sum()) + 1.0)
 
         def reject():
             with pytest.raises(ZeroMarginal, match="'p4999'"):
                 rca_binarize(x)
 
         # np.bincount copies a read-only index array and its weights: 2x
-        assert traced_peak(reject) < 0.5 * x.rows.nbytes
+        assert traced_peak(reject) < 0.5 * x.cols.nbytes
 
 
 class TestPruneDegenerate:
@@ -191,7 +192,7 @@ class TestPruneDegenerate:
         except EmptyMatrix:
             pytest.skip("draw emptied the matrix")
         twice = prune_degenerate(once)
-        assert twice.entries == once.entries
+        assert entries(twice) == entries(once)
         assert twice.country_labels == once.country_labels
 
     def test_labels_preserved(self):
@@ -223,7 +224,7 @@ def test_margin_sums_agree_everywhere(seed):
     except EmptyMatrix:
         pass
     for m in mats:
-        assert m.diversification.sum() == m.ubiquity.sum() == len(m.entries)
+        assert m.diversification.sum() == m.ubiquity.sum() == len(entries(m))
 
 
 def test_duplicate_labels_rejected():
@@ -235,13 +236,13 @@ def test_duplicate_labels_rejected():
 
 def test_export_matrix_rejects_nonpositive_values():
     with pytest.raises(ValueError):
-        ExportMatrix(("A",), ("x",), np.array([0]), np.array([0]), np.array([-1.0]))
+        ExportMatrix(("A",), ("x",), np.array([0, 1]), np.array([0]), np.array([-1.0]))
 
 
 def test_export_matrix_rejects_non_finite_values():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="finite"):
-            ExportMatrix(("A", "B"), ("x",), np.array([0, 1]), np.array([0, 0]),
+            ExportMatrix(("A", "B"), ("x",), np.array([0, 1, 2]), np.array([0, 0]),
                          np.array([1.0, bad]))
     with pytest.raises(ValueError, match="finite"):
         ExportMatrix.from_dense([[np.inf, 1], [1, 2]])
@@ -261,8 +262,8 @@ def _make(kind, rows, cols, n=2, m=2):
     """A BinaryMatrix or an all-ones ExportMatrix on the given coordinates."""
     labels = tuple(f"c{i}" for i in range(n)), tuple(f"p{j}" for j in range(m))
     if kind is BinaryMatrix:
-        return BinaryMatrix(*labels, rows, cols)
-    return ExportMatrix(*labels, rows, cols, np.ones(len(rows)))
+        return BinaryMatrix.from_coordinates(*labels, rows, cols)
+    return ExportMatrix.from_coordinates(*labels, rows, cols, np.ones(len(rows)))
 
 
 @pytest.mark.parametrize("kind", [BinaryMatrix, ExportMatrix])
@@ -287,14 +288,14 @@ class TestEntryInvariant:
             _make(kind, np.array([0, 1]), np.array([0]))
         if kind is ExportMatrix:
             with pytest.raises(ValueError, match="equal length"):
-                ExportMatrix(("a",), ("x",), np.array([0]), np.array([0]), np.ones(2))
+                ExportMatrix(("a",), ("x",), np.array([0, 1]), np.array([0]), np.ones(2))
 
     def test_list_coordinates_accepted(self, kind):
         m = _make(kind, [1, 0], [0, 1])
         assert m.rows.dtype == m.cols.dtype == np.intp
         assert m.rows.tolist() == [0, 1] and m.cols.tolist() == [1, 0]
         b = m if kind is BinaryMatrix else binarize(m)
-        assert b.entries == {(0, 1), (1, 0)}
+        assert entries(b) == {(0, 1), (1, 0)}
         empty = _make(kind, [], [])
         assert empty.n_entries == 0 and empty.to_dense().sum() == 0
 
@@ -305,8 +306,8 @@ def test_permuted_export_matrix_equals_sorted():
     dense[dense < 0.5] = 0.0
     x = ExportMatrix.from_dense(dense)
     perm = rng.permutation(len(x.rows))
-    y = ExportMatrix(x.country_labels, x.product_labels,
-                     x.rows[perm], x.cols[perm], x.vals[perm])
+    y = ExportMatrix.from_coordinates(x.country_labels, x.product_labels,
+                                      x.rows[perm], x.cols[perm], x.vals[perm])
     assert_array_equal(y.rows, x.rows)
     assert_array_equal(y.cols, x.cols)
     assert_array_equal(y.vals, x.vals)
@@ -314,14 +315,14 @@ def test_permuted_export_matrix_equals_sorted():
     bx, by = binarize(x), binarize(y)
     assert_array_equal(by.diversification, bx.diversification)
     assert_array_equal(by.ubiquity, bx.ubiquity)
-    assert by.entries == bx.entries == set(zip(*(a.tolist() for a in np.nonzero(dense))))
+    assert entries(by) == entries(bx) == set(zip(*(a.tolist() for a in np.nonzero(dense))))
 
 
 def test_stored_entries_are_read_only():
     rows, cols = np.array([0, 1]), np.array([1, 0])
-    m = BinaryMatrix(("a", "b"), ("x", "y"), rows, cols)
-    x = ExportMatrix(("a", "b"), ("x", "y"), rows, cols, np.ones(2))
-    for arr in (m.rows, m.cols, x.rows, x.cols, x.vals, binarize(x).rows):
+    m = BinaryMatrix.from_coordinates(("a", "b"), ("x", "y"), rows, cols)
+    x = ExportMatrix.from_coordinates(("a", "b"), ("x", "y"), rows, cols, np.ones(2))
+    for arr in (m.offsets, m.rows, m.cols, x.offsets, x.rows, x.cols, x.vals, binarize(x).rows):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = -1
     rows[0] = 0  # the caller's own arrays stay writable
@@ -339,25 +340,135 @@ def test_caller_arrays_stay_apart_from_stored_entries(tmp_path):
     """Changing an array after handing it to a constructor leaves the
     checked matrix as it was."""
     r, c, v = np.array([0, 1]), np.array([0, 1]), np.array([1.0, 2.0])
-    m = BinaryMatrix(("a", "b"), ("x", "y"), r, c)
-    x = ExportMatrix(("a", "b"), ("x", "y"), r, c, v)
+    m = BinaryMatrix.from_coordinates(("a", "b"), ("x", "y"), r, c)
+    x = ExportMatrix.from_coordinates(("a", "b"), ("x", "y"), r, c, v)
     r[0], c[1], v[0] = -1, 0, -3.0
     assert m.rows.tolist() == x.rows.tolist() == [0, 1]
     assert m.cols.tolist() == x.cols.tolist() == [0, 1]
     assert x.vals.tolist() == [1.0, 2.0]
     write_matrix(m, tmp_path / "m.txt")
-    assert read_matrix(tmp_path / "m.txt").entries == {(0, 0), (1, 1)}
+    assert entries(read_matrix(tmp_path / "m.txt")) == {(0, 0), (1, 1)}
 
 
 def test_sorted_read_only_entries_are_checked_and_counted_in_place():
     rows, cols = np.divmod(np.flatnonzero(np.random.default_rng(5).random(200 * 5000) < 0.5), 5000)
-    rows.flags.writeable = cols.flags.writeable = False
+    offsets = np.searchsorted(rows, np.arange(201))
+    offsets.flags.writeable = cols.flags.writeable = False
     labels = tuple(f"c{i}" for i in range(200)), tuple(f"p{j}" for j in range(5000))
     # an int64 (i, j) key alone is 1x, and np.bincount copies a read-only index array
-    assert traced_peak(lambda: BinaryMatrix(*labels, rows, cols)) < 0.75 * rows.nbytes
+    assert traced_peak(lambda: BinaryMatrix(*labels, offsets, cols)) < 0.75 * cols.nbytes
 
 
 def test_read_only_entries_are_shared_not_copied():
     x = ExportMatrix.from_dense([[1.0, 0.0], [2.0, 3.0]])
     b = binarize(x)
-    assert np.shares_memory(b.rows, x.rows) and np.shares_memory(b.cols, x.cols)
+    assert np.shares_memory(b.offsets, x.offsets) and np.shares_memory(b.cols, x.cols)
+
+
+_LABELS = ("a", "b", "c"), ("x", "y", "z")
+
+
+@pytest.mark.parametrize("kind", [BinaryMatrix, ExportMatrix])
+class TestRowOffsetLayout:
+    """The constructor takes row offsets and columns, checks the layout
+    and never sorts; from_coordinates is the path that sorts (its repeats
+    are TestEntryInvariant's)."""
+
+    @staticmethod
+    def _build(kind, offsets, cols):
+        vals = (np.ones(len(cols)),) if kind is ExportMatrix else ()
+        return kind(*_LABELS, offsets, cols, *vals)
+
+    @pytest.mark.parametrize("offsets, cols", [
+        ([0, 1, 2], [0, 1]),  # one offset short
+        ([0, 1, 2, 2, 2], [0, 1]),  # one offset too many
+        ([[0, 1, 2, 2]], [0, 1]),  # not 1-d
+        ([1, 1, 2, 2], [0, 1]),  # does not start at 0
+        ([0, 2, 1, 2], [0, 1]),  # decreases
+        ([0, 1, 2, 3], [0, 1]),  # ends past the entries
+        ([0, 1, 1, 1], [0, 1]),  # ends before the last entry
+        ([0.0, 1.0, 2.0, 2.0], [0, 1]),  # not integers
+        ([0, 2, 2, 2], [1, 0]),  # columns out of order within a row
+        ([0, 2, 2, 2], [1, 1]),  # a repeated entry
+        ([0, 1, 2, 2], [0, 3]),  # a column past the last product
+        ([0, 1, 2, 2], [0, -1]),  # a negative column
+    ], ids=["short", "long", "2-d", "start", "decrease", "past-end", "before-end", "float",
+            "order", "repeat", "column-high", "column-negative"])
+    def test_constructor_rejects_a_broken_layout(self, kind, offsets, cols):
+        with pytest.raises(ValueError):
+            self._build(kind, np.array(offsets), np.array(cols))
+
+    def test_constructor_keeps_a_valid_layout(self, kind):
+        # an empty middle row, and a column that falls where a new row starts
+        m = self._build(kind, [0, 2, 2, 3], [1, 2, 0])
+        assert m.offsets.tolist() == [0, 2, 2, 3] and m.cols.tolist() == [1, 2, 0]
+        assert m.rows.tolist() == [0, 0, 2]
+        assert entries(m) == {(0, 1), (0, 2), (2, 0)}
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_from_coordinates_equals_from_dense(self, kind, seed):
+        """Entries in any order, with empty first, last and consecutive
+        middle rows, give the matrix from_dense gives."""
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(5, 12)), int(rng.integers(1, 9))
+        dense = rng.uniform(0.5, 2.0, (n, m)) * (rng.random((n, m)) < 0.6)
+        middle = int(rng.integers(1, n - 2))
+        dense[[0, middle, middle + 1, n - 1]] = 0.0
+        want = kind.from_dense(dense)
+        rows, cols = np.nonzero(dense)
+        perm = rng.permutation(len(rows))
+        vals = (dense[rows, cols][perm],) if kind is ExportMatrix else ()
+        got = kind.from_coordinates(want.country_labels, want.product_labels,
+                                    rows[perm], cols[perm], *vals)
+        assert got.offsets.tolist() == want.offsets.tolist()
+        assert got.cols.tolist() == want.cols.tolist()
+        if kind is ExportMatrix:
+            assert got.vals.tolist() == want.vals.tolist()
+        assert_array_equal(got.to_dense() > 0, dense > 0)
+
+    def test_from_coordinates_of_no_entry(self, kind):
+        want = kind.from_dense(np.zeros((3, 4)))
+        vals = ([],) if kind is ExportMatrix else ()
+        got = kind.from_coordinates(want.country_labels, want.product_labels, [], [], *vals)
+        assert got.offsets.tolist() == want.offsets.tolist() == [0, 0, 0, 0]
+        assert got.n_entries == want.n_entries == 0
+
+
+@pytest.mark.parametrize("drop_products", [False, True])
+@pytest.mark.parametrize("seed", range(10))
+def test_prune_matches_dense_reference(seed, drop_products):
+    """Empty rows at both ends and in the middle, with or without empty
+    columns: the labels and entries of the dense matrix with those rows
+    and columns deleted."""
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(6, 14)), int(rng.integers(3, 10))
+    dense = rng.random((n, m)) < 0.4
+    dense[1] = True  # every column has an entry
+    middle = int(rng.integers(2, n - 2))
+    dense[[0, middle, middle + 1, n - 1]] = False
+    if drop_products:
+        dense[:, [0, m - 1]] = False
+    labels = tuple(f"c{i}" for i in range(n)), tuple(f"p{j}" for j in range(m))
+    pruned = prune_degenerate(BinaryMatrix.from_dense(dense, *labels))
+    keep_c, keep_p = dense.any(axis=1), dense.any(axis=0)
+    reference = dense[keep_c][:, keep_p]
+    assert pruned.country_labels == tuple(np.array(labels[0])[keep_c].tolist())
+    assert pruned.product_labels == tuple(np.array(labels[1])[keep_p].tolist())
+    assert entries(pruned) == set(zip(*(a.tolist() for a in np.nonzero(reference))))
+    assert_array_equal(pruned.diversification, reference.sum(axis=1))
+
+
+def test_prune_dropping_countries_remaps_no_entry():
+    """Dropping empty countries slices the row offsets and shares the
+    columns, so the call allocates no entry-sized array."""
+    rng = np.random.default_rng(8)
+    dense = rng.random((200, 5000)) < 0.5
+    dense[[0, 100, 101, 199]] = False
+    m = BinaryMatrix.from_dense(dense)
+    assert m.ubiquity.min() > 0
+    pruned = []
+    peak = traced_peak(lambda: pruned.append(prune_degenerate(m)))
+    assert np.shares_memory(pruned[0].cols, m.cols)
+    # about 0.17x, the constructor's byte-per-entry order mask and the product label
+    # set; 1.4x when each entry's row was remapped
+    assert peak < 0.3 * m.cols.nbytes

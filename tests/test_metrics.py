@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.stats
-from conftest import random_connected_matrix, traced_peak
+from conftest import fitness_iterations, random_connected_matrix, traced_peak
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -24,7 +24,6 @@ from ecomplex import (
     NumericalUnderflow,
     eci_pci,
     fitness_complexity,
-    fitness_iterations,
     prune_degenerate,
     simulate_world,
     spearman,
@@ -535,7 +534,7 @@ class TestColumnClasses:
     def test_class_keys_peak_below_the_entry_array(self):
         m = simulate_world(ModelParams(tau=0.07, K=221), mode="mc", samples=20_000, seed=1).matrix
         # 2.8x when the keys were packed from a dense products x countries block
-        assert traced_peak(lambda: m.column_classes) < 1.5 * m.rows.nbytes
+        assert traced_peak(lambda: m.column_classes) < 1.5 * m.cols.nbytes
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 60))
     @settings(max_examples=40, deadline=None)

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from conftest import entries, traced_peak
 from numpy.testing import assert_allclose
 
 from ecomplex import (
@@ -215,10 +216,10 @@ class TestSimulator:
     def test_deterministic_per_seed(self):
         a = simulate_world(ModelParams(tau=0.3, K=10), "exact", seed=123)
         b = simulate_world(ModelParams(tau=0.3, K=10), "exact", seed=123)
-        assert a.matrix.entries == b.matrix.entries
+        assert entries(a.matrix) == entries(b.matrix)
         assert a.matrix.product_labels == b.matrix.product_labels
         c = simulate_world(ModelParams(tau=0.3, K=10), "exact", seed=124)
-        assert c.matrix.entries != a.matrix.entries
+        assert entries(c.matrix) != entries(a.matrix)
 
     def test_exact_mode_bounded(self):
         with pytest.raises(InfeasibleEnumeration):
@@ -234,10 +235,22 @@ class TestSimulator:
         params = ModelParams(tau=0.07, K=100)
         a = simulate_world(params, "mc", samples=500, seed=3)
         b = simulate_world(params, "mc", samples=500, seed=3)
-        assert a.matrix.entries == b.matrix.entries
+        assert entries(a.matrix) == entries(b.matrix)
         assert np.array_equal(a.matrix.ubiquity, 101 - a.product_max_tech)
         pop = [bin(int(lab[1:], 16)).count("1") for lab in a.matrix.product_labels]
         assert pop == list(a.product_sophistication)
+
+    def test_mc_world_holds_no_row_array(self):
+        """The world is built as row offsets plus columns: no entry-sized
+        row array sits next to the columns at the peak."""
+        params = ModelParams(tau=0.07, K=221)
+        worlds = []
+        peak = traced_peak(lambda: worlds.append(simulate_world(params, "mc", samples=20_000,
+                                                                seed=1)))
+        m = worlds[0].matrix
+        assert m.offsets.shape == (m.n_countries + 1,) and m.offsets[-1] == m.n_entries
+        # about 3.5x; 4.5x when the builder repeated each country's index per entry
+        assert peak < 4.0 * m.cols.nbytes
 
     def test_mean_diversification_tracks_closed_form(self):
         params = ModelParams(tau=0.3, K=8)
