@@ -41,7 +41,8 @@ __all__ = [
     "sha256_file",
 ]
 
-_ENTRY_BLOCK = 1 << 16  # label or entry lines formatted per write
+_ENTRY_BLOCK = 1 << 16  # entry lines formatted per write
+_LABEL_BLOCK = 1 << 12  # label lines joined per write
 _SCAN_BLOCK = 1 << 20  # characters read at a time when counting lines
 
 
@@ -251,7 +252,7 @@ def read_trade_csv(path) -> ExportMatrix:
     if not keep.any():
         raise EmptyMatrix("no trade cell has a positive value")
     rows, cols = np.divmod(cells[keep], len(products))
-    vals = totals[keep]
+    cols, vals = cols.astype(np.int32), totals[keep]
     for array in (cols, vals):  # handed over, so the constructor stores them uncopied
         array.flags.writeable = False
     return ExportMatrix.from_coordinates(countries, products, rows, cols, vals)
@@ -354,6 +355,13 @@ def _distinct_reprs(values: np.ndarray) -> tuple[list[str], np.ndarray]:
     return list(map(repr, distinct.view(values.dtype).tolist())), inverse
 
 
+def _index_texts(count: int, end: bytes) -> np.ndarray:
+    """The bytes b"<k><end>" for k in range(count), as wide as the longest
+    (a bare astype("S") is as wide as any int64)."""
+    digits = len(str(max(count - 1, 0)))
+    return np.strings.add(np.arange(count).astype(f"S{digits}"), end)
+
+
 def write_matrix(m, path) -> None:
     """Write an ExportMatrix (valued) or BinaryMatrix (binary) canonically.
 
@@ -361,16 +369,15 @@ def write_matrix(m, path) -> None:
     they are written as stored, a fixed block of label or entry lines at a time.
     """
     valued = isinstance(m, ExportMatrix)
-    # each line is "<i> <j>\n" or "<i> <j> <value>\n", as bytes built from per-index strings
-    row_text = np.array([f"{i} " for i in range(m.n_countries)], dtype="S")
-    col_end = " " if valued else "\n"
-    col_text = np.array([f"{j}{col_end}" for j in range(m.n_products)], dtype="S")
+    # each line is "<i> <j>\n" or "<i> <j> <value>\n", as bytes built from per-index texts
+    row_text = _index_texts(m.n_countries, b" ")
+    col_text = _index_texts(m.n_products, b" " if valued else b"\n")
     with open(path, "wb") as fh:
         fh.write(f"countries={m.n_countries} products={m.n_products} entries={m.n_entries}\n"
                  .encode("utf-8"))
         for prefix, labels in (("c ", m.country_labels), ("p ", m.product_labels)):
-            for start in range(0, len(labels), _ENTRY_BLOCK):
-                block = labels[start:start + _ENTRY_BLOCK]
+            for start in range(0, len(labels), _LABEL_BLOCK):
+                block = labels[start:start + _LABEL_BLOCK]
                 fh.write((prefix + f"\n{prefix}".join(block) + "\n").encode("utf-8"))
         for start in range(0, m.n_entries, _ENTRY_BLOCK):
             stop = min(start + _ENTRY_BLOCK, m.n_entries)
@@ -479,8 +486,8 @@ def _read_matrix(path):
         countries = _labels(fh, n, 2, "c")
         products = _labels(fh, m, 2 + n, "p")
         valued = len(fh.readline().split()) == 3
-    # int32 index fields, so that a token such as "1.0" is not an index and the table
-    # is half as wide while the columns are widened; a wider index is a parse failure
+    # int32 index fields, as the matrix stores its columns, so that a token such as "1.0"
+    # is not an index; a wider index is a parse failure
     dtype = [("i", np.int32), ("j", np.int32)] + ([("v", float)] if valued else [])
     try:
         with warnings.catch_warnings():  # a blank line or an all-blank input warns
@@ -496,7 +503,7 @@ def _read_matrix(path):
         raise ParseError("entries must be sorted by (i, j) without repeats")
     # int32 keys, so that the int32 rows are searched as they are, with no wider copy
     offsets = np.searchsorted(rows, np.arange(n + 1, dtype=np.int32))
-    entries = [table["j"].astype(np.intp)] + ([table["v"].astype(float)] if valued else [])
+    entries = [table["j"].astype(np.int32)] + ([table["v"].astype(float)] if valued else [])
     del table, rows  # one copy of the entries from here on
     for array in (offsets, *entries):  # handed over, so the constructor stores them uncopied
         array.flags.writeable = False

@@ -37,8 +37,11 @@ class _CoordinateMatrix:
     Construction enforces the invariant every consumer relies on: labels
     are unique, the offsets rise from 0 to the entry count, and each
     row's columns lie inside the matrix and increase strictly. It never
-    sorts; ``from_coordinates`` does. The stored arrays are read-only and
-    shared with no array the caller can still write to.
+    sorts; ``from_coordinates`` does. The offsets are stored as ``intp``,
+    since the entry count may pass 2**31, and the columns as 32-bit
+    integers, after their range is checked on the array as given, so no
+    column wraps. The stored arrays are read-only and shared with no
+    array the caller can still write to.
     """
 
     country_labels: tuple[str, ...]
@@ -47,7 +50,7 @@ class _CoordinateMatrix:
     cols: np.ndarray = field(repr=False)
 
     # the stored arrays and their dtypes; each after the offsets holds one element per entry
-    _array_dtypes = {"offsets": np.intp, "cols": np.intp}
+    _array_dtypes = {"offsets": np.intp, "cols": np.int32}
 
     def __post_init__(self):
         for kind, labels in (("country", self.country_labels), ("product", self.product_labels)):
@@ -56,8 +59,11 @@ class _CoordinateMatrix:
         for name, dtype in self._array_dtypes.items():
             given = getattr(self, name)
             array = np.asarray(given, order="C")
-            if array.size and dtype is np.intp and array.dtype.kind not in "iu":
+            if array.size and name != "vals" and array.dtype.kind not in "iu":
                 raise ValueError("row offsets and columns must be integers")
+            if (name == "cols" and array.size  # checked before the cast, so no column wraps
+                    and not (0 <= array.min() and array.max() < self.n_products)):
+                raise ValueError("matrix entry out of range")
             array = array.astype(dtype, copy=False)
             if (isinstance(given, np.ndarray) and given.flags.writeable
                     and np.may_share_memory(array, given)):
@@ -70,8 +76,6 @@ class _CoordinateMatrix:
         if (offsets.shape != (self.n_countries + 1,) or offsets[0] != 0
                 or offsets[-1] != len(cols) or np.any(offsets[1:] < offsets[:-1])):
             raise ValueError("row offsets must be n_countries + 1 rising from 0 to n_entries")
-        if len(cols) and not (0 <= cols.min() and cols.max() < self.n_products):
-            raise ValueError("matrix entry out of range")
         rising = np.empty(len(cols) + 1, dtype=bool)  # rising[k]: entry k follows entry k - 1
         np.greater(cols[1:], cols[:-1], out=rising[1:-1])
         rising[offsets] = True  # a row may start at any column
@@ -230,7 +234,9 @@ class BinaryMatrix(_CoordinateMatrix):
         packed = np.zeros((m, n // 8 + 1), dtype=np.uint8)  # one key per product, n + 1 bits
         bounds = self.offsets.tolist()
         for i in range(n):  # bit i of a key is bit 7 - i % 8 of byte i // 8, as np.packbits packs
-            packed[self.cols[bounds[i]:bounds[i + 1]], i >> 3] |= np.uint8(0x80 >> (i & 7))
+            byte = packed[:, i >> 3]
+            # one intp copy of the row's columns, which the read and the write of |= both index
+            byte[self.cols[bounds[i]:bounds[i + 1]].astype(np.intp)] |= np.uint8(0x80 >> (i & 7))
         keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
         _, first, inverse, counts = np.unique(
             keys, return_index=True, return_inverse=True, return_counts=True)
@@ -257,13 +263,17 @@ def binarize(x: ExportMatrix) -> BinaryMatrix:
     return BinaryMatrix(x.country_labels, x.product_labels, x.offsets, x.cols)
 
 
+_RCA_BLOCK = 1 << 13  # about this many entries per block of rows in rca_binarize
+
+
 def rca_binarize(x: ExportMatrix, threshold: float = 1.0) -> BinaryMatrix:
     """Binary matrix keeping cells whose RCA meets the threshold.
 
     RCA_ij = (x_ij / row_i total) / (column_j total / world total). Ties
     at the threshold are kept (>=). Only cells with positive exports are
     candidates, so threshold 0 reproduces plain binarization. The ratios
-    are computed per stored entry, with no dense matrix. Raises
+    are computed per stored entry, a block of whole rows at a time, with
+    no dense matrix and no entry-sized temporary. Raises
     ZeroMarginal when any row or column sums to zero, since the ratio is
     then undefined; prune first.
     """
@@ -276,11 +286,21 @@ def rca_binarize(x: ExportMatrix, threshold: float = 1.0) -> BinaryMatrix:
     np.add.at(col_tot, x.cols, x.vals)  # as for ubiquity, np.bincount would copy
     if not col_tot.all():
         raise ZeroMarginal(f"product {x.product_labels[col_tot.argmin()]!r} has zero total exports")
-    row_tot = np.zeros(x.n_countries)
-    np.add.at(row_tot, x.rows, x.vals)  # the rows are entry-sized, so built after both checks
-    world = float(x.vals.sum())
-    keep = (x.vals / np.repeat(row_tot, sizes)) / (col_tot[x.cols] / world) >= threshold
-    kept = [np.count_nonzero(keep[a:b]) for a, b in pairwise(x.offsets.tolist())]
+    col_share = col_tot / float(x.vals.sum())  # col_tot[x.cols] / world, a product at a time
+    keep = np.empty(x.n_entries, dtype=bool)
+    bounds = x.offsets.tolist()
+    # blocks of whole rows, a new one at each row holding a multiple of _RCA_BLOCK entries,
+    # so no temporary is entry-sized
+    starts = np.searchsorted(x.offsets, np.arange(0, x.n_entries, _RCA_BLOCK), side="right") - 1
+    for r0, r1 in pairwise([*dict.fromkeys(starts.tolist()), x.n_countries]):
+        a, b, runs = bounds[r0], bounds[r1], sizes[r0:r1]
+        # np.bincount sums each row's values in entry order from 0.0, as np.add.at does
+        row_tot = np.bincount(np.repeat(np.arange(r1 - r0), runs), x.vals[a:b], r1 - r0)
+        ratio = np.repeat(row_tot, runs)
+        np.divide(x.vals[a:b], ratio, out=ratio)
+        ratio /= np.take(col_share, x.cols[a:b])
+        np.greater_equal(ratio, threshold, out=keep[a:b])
+    kept = [np.count_nonzero(keep[a:b]) for a, b in pairwise(bounds)]
     offsets, cols = np.concatenate([[0], np.cumsum(kept, dtype=np.intp)]), x.cols[keep]
     offsets.flags.writeable = cols.flags.writeable = False  # handed over, so stored uncopied
     return BinaryMatrix(x.country_labels, x.product_labels, offsets, cols)
@@ -308,6 +328,6 @@ def prune_degenerate(m: BinaryMatrix) -> BinaryMatrix:
         offsets = np.append(offsets[:-1][keep_c], offsets[-1])  # an empty row holds no entry
     if not keep_p.all():
         products = tuple(compress(products, keep_p))
-        cols = (np.cumsum(keep_p) - 1)[cols]
+        cols = (np.cumsum(keep_p, dtype=np.int32) - 1)[cols]
     offsets.flags.writeable = cols.flags.writeable = False  # handed over, so stored uncopied
     return BinaryMatrix(countries, products, offsets, cols)

@@ -135,13 +135,29 @@ def _average_ranks(v) -> np.ndarray:
     return ranks
 
 
-def _spearman(a, b) -> float:
-    """Pearson correlation of average ranks; 0 when either side is constant."""
-    ra, rb = (r - r.mean() for r in (_average_ranks(a), _average_ranks(b)))
-    denom = np.sqrt((ra * ra).sum() * (rb * rb).sum())
+def _pearson(a, b) -> float:
+    """Pearson correlation; 0 when either side is constant."""
+    ca, cb = (v - v.mean() for v in (np.asarray(a, dtype=float), np.asarray(b, dtype=float)))
+    denom = np.sqrt((ca * ca).sum() * (cb * cb).sum())
     if denom == 0:
         return 0.0
-    return float((ra * rb).sum() / denom)
+    return float((ca * cb).sum() / denom)
+
+
+def _spearman(a, b) -> float:
+    """Pearson correlation of average ranks; 0 when either side is constant."""
+    return _pearson(_average_ranks(a), _average_ranks(b))
+
+
+def _flip(v: np.ndarray, ref: np.ndarray, sign: int) -> bool:
+    """Whether v must be negated to co-rank (sign 1) or counter-rank
+    (sign -1) with ref: by the Spearman correlation, on an exact tie by
+    the Pearson correlation, and when that is 0 too so that the first
+    nonzero component of v is positive."""
+    for corr in (_spearman(v, ref), _pearson(v, ref)):
+        if corr != 0:
+            return sign * corr < 0
+    return bool(v[np.flatnonzero(v)[0]] < 0)
 
 
 def eci_pci(m: BinaryMatrix) -> tuple[np.ndarray, np.ndarray, EigenReport]:
@@ -158,7 +174,10 @@ def eci_pci(m: BinaryMatrix) -> tuple[np.ndarray, np.ndarray, EigenReport]:
     W* W (same eigenvalue) without a second decomposition.
 
     Signs are fixed so that ECI co-ranks with diversification and PCI
-    counter-ranks with ubiquity.
+    counter-ranks with ubiquity. When a Spearman correlation is exactly 0,
+    the Pearson correlation with d (or u) decides, and when that is 0 as
+    well, the first nonzero component is made positive, so the solver's
+    arbitrary eigenvector sign never decides.
     """
     n_c, n_p = m.n_countries, m.n_products
     if n_c < 3 or n_p < 3:
@@ -196,7 +215,7 @@ def eci_pci(m: BinaryMatrix) -> tuple[np.ndarray, np.ndarray, EigenReport]:
     # nonsymmetric operator's eigenvector.
     c_raw = eigvecs[:, 1] / np.sqrt(d)
     eci = standardize(c_raw)
-    flip_c = _spearman(eci, d) < 0
+    flip_c = _flip(eci, d, 1)
     if flip_c:
         eci = -eci
 
@@ -206,7 +225,7 @@ def eci_pci(m: BinaryMatrix) -> tuple[np.ndarray, np.ndarray, EigenReport]:
     if np.allclose(p_raw, p_raw.mean()):
         raise DegenerateVector("product-side eigenvector is constant")
     pci = standardize(p_raw)
-    flip_p = _spearman(pci, u) > 0
+    flip_p = _flip(pci, u, -1)
     if flip_p:
         pci = -pci
 

@@ -234,7 +234,7 @@ def _build_world(params: ModelParams, s_arr, maxidx_arr, labels) -> SyntheticWor
     # country k makes every product whose top is at most k
     row_sizes = np.cumsum(np.bincount(top, minlength=K + 1))
     offsets = np.concatenate([[0], np.cumsum(row_sizes)])
-    cols = np.empty(offsets[-1], dtype=np.intp)
+    cols = np.empty(offsets[-1], dtype=np.int32)
     for k, (start, stop) in enumerate(pairwise(offsets.tolist())):
         cols[start:stop] = np.flatnonzero(top <= k)
     offsets.flags.writeable = cols.flags.writeable = False  # handed over, so stored uncopied
@@ -324,7 +324,9 @@ def simulate_world(
         first = np.ones(len(order), dtype=bool)
         first[1:] = np.any(words[1:] != words[:-1], axis=1)
         words, sizes, top = words[first], sizes[first], top[first]
-        return _build_world(params, sizes, top, _hex_labels(words))
+        labels = _hex_labels(words)
+        del words, order, first  # freed before the matrix is built
+        return _build_world(params, sizes, top, labels)
 
     raise ValueError(f"unknown mode {mode!r}")
 

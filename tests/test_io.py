@@ -644,19 +644,19 @@ class TestMatrixFileMemory:
         for n_entries in (200_000, 800_000):
             m = _sparse_matrix(n_entries, valued=False)
             peaks.append(traced_peak(partial(write_matrix, m, tmp_path / "m.txt")))
-        # writing all lines in one buffer grew by 2.2x this array
-        assert peaks[1] - peaks[0] < 0.05 * m.cols.nbytes
+        # writing all lines in one buffer grew by 2.2x 8 bytes per entry
+        assert peaks[1] - peaks[0] < 0.05 * 8 * m.n_entries
 
     @pytest.mark.parametrize("valued", [False, True])
     def test_read_peak_is_a_small_multiple_of_the_entries(self, tmp_path, valued):
         write_matrix(_sparse_matrix(200_000, valued), tmp_path / "m.txt")
         back = []
         peak = traced_peak(lambda: back.append(read_matrix(tmp_path / "m.txt")))
-        arrays = (back[0].cols, back[0].cols) + ((back[0].vals,) if valued else ())
-        # the parsed table, with int32 indices, and the entry arrays widened from it:
-        # about 1.7x; 2.1x to 2.2x with an int64 table, and about 5.7x when the whole
-        # text, a copy of the entry block and per-check arrays were held
-        assert peak < 2.0 * sum(a.nbytes for a in arrays)
+        # the parsed table, with int32 indices, and the int32 columns (and values) copied
+        # from it: about 2.05x (3.9x valued) 8 bytes per entry; 2.4x (4.4x) with intp
+        # columns, and about 11x when the whole text, a copy of the entry block and
+        # per-check arrays were held
+        assert peak < (4.2 if valued else 2.25) * 8 * back[0].n_entries
 
     def test_label_write_peak_is_below_the_label_text(self, tmp_path):
         labels = tuple(f"product-{j:053d}" for j in range(200_000))
@@ -665,6 +665,15 @@ class TestMatrixFileMemory:
         # label lines written a block at a time: about 1.2x; 2.2x when all of them
         # were joined and encoded at once
         assert peak < 1.5 * sum(map(len, labels))
+
+    def test_index_texts_are_as_narrow_as_the_largest_index(self, tmp_path):
+        m = BinaryMatrix.from_coordinates(("a", "b"), tuple(f"p{j}" for j in range(200_000)),
+                                          [0, 1], [0, 199_999])
+        peak = traced_peak(partial(write_matrix, m, tmp_path / "m.txt"))
+        # about 14 bytes per product; 43 with texts as wide as any int64, and 71 when
+        # they were built from one Python string per product
+        assert peak < 25 * m.n_products
+        assert (tmp_path / "m.txt").read_text().endswith("\n0 0\n1 199999\n")
 
     @pytest.mark.parametrize("valued", [False, True])
     @pytest.mark.parametrize("line", [3, -1], ids=["label", "last"])

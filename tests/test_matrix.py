@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from conftest import entries, traced_peak
@@ -16,6 +18,7 @@ from ecomplex import (
     read_matrix,
     write_matrix,
 )
+from ecomplex import matrix
 
 
 class TestBinarize:
@@ -149,6 +152,42 @@ class TestRcaBinarize:
         with pytest.raises(ZeroMarginal):
             rca_binarize(ExportMatrix.from_dense([[1, 0], [1, 0]]))
 
+    @pytest.mark.parametrize("block", [1, 7, 64, 1 << 13])
+    def test_blocks_keep_what_one_pass_keeps(self, monkeypatch, block):
+        """Blocks of whole rows, some rows longer than a block, keep
+        exactly the cells of the ratio computed over all entries at once,
+        also at thresholds equal to a cell's ratio."""
+        rng = np.random.default_rng(block)
+        dense = np.exp(rng.normal(0.0, 2.0, (40, 30))) * (rng.random((40, 30)) < 0.6)
+        dense[:, 0] = dense[0, :] = 1.0  # no zero marginals
+        x = ExportMatrix.from_dense(dense)
+        row_tot, col_tot = np.zeros(x.n_countries), np.zeros(x.n_products)
+        np.add.at(row_tot, x.rows, x.vals)
+        np.add.at(col_tot, x.cols, x.vals)
+        ratios = (x.vals / row_tot[x.rows]) / (col_tot[x.cols] / x.vals.sum())
+        monkeypatch.setattr(matrix, "_RCA_BLOCK", block)
+        for t in [1.0, *ratios[::9]]:
+            kept = ratios >= t
+            assert entries(rca_binarize(x, t)) == set(zip(x.rows[kept].tolist(),
+                                                          x.cols[kept].tolist()))
+
+    def test_ratios_hold_no_entry_sized_temporary(self, monkeypatch):
+        """A block of rows at a time, the ratios need no entry-sized float
+        array: up to the constructor of the kept matrix, the call holds a
+        byte-per-entry mask, the kept columns and one block's temporaries."""
+        rng = np.random.default_rng(7)
+        rows, cols = np.divmod(np.flatnonzero(rng.random(200 * 5000) < 0.2), 5000)
+        labels = tuple(f"c{i}" for i in range(200)), tuple(f"p{j}" for j in range(5000))
+        x = ExportMatrix.from_coordinates(*labels, rows, cols,
+                                          np.exp(rng.normal(0.0, 2.0, len(rows))))
+        whole = traced_peak(partial(rca_binarize, x))
+        monkeypatch.setattr(matrix, "BinaryMatrix", lambda *args: args)
+        ratios = traced_peak(partial(rca_binarize, x))
+        # about 0.45x 8 bytes per entry; 2.0x when the ratio was computed over all entries
+        assert ratios < 0.5 * 8 * x.n_entries
+        # the constructor adds its order mask and the product label set, about 0.4x
+        assert whole < 1.0 * 8 * x.n_entries
+
     def test_totals_copy_no_entry_array(self):
         """The row and column totals are summed from the read-only entry
         arrays as they are. A matrix whose last product has no entry is
@@ -165,8 +204,9 @@ class TestRcaBinarize:
             with pytest.raises(ZeroMarginal, match="'p4999'"):
                 rca_binarize(x)
 
-        # np.bincount copies a read-only index array and its weights: 2x
-        assert traced_peak(reject) < 0.5 * x.cols.nbytes
+        # about 0.07x 8 bytes per entry, the int32 columns cast to intp a buffer at a
+        # time; np.bincount copies a read-only index array and its weights: 2x
+        assert traced_peak(reject) < 0.5 * 8 * x.n_entries
 
 
 class TestPruneDegenerate:
@@ -292,7 +332,7 @@ class TestEntryInvariant:
 
     def test_list_coordinates_accepted(self, kind):
         m = _make(kind, [1, 0], [0, 1])
-        assert m.rows.dtype == m.cols.dtype == np.intp
+        assert m.rows.dtype == m.offsets.dtype == np.intp and m.cols.dtype == np.int32
         assert m.rows.tolist() == [0, 1] and m.cols.tolist() == [1, 0]
         b = m if kind is BinaryMatrix else binarize(m)
         assert entries(b) == {(0, 1), (1, 0)}
@@ -352,11 +392,15 @@ def test_caller_arrays_stay_apart_from_stored_entries(tmp_path):
 
 def test_sorted_read_only_entries_are_checked_and_counted_in_place():
     rows, cols = np.divmod(np.flatnonzero(np.random.default_rng(5).random(200 * 5000) < 0.5), 5000)
-    offsets = np.searchsorted(rows, np.arange(201))
+    offsets, cols = np.searchsorted(rows, np.arange(201)), cols.astype(np.int32)
     offsets.flags.writeable = cols.flags.writeable = False
     labels = tuple(f"c{i}" for i in range(200)), tuple(f"p{j}" for j in range(5000))
-    # an int64 (i, j) key alone is 1x, and np.bincount copies a read-only index array
-    assert traced_peak(lambda: BinaryMatrix(*labels, offsets, cols)) < 0.75 * cols.nbytes
+    m = []
+    peak = traced_peak(lambda: m.append(BinaryMatrix(*labels, offsets, cols)))
+    assert np.shares_memory(m[0].cols, cols)
+    # about 0.16x 8 bytes per entry; int64 columns are cast to int32, 0.63x; an int64
+    # (i, j) key alone is 1x, and np.bincount copies a read-only index array
+    assert peak < 0.3 * 8 * len(cols)
 
 
 def test_read_only_entries_are_shared_not_copied():
@@ -397,6 +441,16 @@ class TestRowOffsetLayout:
     def test_constructor_rejects_a_broken_layout(self, kind, offsets, cols):
         with pytest.raises(ValueError):
             self._build(kind, np.array(offsets), np.array(cols))
+
+    @pytest.mark.parametrize("col", [2**31, 2**32])
+    def test_a_column_beyond_int32_is_out_of_range_not_wrapped(self, kind, col):
+        """Columns are stored as int32, and the range is checked on the
+        int64 array as given: 2**32 would wrap to the valid column 0."""
+        with pytest.raises(ValueError, match="matrix entry out of range"):
+            self._build(kind, [0, 1, 2, 2], np.array([0, col], dtype=np.int64))
+        with pytest.raises(ValueError, match="matrix entry out of range"):
+            kind.from_coordinates(*_LABELS, [0, 1], np.array([0, col], dtype=np.int64),
+                                  *((np.ones(2),) if kind is ExportMatrix else ()))
 
     def test_constructor_keeps_a_valid_layout(self, kind):
         # an empty middle row, and a column that falls where a new row starts
@@ -469,6 +523,6 @@ def test_prune_dropping_countries_remaps_no_entry():
     pruned = []
     peak = traced_peak(lambda: pruned.append(prune_degenerate(m)))
     assert np.shares_memory(pruned[0].cols, m.cols)
-    # about 0.17x, the constructor's byte-per-entry order mask and the product label
-    # set; 1.4x when each entry's row was remapped
-    assert peak < 0.3 * m.cols.nbytes
+    # about 0.17x 8 bytes per entry, the constructor's byte-per-entry order mask and the
+    # product label set; 1.4x when each entry's row was remapped
+    assert peak < 0.3 * 8 * m.n_entries
