@@ -19,7 +19,7 @@ import csv
 import hashlib
 import json
 import math
-import re
+import sys
 import warnings
 from functools import partial
 from itertools import chain, islice
@@ -64,78 +64,27 @@ def _parse_value(text: str | float, line: int | None) -> float:
     return v
 
 
-# One field of a CSV record, as csv.reader reads it with its default
-# dialect, and what ends it. A quoted field keeps the text after its
-# closing quote; one still open at the end of the text goes on in the
-# next line.
-_CSV_FIELD = re.compile(r'(?:"([^"]*(?:""[^"]*)*)(?:"([^,\r\n]*)|\Z)|([^,\r\n]*))(,|\r\n|\r|\n|\Z)')
-
-
-def _split_record(text: str, fields: list[str], last: bool) -> int | None:
-    """Append the fields of the record held by ``text``, one or more
-    whole lines, to ``fields`` and return None; when a quoted field is
-    still open at its end, return where that field starts, unless
-    ``text`` is the ``last`` text of the file, where csv.reader ends the
-    field."""
-    pos = 0
-    while True:
-        match = _CSV_FIELD.match(text, pos)
-        quoted, tail, plain, end = match.groups()
-        if quoted is None:
-            fields.append(plain)
-        elif tail is None and not last:
-            return pos
-        else:
-            fields.append(quoted.replace('""', '"') + (tail or ""))
-        if end != ",":
-            return None
-        pos = match.end()
-
-
 def _csv_records(path):
     """Yield a CSV file's header row, then (line, fields) for each
-    non-blank record, line being the physical line where it starts.
-
-    The header is read by csv.reader: an empty file raises ParseError at
-    line 1, and so does a header csv.reader cannot read (a field longer
-    than csv.field_size_limit()). The records after it are split as
-    csv.reader splits them, with no limit on a field's length.
-    """
+    non-blank record, line being the physical line where it starts, as
+    csv.reader reads them. An empty file, or a record csv.reader cannot
+    read (a field longer than csv.field_size_limit()), raises ParseError
+    at the line where it starts."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
+        start = 1
         try:
             header = next(reader, None)
+            if header is None:
+                raise ParseError("empty file", 1)
+            yield header
+            start = reader.line_num + 1
+            for row in reader:
+                if row:
+                    yield start, row
+                start = reader.line_num + 1
         except csv.Error as exc:
-            raise ParseError(f"cannot read record: {exc}", 1) from None
-        if header is None:
-            raise ParseError("empty file", 1)
-        yield header
-        # A record that goes on: its first line, its fields so far, and the
-        # lines of its open quoted field. Only a line holding a quote that
-        # is not one of a doubled pair can close that field, so only such
-        # a line has the field scanned again.
-        start, fields, parts = 0, [], []
-        for lineno, line in enumerate(fh, reader.line_num + 1):
-            if not parts:
-                if line in ("\n", "\r\n", "\r"):
-                    continue
-                start = lineno
-                if '"' not in line:
-                    yield lineno, line.rstrip("\r\n").split(",")
-                    continue
-            elif '"' not in line.replace('""', ""):
-                parts.append(line)
-                continue
-            text = "".join([*parts, line])
-            open_at = _split_record(text, fields, last=False)
-            if open_at is None:
-                yield start, fields
-                fields, parts = [], []
-            else:
-                parts = [text[open_at:]]
-        if parts:
-            _split_record("".join(parts), fields, last=True)
-            yield start, fields
+            raise ParseError(f"cannot read record: {exc}", start) from None
 
 
 def _csv_header(path) -> list[str]:
@@ -202,10 +151,19 @@ def _raise_first_csv_fault(path, find_fault) -> NoReturn:
     """Raise the first fault of a CSV file that the tokenizer or a column
     check rejected. ``find_fault`` runs the reader's per-record checks in
     file order over (line, fields) and raises at the first failing one,
-    with that record's physical line; it returns no data."""
+    with that record's physical line; it returns no data.
+
+    The records are read by csv.reader with its field limit lifted, as
+    the tokenizer has none, so a long field before the fault is read; the
+    limit is restored before any error leaves this function."""
+    limit = csv.field_size_limit(sys.maxsize)
     records = _csv_records(path)
-    next(records)  # the header, checked before the file was tokenized
-    find_fault(records)
+    try:
+        next(records)  # the header, checked before the file was tokenized
+        find_fault(records)
+    finally:
+        records.close()
+        csv.field_size_limit(limit)
     raise ParseError("records do not tokenize as CSV")
 
 

@@ -29,10 +29,8 @@ __all__ = [
     "ModelParams",
     "SophisticationDistribution",
     "SyntheticWorld",
-    "coherence_prob",
     "expected_diversification",
     "conditional_distribution",
-    "expected_sophistication",
     "world_distribution",
     "simulate_world",
     "estimate_tau",
@@ -117,13 +115,6 @@ def _binomial_terms(n: int, j: np.ndarray, taus: np.ndarray) -> np.ndarray:
     return np.ldexp(mant, exp - exp.max(axis=1, keepdims=True))
 
 
-def coherence_prob(params: ModelParams, s: int) -> float:
-    """Probability that a set of s techs forms a coherent product: tau^s."""
-    if s < 0:
-        raise ValueError("s must be non-negative")
-    return params.tau ** s
-
-
 def expected_diversification(params: ModelParams, k: int) -> float:
     """Expected number of coherent products for a k-tech country: (1+tau)^k."""
     if not (0 <= k <= params.K):
@@ -143,13 +134,6 @@ def conditional_distribution(params: ModelParams, k: int) -> np.ndarray:
     s = np.arange(k + 1)
     terms = _binomial_terms(k, s, np.array([params.tau]))[0]
     return terms / terms.sum()
-
-
-def expected_sophistication(params: ModelParams, k: int) -> float:
-    """First moment of p(s|k): tau k / (1 + tau)."""
-    if not (0 <= k <= params.K):
-        raise ValueError(f"k must be in [0, {params.K}], got {k}")
-    return params.tau * k / (1.0 + params.tau)
 
 
 def _world_grid(K: int, taus: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -332,18 +332,19 @@ def test_field_longer_than_the_csv_module_limit_before_a_fault(tmp_path):
     label = "a" * 200_000
     path = _write(tmp_path / "t.csv",
                   f"country,product,value\nb,x,1\n\n\"{label}\",x,1\nc,x,-3\n")
-    with pytest.raises(NegativeValue, match="^line 5: negative export value -3$"):
+    with pytest.raises(NegativeValue, match="^line 5: negative export value -3$") as info:
         read_trade_csv(path)
+    # restored before the error left the reader, while its traceback is still held
+    assert csv.field_size_limit() == limit
     assert main(["ingest", str(path), "--out-dir", str(tmp_path / "out")]) == 66
     assert csv.field_size_limit() == limit
 
 
 @pytest.mark.parametrize("tail, fields", [("b,x,2\n", 1), ('x","y,1\n', 100_001)])
 def test_quote_left_open_before_many_lines(tmp_path, tail, fields):
-    """A quote left open on line 2 runs to the end of the file. The fault
-    search scans the open field again only on a line that can close it,
-    and from where the field starts, so it names line 2 without
-    rescanning the file's text once per line."""
+    """A quote left open on line 2 runs to the end of the file, so its
+    record holds the rest of the file, and the fault is named at line 2,
+    in time linear in the file's length."""
     path = _write(tmp_path / "t.csv", 'country,product,value\n"Korea, Rep.,x,1\n' + tail * 100_000)
     start = time.perf_counter()
     with pytest.raises(ParseError, match=f"^line 2: expected 3 fields, got {fields}$"):
@@ -368,6 +369,14 @@ def test_records_split_as_csv_reader_splits_them(tmp_path, text):
         _same_error(info.value, exc)
         return
     assert list(fileio._csv_records(path)) == expected
+
+
+def test_record_longer_than_the_csv_module_limit_is_a_parse_error(tmp_path):
+    """Read with the limit in force, a long field is a ParseError at the
+    line where its record starts."""
+    path = _write(tmp_path / "t.csv", f"country,product,value\n\n{'a' * 200_000},x,1\n")
+    with pytest.raises(ParseError, match="^line 3: cannot read record: field larger than field limit"):
+        list(fileio._csv_records(path))
 
 
 def test_header_field_longer_than_the_csv_module_limit(tmp_path):

@@ -11,11 +11,9 @@ from ecomplex import (
     InfeasibleEnumeration,
     ModelParams,
     SophisticationDistribution,
-    coherence_prob,
     conditional_distribution,
     estimate_tau,
     expected_diversification,
-    expected_sophistication,
     simulate_world,
     world_distribution,
 )
@@ -34,12 +32,6 @@ class TestParams:
 
 
 class TestClosedForms:
-    def test_coherence_prob(self):
-        p = ModelParams(tau=0.5, K=10)
-        assert coherence_prob(p, 0) == 1.0
-        assert coherence_prob(p, 2) == 0.25
-        assert_allclose(coherence_prob(ModelParams(tau=0.07, K=10), 3), 3.43e-4)
-
     def test_expected_diversification_base(self):
         assert expected_diversification(ModelParams(tau=0.3, K=5), 0) == 1.0
         assert expected_diversification(ModelParams(tau=1.0, K=3), 3) == 8.0
@@ -84,24 +76,21 @@ class TestClosedForms:
             for k in (0, 1, 13, 50):
                 assert abs(conditional_distribution(p, k).sum() - 1) < 1e-12
 
-    def test_expected_sophistication(self):
-        p = ModelParams(tau=0.07, K=10)
-        assert expected_sophistication(p, 0) == 0.0
-        assert_allclose(expected_sophistication(p, 10), 0.6542056074766356)
-
     def test_expected_sophistication_is_first_moment(self):
         for tau in (0.01, 0.07, 0.5, 0.99):
             p = ModelParams(tau=tau, K=50)
             for k in (1, 9, 28, 50):
                 dist = conditional_distribution(p, k)
                 moment = float((np.arange(k + 1) * dist).sum())
-                assert_allclose(expected_sophistication(p, k), moment,
-                                rtol=1e-12, atol=1e-12)
+                assert_allclose(moment, tau * k / (1 + tau), rtol=1e-12, atol=1e-12)
 
     def test_expected_sophistication_linear_in_k(self):
-        p = ModelParams(tau=0.23, K=40)
-        assert_allclose(expected_sophistication(p, 20),
-                        2 * expected_sophistication(p, 10), rtol=1e-12)
+        tau = 0.23
+        p = ModelParams(tau=tau, K=40)
+        moments = [float((np.arange(k + 1) * conditional_distribution(p, k)).sum())
+                   for k in (10, 20)]
+        assert_allclose(moments, [tau * 10 / (1 + tau), tau * 20 / (1 + tau)], rtol=1e-12)
+        assert_allclose(moments[1], 2 * moments[0], rtol=1e-12)
 
 
 def test_hockey_stick_identity_exact():
