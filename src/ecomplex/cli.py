@@ -25,7 +25,7 @@ import numpy as np
 from . import fileio
 from .errors import EcomplexError, ParseError
 from .matrix import BinaryMatrix, ExportMatrix, binarize, prune_degenerate, rca_binarize
-from .metrics import compute_metrics, eci_pci, fitness_complexity, tdi, tsi
+from .metrics import run_metrics
 from .model import ModelParams, estimate_tau, simulate_world, world_distribution
 from .validation import run_paper_regressions
 
@@ -118,11 +118,14 @@ def _resolve_input(path: str) -> str:
 
 
 def _json_default(obj):
-    """Dataclasses are written as their fields, numpy values as Python ones."""
+    """Dataclasses are written as their fields, numpy values as Python
+    ones, and a domain error as "<class name>: <message>"."""
     if is_dataclass(obj):
         return asdict(obj)
     if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
+    if isinstance(obj, EcomplexError):
+        return f"{type(obj).__name__}: {obj}"
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
@@ -194,6 +197,9 @@ def _write_json_rows(path: Path, header: list[str], columns) -> None:
 
 
 def _write_table(path_stem: Path, fmt: str, header: list[str], columns) -> Path:
+    """Write a table whose first column is the labels; a None column (a
+    metric family that failed) is written blank."""
+    columns = [[None] * len(columns[0]) if c is None else c for c in columns]
     if fmt == "csv":
         path = path_stem.with_suffix(".csv")
         _write_csv(path, header, columns)
@@ -252,39 +258,27 @@ def cmd_ingest(args) -> int:
     return 0
 
 
+def _families_exit(errors: dict) -> int:
+    """Exit code of metrics and validate, once their outputs are written:
+    0 unless every metric family failed, else the first failure's code."""
+    if len(errors) < 4:  # tdi, tsi, eci_pci and fitness
+        return 0
+    first = next(iter(errors.values()))
+    print(f"error: every metric family failed: {first}", file=sys.stderr)
+    return first.exit_code
+
+
 def cmd_metrics(args) -> int:
     config = _merge_config(args)
     out = _out_dir(config)
     bm, resolved = _load_binary(config, args.matrix)
-
-    families = {
-        "tdi": lambda: tdi(bm),
-        "tsi": lambda: tsi(bm),
-        "eci_pci": lambda: eci_pci(bm),
-        "fitness": lambda: fitness_complexity(bm, tol=config.tol, max_iter=config.max_iter),
-    }
-    results: dict = {}
-    errors: dict[str, str] = {}
-    failures: list[EcomplexError] = []
-    for name, run in families.items():
-        try:
-            results[name] = run()
-        except EcomplexError as exc:
-            errors[name] = f"{type(exc).__name__}: {exc}"
-            failures.append(exc)
-
-    # A failed family leaves its columns blank.
-    blank_c, blank_p = [None] * bm.n_countries, [None] * bm.n_products
-    tdi_v = results.get("tdi", blank_c)
-    tsi_v = results.get("tsi", blank_p)
-    eci_v, pci_v, eigen = results.get("eci_pci", (blank_c, blank_p, None))
-    f_v, q_v, iters = results.get("fitness", (blank_c, blank_p, None))
+    cm, pm, eigen, iters, errors = run_metrics(bm, tol=config.tol, max_iter=config.max_iter)
     c_path = _write_table(out / "countries", config.format,
                           ["country", "d", "tdi", "eci", "fitness"],
-                          [bm.country_labels, bm.diversification, tdi_v, eci_v, f_v])
+                          [bm.country_labels, bm.diversification, cm.tdi, cm.eci, cm.fitness])
     p_path = _write_table(out / "products", config.format,
                           ["product", "u", "tsi", "pci", "q"],
-                          [bm.product_labels, bm.ubiquity, tsi_v, pci_v, q_v])
+                          [bm.product_labels, bm.ubiquity, pm.tsi, pm.pci, pm.q])
 
     report = {
         "config": config,
@@ -302,11 +296,7 @@ def cmd_metrics(args) -> int:
     }
     _write_json(out / "metrics_report.json", report)
     print(f"wrote {c_path} {p_path}")
-
-    if not results:
-        print(f"error: every metric family failed: {failures[0]}", file=sys.stderr)
-        return failures[0].exit_code
-    return 0
+    return _families_exit(errors)
 
 
 def cmd_simulate(args) -> int:
@@ -353,7 +343,7 @@ def cmd_validate(args) -> int:
     resolved_income = _resolve_input(args.income_csv)
     panel = fileio.read_income_csv(resolved_income)
 
-    cm, pm, eigen, iters = compute_metrics(bm, tol=config.tol, max_iter=config.max_iter)
+    cm, pm, eigen, iters, errors = run_metrics(bm, tol=config.tol, max_iter=config.max_iter)
     rep = run_paper_regressions(bm, panel, cm, pm)
 
     report = {
@@ -372,6 +362,7 @@ def cmd_validate(args) -> int:
         },
         "spearman_gdp_d": rep.spearman_gdp_d,
         "product_spearman": rep.product_spearman,
+        "errors": errors,
         "eigen": eigen,
         "fitness_iterations": iters,
     }
@@ -385,12 +376,12 @@ def cmd_validate(args) -> int:
         "fitness_dlogd": ["dlogd_norm", "fitness"],
     }
     for name, columns in scatter.items():
-        _write_csv(out / f"{name}.csv", ["country", *columns],
-                   [rep.join.matched, *(rep.design[c] for c in columns)])
-    _write_csv(out / "product_scatter.csv", ["product", "tsi", "pci", "q"],
-               [pm.product_labels, pm.tsi, pm.pci, pm.q])
+        _write_table(out / name, "csv", ["country", *columns],
+                     [rep.join.matched, *(rep.design[c] for c in columns)])
+    _write_table(out / "product_scatter", "csv", ["product", "tsi", "pci", "q"],
+                 [pm.product_labels, pm.tsi, pm.pci, pm.q])
     print(f"wrote {out / 'validation_report.json'} and scatter tables")
-    return 0
+    return _families_exit(errors)
 
 
 def cmd_fit_tau(args) -> int:

@@ -28,6 +28,7 @@ from .errors import (
     DegenerateSpectrum,
     DegenerateVector,
     DisconnectedMatrix,
+    EcomplexError,
     NonConvergence,
     NumericalUnderflow,
 )
@@ -43,6 +44,7 @@ __all__ = [
     "eci_pci",
     "fitness_class_iterations",
     "fitness_complexity",
+    "run_metrics",
     "compute_metrics",
 ]
 
@@ -54,18 +56,18 @@ _EIGEN_TIE_TOL = 1e-10
 class CountryMetrics:
     country_labels: tuple[str, ...]
     diversification: np.ndarray
-    tdi: np.ndarray
-    eci: np.ndarray
-    fitness: np.ndarray
+    tdi: np.ndarray | None
+    eci: np.ndarray | None
+    fitness: np.ndarray | None
 
 
 @dataclass(frozen=True)
 class ProductMetrics:
     product_labels: tuple[str, ...]
     ubiquity: np.ndarray
-    tsi: np.ndarray
-    pci: np.ndarray
-    q: np.ndarray
+    tsi: np.ndarray | None
+    pci: np.ndarray | None
+    q: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -304,26 +306,39 @@ def fitness_complexity(
     )
 
 
+def run_metrics(
+    m: BinaryMatrix, tol: float = 1e-10, max_iter: int = 10000
+) -> tuple[CountryMetrics, ProductMetrics, EigenReport | None, int | None,
+           dict[str, EcomplexError]]:
+    """Every family on the same matrix: TDI, TSI, ECI/PCI, then fitness.
+    A family that raises EcomplexError leaves its fields, and the eigen
+    report or iteration count it gives, None; the last item maps each
+    failed family (tdi, tsi, eci_pci, fitness) to its error, in order."""
+    families = {
+        "tdi": lambda: tdi(m),
+        "tsi": lambda: tsi(m),
+        "eci_pci": lambda: eci_pci(m),
+        "fitness": lambda: fitness_complexity(m, tol=tol, max_iter=max_iter),
+    }
+    results, errors = {}, {}
+    for name, run in families.items():
+        try:
+            results[name] = run()
+        except EcomplexError as exc:
+            errors[name] = exc
+    eci, pci, report = results.get("eci_pci", (None, None, None))
+    f, q, iters = results.get("fitness", (None, None, None))
+    cm = CountryMetrics(m.country_labels, m.diversification, results.get("tdi"), eci, f)
+    pm = ProductMetrics(m.product_labels, m.ubiquity, results.get("tsi"), pci, q)
+    return cm, pm, report, iters, errors
+
+
 def compute_metrics(
     m: BinaryMatrix, tol: float = 1e-10, max_iter: int = 10000
 ) -> tuple[CountryMetrics, ProductMetrics, EigenReport, int]:
-    """All three families at once, on the same matrix."""
-    t_c = tdi(m)
-    t_p = tsi(m)
-    eci, pci, report = eci_pci(m)
-    f, q, iters = fitness_complexity(m, tol=tol, max_iter=max_iter)
-    cm = CountryMetrics(
-        country_labels=m.country_labels,
-        diversification=m.diversification,
-        tdi=t_c,
-        eci=eci,
-        fitness=f,
-    )
-    pm = ProductMetrics(
-        product_labels=m.product_labels,
-        ubiquity=m.ubiquity,
-        tsi=t_p,
-        pci=pci,
-        q=q,
-    )
-    return cm, pm, report, iters
+    """All three families at once, on the same matrix; raises the first
+    family's failure (run_metrics reports failures instead)."""
+    *result, errors = run_metrics(m, tol, max_iter)
+    if errors:
+        raise next(iter(errors.values()))
+    return tuple(result)

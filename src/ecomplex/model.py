@@ -178,15 +178,12 @@ class SyntheticWorld:
     """A realized world: the country-product matrix plus product metadata.
 
     Countries are k = 0..K with nested endowments. ``product_sophistication``
-    is the tech-set size s of each product (matrix column order);
-    ``product_max_tech`` is the highest tech index in the set, which under
-    nesting determines ubiquity as K + 1 - max_tech.
+    is the tech-set size s of each product (matrix column order).
     """
 
     params: ModelParams
     matrix: BinaryMatrix
     product_sophistication: np.ndarray = field(repr=False)
-    product_max_tech: np.ndarray = field(repr=False)
 
     def sophistication_counts(self, counting: str = "pool") -> np.ndarray:
         """Histogram of product sophistication over s = 0..K.
@@ -227,7 +224,6 @@ def _build_world(params: ModelParams, s_arr, maxidx_arr, labels) -> SyntheticWor
         params=params,
         matrix=matrix,
         product_sophistication=np.asarray(s_arr, dtype=np.int64),
-        product_max_tech=np.asarray(maxidx_arr, dtype=np.int64),
     )
 
 

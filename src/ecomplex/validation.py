@@ -276,23 +276,26 @@ class RegressionReport:
     ``design`` holds the joined-sample vectors the country regressions
     ran on, in ``join.matched`` order, keyed by scatter-table column:
     rank_gdp, rank_d, rank_rents, log_gdp, log_d, log_rents_offset, tdi,
-    eci, dlogd_norm and fitness.
+    eci, dlogd_norm and fitness. A fit or correlation whose input is
+    missing, and a missing input's design vector, are None.
     """
 
     join: JoinReport
-    rank_rank: dict = field(repr=False)
-    log_log: dict = field(repr=False)
-    eci_on_tdi: dict = field(repr=False)
-    fitness_on_dlogd: dict = field(repr=False)
-    spearman_gdp_d: CorrelationResult
+    rank_rank: dict | None = field(repr=False)
+    log_log: dict | None = field(repr=False)
+    eci_on_tdi: dict | None = field(repr=False)
+    fitness_on_dlogd: dict | None = field(repr=False)
+    spearman_gdp_d: CorrelationResult | None
     product_spearman: dict = field(repr=False)
     rent_offset: float
     design: dict = field(repr=False)
 
 
-def _both_variants(y, X, benchmark=None) -> dict:
+def _both_variants(y, X, benchmark=None) -> dict | None:
     """Fit with and without intercept; optionally flag the variant whose
-    slope vector sits closer to a benchmark."""
+    slope vector sits closer to a benchmark. None when an input is None."""
+    if y is None or any(x is None for x in X):
+        return None
     out = {
         "with_intercept": ols(y, X, intercept=True),
         "without_intercept": ols(y, X, intercept=False),
@@ -321,7 +324,9 @@ def run_paper_regressions(
     positive rent, ECI on TDI, and fitness on d log d / <d log d>. Each
     comes in with- and without-intercept variants. The product-side rank
     correlations (TSI vs PCI, TSI vs Q, PCI vs Q) use the supplied
-    product metrics.
+    product metrics. A failed metric family (a None field) makes every
+    fit or correlation on it None; TDI fails only when d has no spread,
+    and then the fits and the GDP correlation on d are None too.
     """
     m_idx, p_idx, report = join_panel(m, panel)
     if metrics.country_labels != m.country_labels:
@@ -336,17 +341,22 @@ def run_paper_regressions(
     dlogd = d * np.log(d)
     if dlogd.mean() > 0:
         dlogd = dlogd / dlogd.mean()
+    on_d = metrics.tdi is not None
+
+    def joined(v):
+        return None if v is None else v[m_idx]
+
     design = {
         "rank_gdp": rank_transform(gdp),
-        "rank_d": rank_transform(d),
+        "rank_d": rank_transform(d) if on_d else None,
         "rank_rents": rank_transform(rents),
         "log_gdp": np.log(gdp),
-        "log_d": np.log(d),
+        "log_d": np.log(d) if on_d else None,
         "log_rents_offset": np.log(rents + delta),
-        "tdi": metrics.tdi[m_idx],
-        "eci": metrics.eci[m_idx],
-        "dlogd_norm": dlogd,
-        "fitness": metrics.fitness[m_idx],
+        "tdi": joined(metrics.tdi),
+        "eci": joined(metrics.eci),
+        "dlogd_norm": dlogd if on_d else None,
+        "fitness": joined(metrics.fitness),
     }
     rank_rank = _both_variants(
         design["rank_gdp"], [design["rank_d"], design["rank_rents"]],
@@ -359,13 +369,11 @@ def run_paper_regressions(
     eci_on_tdi = _both_variants(design["eci"], [design["tdi"]])
     fitness_on_dlogd = _both_variants(design["fitness"], [design["dlogd_norm"]])
 
-    sp = spearman(gdp, d)
+    sp = spearman(gdp, d) if on_d else None
 
-    prod = {
-        "tsi_pci": spearman(product_metrics.tsi, product_metrics.pci),
-        "tsi_q": spearman(product_metrics.tsi, product_metrics.q),
-        "pci_q": spearman(product_metrics.pci, product_metrics.q),
-    }
+    tsi, pci, q = product_metrics.tsi, product_metrics.pci, product_metrics.q
+    prod = {name: None if a is None or b is None else spearman(a, b)
+            for name, a, b in (("tsi_pci", tsi, pci), ("tsi_q", tsi, q), ("pci_q", pci, q))}
 
     return RegressionReport(
         join=report,

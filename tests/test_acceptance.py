@@ -10,6 +10,7 @@ files to run them, otherwise they print UNVERIFIED and skip.
 Run `pytest tests/test_acceptance.py -s` to see the lines as they go.
 """
 
+import json
 import math
 import os
 import time
@@ -21,6 +22,7 @@ import pytest
 from conftest import fitness_iterations, random_connected_matrix
 
 import ecomplex as ec
+from ecomplex.cli import main
 
 TRADE_ENV = "ECOMPLEX_TRADE_CSV"
 INCOME_ENV = "ECOMPLEX_INCOME_CSV"
@@ -238,6 +240,48 @@ def test_criterion_13_model_worlds():
     report(13, worst_corr > 0.9 and worst_slope <= 0.05,
            f"min corr(ECI, TDI) {worst_corr:.3f}, "
            f"max |slope / log(1+tau) - 1| {worst_slope:.3f}")
+
+
+PANEL_SEED = 100
+
+
+def write_model_income(matrix_path: Path, tau: float, path: Path, seed: int) -> int:
+    """An income panel for an MC world: one row per pruned country with
+    d >= 50, log gdp = 0.8 k log(1+tau) + N(0, 0.5^2) for country k<k>,
+    and rents uniform on [0, 10). Returns the row count."""
+    rng = np.random.default_rng(seed)
+    m = ec.prune_degenerate(ec.read_matrix(matrix_path))
+    labels = [lab for lab, d in zip(m.country_labels, m.diversification) if d >= 50]
+    k = np.array([int(lab[1:]) for lab in labels])
+    gdp = np.exp(0.8 * k * math.log1p(tau) + rng.normal(0.0, 0.5, k.size))
+    rents = rng.uniform(0.0, 10.0, k.size)
+    path.write_text("country,gdp,natural_rents\n" + "".join(
+        f"{lab},{g!r},{r!r}\n" for lab, g, r in zip(labels, gdp.tolist(), rents.tolist())))
+    return len(labels)
+
+
+def test_model_worlds_income_follows_log_diversification(tmp_path):
+    """The paper's second claim, offline, through the validate command: on
+    criterion 13's worlds, with income built to grow as 0.8 log d, the
+    with-intercept log-log fit recovers the 0.8 slope on log d and GDP
+    co-ranks with d."""
+    slopes, rhos = [], []
+    for tau in (0.05, 0.07, 0.15):
+        for seed in range(3):
+            out = tmp_path / f"t{tau}s{seed}"
+            assert main(["simulate", "--mode", "mc", "--K", "221", "--samples", "20000",
+                         "--tau", str(tau), "--seed", str(seed), "--out-dir", str(out)]) == 0
+            income = out / "income.csv"
+            assert write_model_income(out / "world.txt", tau, income, PANEL_SEED) >= 40
+            assert main(["validate", str(out / "world.txt"), str(income),
+                         "--out-dir", str(out)]) == 0
+            rep = json.loads((out / "validation_report.json").read_text())
+            slopes.append(rep["regressions"]["log_log"]["with_intercept"]["coefficients"][0])
+            rhos.append(rep["spearman_gdp_d"]["statistic"])
+    print(f"log-log slope on log d {min(slopes):.3f}..{max(slopes):.3f}, "
+          f"spearman(gdp, d) {min(rhos):.3f}..{max(rhos):.3f}")
+    assert all(abs(b - 0.8) <= 0.1 for b in slopes), slopes
+    assert min(rhos) >= 0.9, rhos
 
 
 def _real_paths():

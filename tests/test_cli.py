@@ -269,6 +269,59 @@ class TestValidate:
         assert main(["validate", str(path), str(income),
                      "--out-dir", str(tmp_path)]) == 77
 
+    def test_fitness_failure_leaves_a_partial_report(self, tmp_path):
+        """A model world whose fitness underflows keeps every fit that does
+        not read fitness; the ones that do are null, their columns blank."""
+        out = tmp_path / "out"
+        assert main(["simulate", "--mode", "mc", "--K", "20", "--samples", "300",
+                     "--seed", "0", "--out-dir", str(out)]) == 0
+        income = tmp_path / "income.csv"
+        income.write_text("country,gdp,natural_rents\n" + "".join(
+            f"k{k},{1000.0 * 1.07 ** k * (1 + k % 3)},{float(k % 4)}\n" for k in range(21)))
+        assert main(["validate", str(out / "world.txt"), str(income),
+                     "--out-dir", str(out)]) == 0
+        report = json.loads((out / "validation_report.json").read_text())
+        assert list(report["errors"]) == ["fitness"]
+        assert report["errors"]["fitness"].startswith("NumericalUnderflow: ")
+        regressions = report["regressions"]
+        assert regressions["fitness_on_dlogd"] is None
+        for name in ("rank_rank", "log_log", "eci_on_tdi"):
+            assert regressions[name]["with_intercept"]["coefficients"], name
+        spearman = report["product_spearman"]
+        assert spearman["tsi_q"] is None and spearman["pci_q"] is None
+        assert -1 <= spearman["tsi_pci"]["statistic"] <= 1
+        assert report["fitness_iterations"] is None
+        header, rows = read_rows(out / "fitness_dlogd.csv")
+        assert header == ["country", "dlogd_norm", "fitness"]
+        assert all(r[1] != "" and r[2] == "" for r in rows)
+        header, rows = read_rows(out / "product_scatter.csv")
+        assert header == ["product", "tsi", "pci", "q"]
+        assert all(r[1] != "" and r[2] != "" and r[3] == "" for r in rows)
+
+
+class TestEveryFamilyFailed:
+    """metrics and validate share one exit rule: 0 unless all four metric
+    families failed, and then the first failure's code, once the report
+    is written."""
+
+    @pytest.mark.parametrize("command", ["metrics", "validate"])
+    def test_exits_with_the_first_failure_after_writing(self, tmp_path, capsys, command):
+        path = matrix_file(tmp_path, np.ones((5, 6), dtype=int))
+        income = [str(income_file(tmp_path))] if command == "validate" else []
+        out = tmp_path / "out"
+        assert main([command, str(path), *income, "--tol", "1e-300", "--max-iter", "1",
+                     "--out-dir", str(out)]) == 69
+        assert "every metric family failed: zero variance" in capsys.readouterr().err
+        name = "metrics_report.json" if command == "metrics" else "validation_report.json"
+        report = json.loads((out / name).read_text())
+        assert {family: text.split(":")[0] for family, text in report["errors"].items()} == {
+            "tdi": "DegenerateVector", "tsi": "DegenerateVector",
+            "eci_pci": "DegenerateSpectrum", "fitness": "NonConvergence"}
+        assert report["eigen"] is None and report["fitness_iterations"] is None
+        if command == "validate":  # d has no spread, so no fit on it is defined
+            assert list(report["regressions"].values()) == [None] * 4
+            assert report["spearman_gdp_d"] is None
+
 
 class TestFitTau:
     @staticmethod

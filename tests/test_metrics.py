@@ -22,9 +22,11 @@ from ecomplex import (
     ModelParams,
     NonConvergence,
     NumericalUnderflow,
+    compute_metrics,
     eci_pci,
     fitness_complexity,
     prune_degenerate,
+    run_metrics,
     simulate_world,
     spearman,
     standardize,
@@ -32,6 +34,7 @@ from ecomplex import (
     tsi,
     write_matrix,
 )
+from ecomplex import metrics
 from ecomplex.cli import main
 from ecomplex.metrics import _average_ranks, _flip, _spearman
 
@@ -530,6 +533,39 @@ class TestTracedFitness:
                  if span["name"] == "metrics.fitness_complexity"]
         assert [span["status"] for span in spans] == [status]
         assert spans[0]["counts"] == {"cells": m.n_countries * m.n_products, "yields": yields}
+
+
+class TestRunMetrics:
+    def test_failed_family_leaves_its_fields_none(self, nested3):
+        cm, pm, eigen, iters, errors = run_metrics(nested3, max_iter=300)
+        assert list(errors) == ["fitness"]
+        assert isinstance(errors["fitness"], NonConvergence)
+        assert cm.fitness is None and pm.q is None and iters is None
+        assert_array_equal(cm.tdi, tdi(nested3))
+        assert_array_equal(pm.tsi, tsi(nested3))
+        eci, pci, report = eci_pci(nested3)
+        assert_array_equal(cm.eci, eci)
+        assert_array_equal(pm.pci, pci)
+        assert eigen == report
+
+    def test_compute_metrics_raises_the_first_failure(self, nested3):
+        with pytest.raises(DegenerateVector):
+            compute_metrics(BinaryMatrix.from_dense(np.ones((5, 6), dtype=int)))
+        with pytest.raises(NonConvergence) as info:
+            compute_metrics(nested3, max_iter=300)
+        assert info.value.iterations == 300
+
+    def test_families_run_through_the_module_names(self, monkeypatch):
+        """A caller that rebinds a family's module name (the benchmark's
+        tracer does) sees every call compute_metrics makes."""
+        calls = []
+        for name in ("tdi", "tsi", "eci_pci", "fitness_complexity"):
+            def counted(*args, _name=name, _original=getattr(metrics, name), **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(metrics, name, counted)
+        compute_metrics(BinaryMatrix.from_dense(_CONVERGENT))
+        assert calls == ["tdi", "tsi", "eci_pci", "fitness_complexity"]
 
 
 class TestColumnClasses:

@@ -181,6 +181,12 @@ def test_distributions_match_exact_rationals(K, tau):
         assert checked > 10
 
 
+def top_techs(world) -> np.ndarray:
+    """Each product's highest tech, read from its label p<hex mask> (bit b
+    is tech b+1), a source independent of the matrix."""
+    return np.array([int(lab[1:], 16).bit_length() for lab in world.matrix.product_labels])
+
+
 class TestSimulator:
     def test_tau_one_makes_every_subset(self):
         w = simulate_world(ModelParams(tau=1.0, K=3), "exact", seed=0)
@@ -190,10 +196,11 @@ class TestSimulator:
     def test_ubiquity_follows_nesting(self):
         w = simulate_world(ModelParams(tau=0.3, K=12), "exact", seed=77)
         K = 12
-        assert np.array_equal(w.matrix.ubiquity, K + 1 - w.product_max_tech)
+        tops = top_techs(w)
+        assert np.array_equal(w.matrix.ubiquity, K + 1 - tops)
         # country k's endowment covers a product iff its top tech fits
         dense = w.matrix.to_dense()
-        for j, top in enumerate(w.product_max_tech):
+        for j, top in enumerate(tops):
             assert np.array_equal(dense[:, j], (np.arange(K + 1) >= top))
 
     def test_empty_set_always_coherent(self):
@@ -225,7 +232,7 @@ class TestSimulator:
         a = simulate_world(params, "mc", samples=500, seed=3)
         b = simulate_world(params, "mc", samples=500, seed=3)
         assert entries(a.matrix) == entries(b.matrix)
-        assert np.array_equal(a.matrix.ubiquity, 101 - a.product_max_tech)
+        assert np.array_equal(a.matrix.ubiquity, 101 - top_techs(a))
         pop = [bin(int(lab[1:], 16)).count("1") for lab in a.matrix.product_labels]
         assert pop == list(a.product_sophistication)
 
@@ -347,7 +354,7 @@ class TestMonteCarloLaw:
 
     def test_top_tech_law_given_size(self, world):
         K = self.K
-        sizes, tops = world.product_sophistication, world.product_max_tech
+        sizes, tops = world.product_sophistication, top_techs(world)
         assert np.all(tops[sizes == 0] == 0)
         tested = 0
         for s in range(1, K + 1):
