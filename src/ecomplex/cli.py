@@ -25,7 +25,7 @@ import numpy as np
 from . import fileio
 from .errors import EcomplexError, ParseError
 from .matrix import BinaryMatrix, ExportMatrix, binarize, prune_degenerate, rca_binarize
-from .metrics import run_metrics
+from .metrics import FAMILIES, run_metrics
 from .model import ModelParams, estimate_tau, simulate_world, world_distribution
 from .validation import run_paper_regressions
 
@@ -34,8 +34,7 @@ __all__ = ["RunConfig", "main", "entry",
 
 DATA_DIR_ENV = "ECOMPLEX_DATA_DIR"
 
-_CSV_BLOCK = 1 << 12  # table rows formatted per write, as CSV or JSON
-_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_CSV_BLOCK = 1 << 12  # table rows formatted per write
 
 
 @dataclass(frozen=True)
@@ -52,15 +51,12 @@ class RunConfig:
     mode: str = "mc"
     samples: int = 5000
     out_dir: str = "."
-    format: str = "csv"
 
     def __post_init__(self):
         if self.filter not in ("none", "rca"):
             raise ValueError(f"filter must be none or rca, got {self.filter!r}")
         if self.mode not in ("exact", "mc"):
             raise ValueError(f"mode must be exact or mc, got {self.mode!r}")
-        if self.format not in ("csv", "json"):
-            raise ValueError(f"format must be csv or json, got {self.format!r}")
         if self.rca_threshold < 0:
             raise ValueError("rca-threshold must be >= 0")
         if self.tol <= 0:
@@ -171,41 +167,11 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
             fh.write("\n".join(map(",".join, zip(*block))) + "\n")
 
 
-def _json_values(column) -> list[str]:
-    """A column's values as json.dumps writes them: numbers as their repr
-    (json's NaN, Infinity and -Infinity for the non-finite floats), None
-    as null, and labels through json's C string escaper."""
-    if isinstance(column, np.ndarray):
-        texts, inverse = fileio._distinct_reprs(column)
-        texts = [_JSON_NON_FINITE.get(text, text) for text in texts]
-        return np.array(texts, dtype=object)[inverse].tolist()
-    return ["null" if v is None else json.dumps(v) for v in column]
-
-
-def _write_json_rows(path: Path, header: list[str], columns) -> None:
-    """Write {"rows": [one object per row]} a block of rows at a time,
-    byte for byte as _write_json writes it."""
-    order = sorted(range(len(header)), key=header.__getitem__)  # sort_keys
-    keys = (json.dumps(header[k]).replace("%", "%%") for k in order)
-    row = "\n    {" + ",".join(f"\n      {key}: %s" for key in keys) + "\n    }"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write('{\n  "rows": [')
-        for start in range(0, len(columns[0]), _CSV_BLOCK):
-            block = zip(*(_json_values(columns[k][start:start + _CSV_BLOCK]) for k in order))
-            fh.write(("," if start else "") + ",".join(map(row.__mod__, block)))
-        fh.write("\n  ]\n}\n" if len(columns[0]) else "]\n}\n")
-
-
-def _write_table(path_stem: Path, fmt: str, header: list[str], columns) -> Path:
-    """Write a table whose first column is the labels; a None column (a
-    metric family that failed) is written blank."""
-    columns = [[None] * len(columns[0]) if c is None else c for c in columns]
-    if fmt == "csv":
-        path = path_stem.with_suffix(".csv")
-        _write_csv(path, header, columns)
-    else:
-        path = path_stem.with_suffix(".json")
-        _write_json_rows(path, header, columns)
+def _write_table(path_stem: Path, header: list[str], columns) -> Path:
+    """Write a CSV table whose first column is the labels; a None column
+    (a metric family that failed) is written blank."""
+    path = path_stem.with_suffix(".csv")
+    _write_csv(path, header, [[None] * len(columns[0]) if c is None else c for c in columns])
     return path
 
 
@@ -260,10 +226,11 @@ def cmd_ingest(args) -> int:
 
 def _families_exit(errors: dict) -> int:
     """Exit code of metrics and validate, once their outputs are written:
-    0 unless every metric family failed, else the first failure's code."""
-    if len(errors) < 4:  # tdi, tsi, eci_pci and fitness
+    0 unless every metric family failed, else the first family's code.
+    A failed fit of validate, also in errors, does not count."""
+    if not errors.keys() >= FAMILIES.keys():
         return 0
-    first = next(iter(errors.values()))
+    first = errors[next(iter(FAMILIES))]
     print(f"error: every metric family failed: {first}", file=sys.stderr)
     return first.exit_code
 
@@ -273,11 +240,9 @@ def cmd_metrics(args) -> int:
     out = _out_dir(config)
     bm, resolved = _load_binary(config, args.matrix)
     cm, pm, eigen, iters, errors = run_metrics(bm, tol=config.tol, max_iter=config.max_iter)
-    c_path = _write_table(out / "countries", config.format,
-                          ["country", "d", "tdi", "eci", "fitness"],
+    c_path = _write_table(out / "countries", ["country", "d", "tdi", "eci", "fitness"],
                           [bm.country_labels, bm.diversification, cm.tdi, cm.eci, cm.fitness])
-    p_path = _write_table(out / "products", config.format,
-                          ["product", "u", "tsi", "pci", "q"],
+    p_path = _write_table(out / "products", ["product", "u", "tsi", "pci", "q"],
                           [bm.product_labels, bm.ubiquity, pm.tsi, pm.pci, pm.q])
 
     report = {
@@ -362,7 +327,7 @@ def cmd_validate(args) -> int:
         },
         "spearman_gdp_d": rep.spearman_gdp_d,
         "product_spearman": rep.product_spearman,
-        "errors": errors,
+        "errors": {**errors, **rep.errors},
         "eigen": eigen,
         "fitness_iterations": iters,
     }
@@ -376,9 +341,9 @@ def cmd_validate(args) -> int:
         "fitness_dlogd": ["dlogd_norm", "fitness"],
     }
     for name, columns in scatter.items():
-        _write_table(out / name, "csv", ["country", *columns],
+        _write_table(out / name, ["country", *columns],
                      [rep.join.matched, *(rep.design[c] for c in columns)])
-    _write_table(out / "product_scatter", "csv", ["product", "tsi", "pci", "q"],
+    _write_table(out / "product_scatter", ["product", "tsi", "pci", "q"],
                  [pm.product_labels, pm.tsi, pm.pci, pm.q])
     print(f"wrote {out / 'validation_report.json'} and scatter tables")
     return _families_exit(errors)
@@ -415,8 +380,6 @@ def cmd_fit_tau(args) -> int:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON file with default option values")
     p.add_argument("--out-dir", dest="out_dir", help="output directory (default .)")
-    p.add_argument("--format", dest="format", choices=["csv", "json"],
-                   help="table format (default csv)")
 
 
 def _add_filter(p: argparse.ArgumentParser) -> None:

@@ -17,13 +17,11 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import json
 import math
 import sys
 import warnings
 from functools import partial
 from itertools import chain, islice
-from pathlib import Path
 from typing import NoReturn
 
 import numpy as np
@@ -54,10 +52,10 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
-def _parse_value(text: str | float, line: int | None) -> float:
+def _parse_value(text: str, line: int) -> float:
     try:
         v = float(text)
-    except (TypeError, ValueError, OverflowError):
+    except ValueError:
         raise ParseError(f"cannot parse value {text!r}", line) from None
     if not math.isfinite(v):
         raise ParseError(f"non-finite value {text!r}", line)
@@ -261,43 +259,22 @@ def _tsi_fault(column: int, records) -> None:
 
 
 def read_tsi_column(path) -> np.ndarray:
-    """The tsi column of a metrics products table (csv or json).
-
-    Blank cells (JSON null) are skipped; every other value must parse as
-    a finite float. A JSON file must parse, hold a list of row objects
-    (bare or under "rows"), and give each tsi as a number (JSON admits
-    NaN, so its values are checked too). A CSV file is tokenized for
-    its tsi column only.
-    """
-    if str(path).endswith(".json"):
-        try:
-            payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno) from None
-        rows = payload.get("rows", []) if isinstance(payload, dict) else payload
-        if not (isinstance(rows, list) and all(isinstance(row, dict) for row in rows)):
-            raise ParseError("expected a list of row objects")
-        values = []
-        for k, row in enumerate(rows):
-            v = row.get("tsi")
-            if v is not None:
-                if isinstance(v, bool) or not isinstance(v, (int, float)):
-                    raise ParseError(f"row {k}: tsi {v!r} is not a number")
-                values.append(_parse_value(v, None))
-    else:
-        header = _csv_header(path)
-        if "tsi" not in header:
-            raise ParseError("no tsi column in header", 1)
-        column = header.index("tsi")
-        try:
-            cells = _csv_table(path, header, column)[:, 0]
-            cells = cells[cells != ""]
-            values = _finite_floats(cells, len(cells))
-        except _Rejected:
-            _raise_first_csv_fault(path, partial(_tsi_fault, column))
+    """The tsi column of a metrics products table, a CSV file tokenized
+    for that column only. Blank cells are skipped; every other cell must
+    parse as a finite float."""
+    header = _csv_header(path)
+    if "tsi" not in header:
+        raise ParseError("no tsi column in header", 1)
+    column = header.index("tsi")
+    try:
+        cells = _csv_table(path, header, column)[:, 0]
+        cells = cells[cells != ""]
+        values = _finite_floats(cells, len(cells))
+    except _Rejected:
+        _raise_first_csv_fault(path, partial(_tsi_fault, column))
     if len(values) < 2:
         raise DegenerateInput("need at least two tsi values")
-    return np.asarray(values)
+    return values
 
 
 def _distinct_reprs(values: np.ndarray) -> tuple[list[str], np.ndarray]:

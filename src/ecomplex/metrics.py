@@ -306,6 +306,26 @@ def fitness_complexity(
     )
 
 
+# The metric families run_metrics runs, in order, by the name its errors
+# use. Each calls its function through the module global, so a rebound
+# name is the one called.
+FAMILIES = {
+    "tdi": lambda m, tol, max_iter: tdi(m),
+    "tsi": lambda m, tol, max_iter: tsi(m),
+    "eci_pci": lambda m, tol, max_iter: eci_pci(m),
+    "fitness": lambda m, tol, max_iter: fitness_complexity(m, tol=tol, max_iter=max_iter),
+}
+
+
+def _attempt(errors: dict, key: str, run):
+    """run(), or None with the EcomplexError it raised kept as errors[key]."""
+    try:
+        return run()
+    except EcomplexError as exc:
+        errors[key] = exc
+        return None
+
+
 def run_metrics(
     m: BinaryMatrix, tol: float = 1e-10, max_iter: int = 10000
 ) -> tuple[CountryMetrics, ProductMetrics, EigenReport | None, int | None,
@@ -313,23 +333,14 @@ def run_metrics(
     """Every family on the same matrix: TDI, TSI, ECI/PCI, then fitness.
     A family that raises EcomplexError leaves its fields, and the eigen
     report or iteration count it gives, None; the last item maps each
-    failed family (tdi, tsi, eci_pci, fitness) to its error, in order."""
-    families = {
-        "tdi": lambda: tdi(m),
-        "tsi": lambda: tsi(m),
-        "eci_pci": lambda: eci_pci(m),
-        "fitness": lambda: fitness_complexity(m, tol=tol, max_iter=max_iter),
-    }
-    results, errors = {}, {}
-    for name, run in families.items():
-        try:
-            results[name] = run()
-        except EcomplexError as exc:
-            errors[name] = exc
-    eci, pci, report = results.get("eci_pci", (None, None, None))
-    f, q, iters = results.get("fitness", (None, None, None))
-    cm = CountryMetrics(m.country_labels, m.diversification, results.get("tdi"), eci, f)
-    pm = ProductMetrics(m.product_labels, m.ubiquity, results.get("tsi"), pci, q)
+    failed family (a FAMILIES key) to its error, in order."""
+    errors = {}
+    results = {name: _attempt(errors, name, lambda: run(m, tol, max_iter))
+               for name, run in FAMILIES.items()}
+    eci, pci, report = results["eci_pci"] or (None, None, None)
+    f, q, iters = results["fitness"] or (None, None, None)
+    cm = CountryMetrics(m.country_labels, m.diversification, results["tdi"], eci, f)
+    pm = ProductMetrics(m.product_labels, m.ubiquity, results["tsi"], pci, q)
     return cm, pm, report, iters, errors
 
 

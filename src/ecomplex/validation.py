@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import Collinear, DegenerateInput, JoinEmpty
 from .matrix import BinaryMatrix
-from .metrics import CountryMetrics, ProductMetrics, _average_ranks, _spearman
+from .metrics import CountryMetrics, ProductMetrics, _attempt, _average_ranks, _spearman
 
 __all__ = [
     "IncomePanel",
@@ -105,7 +105,7 @@ def spearman(x, y) -> CorrelationResult:
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("x and y must be equal-length vectors")
     if x.size < 3:
-        raise ValueError("need at least 3 observations")
+        raise DegenerateInput(f"need at least 3 observations, got {x.size}")
     if np.all(x == x[0]) or np.all(y == y[0]):
         raise DegenerateInput("constant vector has no rank ordering")
     return CorrelationResult(statistic=_spearman(x, y), method="spearman", n=x.size)
@@ -277,7 +277,8 @@ class RegressionReport:
     ran on, in ``join.matched`` order, keyed by scatter-table column:
     rank_gdp, rank_d, rank_rents, log_gdp, log_d, log_rents_offset, tdi,
     eci, dlogd_norm and fitness. A fit or correlation whose input is
-    missing, and a missing input's design vector, are None.
+    missing, and a missing input's design vector, are None. So is one
+    that raised EcomplexError, which ``errors`` keeps under its name.
     """
 
     join: JoinReport
@@ -289,6 +290,7 @@ class RegressionReport:
     product_spearman: dict = field(repr=False)
     rent_offset: float
     design: dict = field(repr=False)
+    errors: dict = field(repr=False)
 
 
 def _both_variants(y, X, benchmark=None) -> dict | None:
@@ -326,7 +328,10 @@ def run_paper_regressions(
     correlations (TSI vs PCI, TSI vs Q, PCI vs Q) use the supplied
     product metrics. A failed metric family (a None field) makes every
     fit or correlation on it None; TDI fails only when d has no spread,
-    and then the fits and the GDP correlation on d are None too.
+    and then the fits and the GDP correlation on d are None too. A fit or
+    correlation that raises EcomplexError itself, for example on too few
+    joined countries, is None and its error is kept in ``errors``; only
+    an empty join (JoinEmpty) stops the battery.
     """
     m_idx, p_idx, report = join_panel(m, panel)
     if metrics.country_labels != m.country_labels:
@@ -358,32 +363,30 @@ def run_paper_regressions(
         "dlogd_norm": dlogd if on_d else None,
         "fitness": joined(metrics.fitness),
     }
-    rank_rank = _both_variants(
-        design["rank_gdp"], [design["rank_d"], design["rank_rents"]],
-        benchmark=BENCHMARK_RANK_COEFS,
-    )
-    log_log = _both_variants(
-        design["log_gdp"], [design["log_d"], design["log_rents_offset"]],
-        benchmark=BENCHMARK_LOG_COEFS,
-    )
-    eci_on_tdi = _both_variants(design["eci"], [design["tdi"]])
-    fitness_on_dlogd = _both_variants(design["fitness"], [design["dlogd_norm"]])
-
-    sp = spearman(gdp, d) if on_d else None
+    errors: dict = {}
+    fits = {
+        "rank_rank": ("rank_gdp", ["rank_d", "rank_rents"], BENCHMARK_RANK_COEFS),
+        "log_log": ("log_gdp", ["log_d", "log_rents_offset"], BENCHMARK_LOG_COEFS),
+        "eci_on_tdi": ("eci", ["tdi"], None),
+        "fitness_on_dlogd": ("fitness", ["dlogd_norm"], None),
+    }
+    for name, (y, xs, benchmark) in fits.items():
+        fits[name] = _attempt(errors, name, lambda: _both_variants(
+            design[y], [design[x] for x in xs], benchmark))
+    sp = _attempt(errors, "spearman_gdp_d", lambda: spearman(gdp, d)) if on_d else None
 
     tsi, pci, q = product_metrics.tsi, product_metrics.pci, product_metrics.q
-    prod = {name: None if a is None or b is None else spearman(a, b)
+    prod = {name: _attempt(errors, name, lambda: spearman(a, b))
+            if a is not None and b is not None else None
             for name, a, b in (("tsi_pci", tsi, pci), ("tsi_q", tsi, q), ("pci_q", pci, q))}
 
     return RegressionReport(
         join=report,
-        rank_rank=rank_rank,
-        log_log=log_log,
-        eci_on_tdi=eci_on_tdi,
-        fitness_on_dlogd=fitness_on_dlogd,
+        **fits,
         spearman_gdp_d=sp,
         product_spearman=prod,
         rent_offset=delta,
         design=design,
+        errors=errors,
     )
 

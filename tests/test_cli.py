@@ -80,7 +80,6 @@ class TestIngest:
 
         report = json.loads((out / "ingest_report.json").read_text())
         assert report["matrix"]["entries"] == 3
-        assert report["config"]["format"] == "csv"
         (input_path, digest), = report["inputs"].items()
         assert input_path.endswith("trade.csv")
         assert len(digest) == 64
@@ -178,15 +177,6 @@ class TestMetrics:
         assert rc == 0
         report = json.loads((out / "metrics_report.json").read_text())
         assert report["config"]["filter"] == "rca"
-
-    def test_json_format(self, tmp_path):
-        path = matrix_file(tmp_path, CONVERGENT)
-        out = tmp_path / "out"
-        assert main(["metrics", str(path), "--out-dir", str(out),
-                     "--format", "json"]) == 0
-        payload = json.loads((out / "countries.json").read_text())
-        assert len(payload["rows"]) == 5
-        assert payload["rows"][0]["d"] == 6
 
 
 class TestSimulate:
@@ -299,6 +289,48 @@ class TestValidate:
         assert all(r[1] != "" and r[2] != "" and r[3] == "" for r in rows)
 
 
+    def test_fit_failure_leaves_a_partial_report(self, tmp_path):
+        """On three countries the rank and log regressions have no residual
+        degree of freedom; the fits that can run are still reported."""
+        path = matrix_file(tmp_path, NESTED3)
+        income = tmp_path / "income.csv"
+        income.write_text("country,gdp,natural_rents\nC0,9000.0,0.0\nC1,16000.0,1.0\n"
+                          "C2,25000.0,2.0\n")
+        out = tmp_path / "out"
+        assert main(["validate", str(path), str(income), "--max-iter", "300",
+                     "--out-dir", str(out)]) == 0
+        report = json.loads((out / "validation_report.json").read_text())
+        errors = report["errors"]
+        assert errors["rank_rank"] == ("DegenerateInput: 3 observations cannot support "
+                                       "3 parameters with a residual")
+        assert set(errors) == {"fitness", "rank_rank", "log_log"}
+        regressions = report["regressions"]
+        assert regressions["eci_on_tdi"]["with_intercept"]["coefficients"]
+        assert regressions["rank_rank"] is None and regressions["log_log"] is None
+        assert report["spearman_gdp_d"]["n"] == 3
+        _, rows = read_rows(out / "rank_rank.csv")
+        assert len(rows) == 3
+
+    def test_two_country_join_leaves_a_partial_report(self, tmp_path):
+        """Every country fit and the GDP rank correlation need more than two
+        joined countries; the metric families and product correlations
+        do not."""
+        path = matrix_file(tmp_path, CONVERGENT)
+        income = tmp_path / "income.csv"
+        income.write_text("country,gdp,natural_rents\nC1,2000.0,1.0\nC3,5000.0,0.0\n"
+                          "X0,10.0,0.0\nX1,11.0,0.0\nX2,12.0,1.0\n")
+        out = tmp_path / "out"
+        assert main(["validate", str(path), str(income), "--out-dir", str(out)]) == 0
+        report = json.loads((out / "validation_report.json").read_text())
+        assert report["join"]["matched"] == ["C1", "C3"]
+        fits = ["rank_rank", "log_log", "eci_on_tdi", "fitness_on_dlogd"]
+        assert set(report["errors"]) == {*fits, "spearman_gdp_d"}
+        assert all(text.startswith("DegenerateInput: ") for text in report["errors"].values())
+        assert list(report["regressions"].values()) == [None] * 4
+        assert report["spearman_gdp_d"] is None
+        assert all(report["product_spearman"].values())
+
+
 class TestEveryFamilyFailed:
     """metrics and validate share one exit rule: 0 unless all four metric
     families failed, and then the first failure's code, once the report
@@ -356,20 +388,29 @@ class TestFitTau:
         self._products_csv(src, np.zeros(50))
         assert main(["fit-tau", str(src), "--out-dir", str(tmp_path)]) == 75
 
-    def test_json_table_reads_same(self, tmp_path):
-        path = matrix_file(tmp_path, CONVERGENT)
-        out_csv, out_json = tmp_path / "a", tmp_path / "b"
-        assert main(["metrics", str(path), "--out-dir", str(out_csv)]) == 0
-        assert main(["metrics", str(path), "--out-dir", str(out_json),
-                     "--format", "json"]) == 0
-        rc1 = main(["fit-tau", str(out_csv / "products.csv"), "--K", "12",
-                    "--out-dir", str(out_csv)])
-        rc2 = main(["fit-tau", str(out_json / "products.json"), "--K", "12",
-                    "--out-dir", str(out_json)])
-        assert rc1 == rc2 == 0
-        tau_csv = json.loads((out_csv / "tau_report.json").read_text())["tau_hat"]
-        tau_json = json.loads((out_json / "tau_report.json").read_text())["tau_hat"]
-        assert tau_csv == tau_json
+    def test_json_table_exits_65_at_line_1(self, tmp_path, capsys):
+        """Products tables are CSV only: a JSON one has no tsi header."""
+        src = tmp_path / "products.json"
+        src.write_text('{\n  "rows": [\n    {\n      "tsi": 0.5\n    },\n'
+                       '    {\n      "tsi": -1.0\n    }\n  ]\n}\n')
+        assert main(["fit-tau", str(src), "--out-dir", str(tmp_path)]) == 65
+        assert "line 1: no tsi column in header" in capsys.readouterr().err
+        assert not (tmp_path / "tau_report.json").exists()
+
+
+class TestNoFormatOption:
+    """Tables are CSV only, so no command takes --format."""
+
+    @pytest.mark.parametrize("argv", [
+        ["ingest", "trade.csv"], ["metrics", "m.txt"], ["simulate"],
+        ["validate", "m.txt", "income.csv"], ["fit-tau", "products.csv"],
+    ])
+    def test_format_is_a_usage_error(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--format", "json", "--out-dir", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format json" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestConfigPrecedence:
@@ -394,6 +435,13 @@ class TestConfigPrecedence:
         cfg.write_text('{"tau": 0.5, "bogus": 1}')
         assert main(["simulate", "--config", str(cfg),
                      "--out-dir", str(tmp_path)]) == 65
+
+    def test_format_key_exits_65(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"format": "csv"}')
+        assert main(["simulate", "--config", str(cfg),
+                     "--out-dir", str(tmp_path)]) == 65
+        assert "unknown config key 'format'" in capsys.readouterr().err
 
     def test_invalid_json_exits_65(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -585,40 +633,6 @@ class TestCsvWriter:
         self.assert_equals_csv_writer(tmp_path_factory.mktemp("csv") / "t.csv", labels, floats)
 
 
-
-class TestJsonWriter:
-    """JSON tables are written a block of rows at a time, byte for byte as
-    json.dumps(indent=2, sort_keys=True) writes the whole table."""
-
-    HEADER = ["label", "x", "n", "blank"]
-
-    def assert_equals_json_dumps(self, path, labels, floats):
-        columns = [tuple(labels), np.array(floats, dtype=float),
-                   np.arange(len(labels), dtype=np.int64) - 2 ** 40, [None] * len(labels)]
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cli, "_CSV_BLOCK", 3)
-            cli._write_table(path.with_suffix(""), "json", self.HEADER, columns)
-        rows = [dict(zip(self.HEADER, row)) for row in zip(*columns)]
-        expected = json.dumps({"rows": rows}, indent=2, sort_keys=True,
-                              default=cli._json_default) + "\n"
-        assert path.read_bytes() == expected.encode("utf-8")
-
-    @pytest.mark.parametrize("rows", [0, 1, 2, 3, 4, 7])
-    def test_row_counts_around_a_block(self, tmp_path, rows):
-        labels = [f"p{k}" for k in range(rows)]
-        self.assert_equals_json_dumps(tmp_path / "t.json", labels, [0.1 * k for k in range(rows)])
-
-    @settings(max_examples=100, deadline=None)
-    @given(rows=st.lists(st.tuples(
-        st.text(st.one_of(st.sampled_from(',"\r\n\\ '), st.characters(codec="utf-8")),
-                max_size=6),
-        st.floats()), max_size=20))
-    def test_equals_json_dumps(self, tmp_path_factory, rows):
-        labels = [label for label, _ in rows]
-        floats = [x for _, x in rows]
-        self.assert_equals_json_dumps(tmp_path_factory.mktemp("json") / "t.json", labels, floats)
-
-
 _NAN_PAYLOADS = np.array([0x7FF8000000000001, 0xFFF8000000000000], dtype=np.uint64).view(float)
 _FLOAT_EDGES = [0.0, -0.0, float("inf"), float("-inf"), *_NAN_PAYLOADS.tolist(),
                 5e-324, -5e-324, 2.225073858507201e-308, 1.7976931348623157e308, 0.1]
@@ -634,8 +648,8 @@ def _repeats(values):
 
 class TestDistinctNumbers:
     """Each distinct number is formatted once per block; every table and
-    matrix file holds per-value repr (and json.dumps) text, bit patterns
-    such as -0.0 and NaN payloads included."""
+    matrix file holds per-value repr text, bit patterns such as -0.0 and
+    NaN payloads included."""
 
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -652,10 +666,6 @@ class TestDistinctNumbers:
         cli._write_csv(tmp_path / "t.csv", header, columns)
         expected = ["label,x,n"] + [f"{lab},{x!r},{n!r}" for lab, x, n in zip(labels, floats, ints)]
         assert (tmp_path / "t.csv").read_text() == "\n".join(expected) + "\n"
-        cli._write_table(tmp_path / "t", "json", header, columns)
-        rows = [dict(zip(header, row)) for row in zip(labels, floats, ints)]
-        assert (tmp_path / "t.json").read_text() == json.dumps(
-            {"rows": rows}, indent=2, sort_keys=True) + "\n"
 
     @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -701,27 +711,6 @@ class TestNonFiniteTsi:
         src.write_text(src.read_text().replace("0.25", text))
         assert main(["fit-tau", str(src), "--out-dir", str(tmp_path)]) == 65
         with pytest.raises(ParseError, match="line 4: non-finite"):
-            read_tsi_column(src)
-
-    def test_json_value_exits_65(self, tmp_path):
-        src = tmp_path / "products.json"
-        src.write_text('{"rows": [{"tsi": 0.5}, {"tsi": NaN}, {"tsi": -1.0}, {"tsi": null}]}')
-        assert main(["fit-tau", str(src), "--out-dir", str(tmp_path)]) == 65
-
-    @pytest.mark.parametrize("text, message", [
-        ("{not json", "line 1: invalid JSON"),
-        ("[1, 2, 3]", "expected a list of row objects"),
-        ('{"rows": [{"tsi": 0.5}, {"tsi": true}, {"tsi": -1.0}]}',
-         "row 1: tsi True is not a number"),
-        ('{"rows": [{"tsi": 0.5}, {"tsi": "1.5"}, {"tsi": -1.0}]}',
-         "row 1: tsi '1.5' is not a number"),
-        ('{"rows": 3}', "expected a list of row objects"),
-    ])
-    def test_malformed_json_exits_65(self, tmp_path, text, message):
-        src = tmp_path / "products.json"
-        src.write_text(text)
-        assert main(["fit-tau", str(src), "--out-dir", str(tmp_path)]) == 65
-        with pytest.raises(ParseError, match=message):
             read_tsi_column(src)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -69,7 +69,6 @@ RUNS = {
     "ingest": ["ingest", "trade.csv", "--out-dir", "ingest"],
     "metrics": ["metrics", "m.txt", "--out-dir", "metrics"],
     "metrics_distinct": ["metrics", "distinct.txt", "--out-dir", "metrics_distinct"],
-    "metrics_json": ["metrics", "m.txt", "--format", "json", "--out-dir", "metrics_json"],
     "validate": ["validate", "m.txt", "income.csv", "--out-dir", "validate"],
     "fit_tau": ["fit-tau", "metrics/products.csv", "--K", "12", "--out-dir", "fit_tau"],
     "simulate": ["simulate", "--mode", "exact", "--K", "6", "--seed", "11", "--tau", "0.3",

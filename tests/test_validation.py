@@ -49,7 +49,7 @@ class TestSpearman:
             spearman([1.0, 2.0, 3.0], [5.0, 5.0, 5.0])
 
     def test_shape_errors(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DegenerateInput, match="need at least 3 observations, got 2"):
             spearman([1.0, 2.0], [1.0, 2.0])
         with pytest.raises(ValueError):
             spearman([1.0, 2.0, 3.0], [1.0, 2.0])
