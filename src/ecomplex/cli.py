@@ -2,8 +2,9 @@
 
 Every command is deterministic given its inputs, flags, and seed;
 re-running writes byte-identical files. Reports echo the effective
-configuration and the sha256 of every input file so emitted numbers are
-traceable to a specific extract. No timestamps, no machine state.
+value of each option the command reads and the sha256 of every input
+file so emitted numbers are traceable to a specific extract. No
+timestamps, no machine state.
 
 Exit codes: 0 success, 2 usage/config errors, and one documented code
 per domain error class (see errors.py).
@@ -17,7 +18,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, fields, is_dataclass
+from dataclasses import asdict, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,75 +30,12 @@ from .metrics import FAMILIES, run_metrics
 from .model import ModelParams, estimate_tau, simulate_world, world_distribution
 from .validation import run_paper_regressions
 
-__all__ = ["RunConfig", "main", "entry",
+__all__ = ["main", "entry",
            "cmd_ingest", "cmd_metrics", "cmd_simulate", "cmd_validate", "cmd_fit_tau"]
 
 DATA_DIR_ENV = "ECOMPLEX_DATA_DIR"
 
 _CSV_BLOCK = 1 << 12  # table rows formatted per write
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Effective run configuration after merging flags, config file, defaults."""
-
-    filter: str = "none"
-    rca_threshold: float = 1.0
-    tol: float = 1e-10
-    max_iter: int = 10000
-    tau: float = 0.07
-    K: int = 221
-    seed: int = 0
-    mode: str = "mc"
-    samples: int = 5000
-    out_dir: str = "."
-
-    def __post_init__(self):
-        if self.filter not in ("none", "rca"):
-            raise ValueError(f"filter must be none or rca, got {self.filter!r}")
-        if self.mode not in ("exact", "mc"):
-            raise ValueError(f"mode must be exact or mc, got {self.mode!r}")
-        if self.rca_threshold < 0:
-            raise ValueError("rca-threshold must be >= 0")
-        if self.tol <= 0:
-            raise ValueError("tol must be > 0")
-        if self.max_iter < 1:
-            raise ValueError("max-iter must be >= 1")
-        if not (0 < self.tau <= 1):
-            raise ValueError("tau must be in (0, 1]")
-        if self.K < 0:
-            raise ValueError("K must be >= 0")
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
-
-
-def _merge_config(args: argparse.Namespace) -> RunConfig:
-    """flags > config file > defaults."""
-    merged: dict = {}
-    config_path = getattr(args, "config", None)
-    if config_path:
-        try:
-            loaded = json.loads(Path(_resolve_input(config_path)).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"config file is not valid JSON: {exc}") from None
-        if not isinstance(loaded, dict):
-            raise ParseError("config file must hold a JSON object")
-        kinds = {f.name: type(f.default) for f in fields(RunConfig)}
-        for key, value in loaded.items():
-            if key not in kinds:
-                raise ParseError(f"unknown config key {key!r}")
-            kind = kinds[key]
-            # An int is a valid float; a bool is never a number.
-            allowed = (int, float) if kind is float else kind
-            if isinstance(value, bool) or not isinstance(value, allowed):
-                raise ParseError(f"config key {key!r} must be {kind.__name__}, "
-                                 f"got {type(value).__name__}")
-            merged[key] = float(value) if kind is float else value
-    for f in fields(RunConfig):
-        flag_value = getattr(args, f.name, None)
-        if flag_value is not None:
-            merged[f.name] = flag_value
-    return RunConfig(**merged)
 
 
 def _resolve_input(path: str) -> str:
@@ -159,7 +97,10 @@ def _csv_cell(text: str) -> str:
 
 def _write_csv(path: Path, header: list[str], columns) -> None:
     """Write the columns as rows, a block at a time, byte for byte as
-    csv.writer(lineterminator="\n") writes a table of two or more columns."""
+    csv.writer(lineterminator="\n") writes a table of two or more columns.
+    The first column sets the row count; a None column (a metric family
+    that failed) is written blank."""
+    columns = [[None] * len(columns[0]) if c is None else c for c in columns]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(_cells(header)) + "\n")
         for start in range(0, len(columns[0]), _CSV_BLOCK):
@@ -167,30 +108,22 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
             fh.write("\n".join(map(",".join, zip(*block))) + "\n")
 
 
-def _write_table(path_stem: Path, header: list[str], columns) -> Path:
-    """Write a CSV table whose first column is the labels; a None column
-    (a metric family that failed) is written blank."""
-    path = path_stem.with_suffix(".csv")
-    _write_csv(path, header, [[None] * len(columns[0]) if c is None else c for c in columns])
-    return path
-
-
-def _out_dir(config: RunConfig) -> Path:
-    out = Path(config.out_dir)
+def _out_dir(args) -> Path:
+    out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _load_binary(config: RunConfig, matrix_path: str) -> tuple[BinaryMatrix, str]:
-    resolved = _resolve_input(matrix_path)
+def _load_binary(args) -> tuple[BinaryMatrix, str]:
+    resolved = _resolve_input(args.matrix)
     mat = fileio.read_matrix(resolved)
     if isinstance(mat, ExportMatrix):
-        if config.filter == "rca":
-            bm = rca_binarize(mat, config.rca_threshold)
+        if args.filter == "rca":
+            bm = rca_binarize(mat, args.rca_threshold)
         else:
             bm = binarize(mat)
     else:
-        if config.filter == "rca":
+        if args.filter == "rca":
             raise ParseError("the rca filter needs a valued matrix file; "
                              "this one is already binary")
         bm = mat
@@ -198,16 +131,15 @@ def _load_binary(config: RunConfig, matrix_path: str) -> tuple[BinaryMatrix, str
 
 
 def cmd_ingest(args) -> int:
-    config = _merge_config(args)
     resolved = _resolve_input(args.trade_csv)
     x = fileio.read_trade_csv(resolved)
-    out = _out_dir(config)
+    out = _out_dir(args)
     matrix_path = out / "matrix.txt"
     fileio.write_matrix(x, matrix_path)
     cells = x.n_countries * x.n_products
     fill = x.n_entries / cells if cells else 0.0
     report = {
-        "config": config,
+        "config": args.config,
         "inputs": {resolved: fileio.sha256_file(resolved)},
         "matrix": {
             "countries": x.n_countries,
@@ -236,17 +168,17 @@ def _families_exit(errors: dict) -> int:
 
 
 def cmd_metrics(args) -> int:
-    config = _merge_config(args)
-    out = _out_dir(config)
-    bm, resolved = _load_binary(config, args.matrix)
-    cm, pm, eigen, iters, errors = run_metrics(bm, tol=config.tol, max_iter=config.max_iter)
-    c_path = _write_table(out / "countries", ["country", "d", "tdi", "eci", "fitness"],
-                          [bm.country_labels, bm.diversification, cm.tdi, cm.eci, cm.fitness])
-    p_path = _write_table(out / "products", ["product", "u", "tsi", "pci", "q"],
-                          [bm.product_labels, bm.ubiquity, pm.tsi, pm.pci, pm.q])
+    out = _out_dir(args)
+    bm, resolved = _load_binary(args)
+    cm, pm, eigen, iters, errors = run_metrics(bm, tol=args.tol, max_iter=args.max_iter)
+    c_path, p_path = out / "countries.csv", out / "products.csv"
+    _write_csv(c_path, ["country", "d", "tdi", "eci", "fitness"],
+               [bm.country_labels, bm.diversification, cm.tdi, cm.eci, cm.fitness])
+    _write_csv(p_path, ["product", "u", "tsi", "pci", "q"],
+               [bm.product_labels, bm.ubiquity, pm.tsi, pm.pci, pm.q])
 
     report = {
-        "config": config,
+        "config": args.config,
         "inputs": {resolved: fileio.sha256_file(resolved)},
         "matrix": {
             "countries": bm.n_countries,
@@ -265,11 +197,10 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    config = _merge_config(args)
-    out = _out_dir(config)
-    params = ModelParams(tau=config.tau, K=config.K)
-    world = simulate_world(params, mode=config.mode, samples=config.samples,
-                           seed=config.seed)
+    out = _out_dir(args)
+    params = ModelParams(tau=args.tau, K=args.K)
+    world = simulate_world(params, mode=args.mode, samples=args.samples,
+                           seed=args.seed)
     matrix_path = out / "world.txt"
     fileio.write_matrix(world.matrix, matrix_path)
 
@@ -286,7 +217,7 @@ def cmd_simulate(args) -> int:
                 pool.astype(np.int64), per_country.astype(np.int64)])
 
     report = {
-        "config": config,
+        "config": args.config,
         "inputs": {},
         "world": {
             "countries": world.matrix.n_countries,
@@ -302,17 +233,16 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    config = _merge_config(args)
-    out = _out_dir(config)
-    bm, resolved_matrix = _load_binary(config, args.matrix)
+    out = _out_dir(args)
+    bm, resolved_matrix = _load_binary(args)
     resolved_income = _resolve_input(args.income_csv)
     panel = fileio.read_income_csv(resolved_income)
 
-    cm, pm, eigen, iters, errors = run_metrics(bm, tol=config.tol, max_iter=config.max_iter)
+    cm, pm, eigen, iters, errors = run_metrics(bm, tol=args.tol, max_iter=args.max_iter)
     rep = run_paper_regressions(bm, panel, cm, pm)
 
     report = {
-        "config": config,
+        "config": args.config,
         "inputs": {
             resolved_matrix: fileio.sha256_file(resolved_matrix),
             resolved_income: fileio.sha256_file(resolved_income),
@@ -341,22 +271,21 @@ def cmd_validate(args) -> int:
         "fitness_dlogd": ["dlogd_norm", "fitness"],
     }
     for name, columns in scatter.items():
-        _write_table(out / name, ["country", *columns],
-                     [rep.join.matched, *(rep.design[c] for c in columns)])
-    _write_table(out / "product_scatter", ["product", "tsi", "pci", "q"],
-                 [pm.product_labels, pm.tsi, pm.pci, pm.q])
+        _write_csv(out / f"{name}.csv", ["country", *columns],
+                   [rep.join.matched, *(rep.design[c] for c in columns)])
+    _write_csv(out / "product_scatter.csv", ["product", "tsi", "pci", "q"],
+               [pm.product_labels, pm.tsi, pm.pci, pm.q])
     print(f"wrote {out / 'validation_report.json'} and scatter tables")
     return _families_exit(errors)
 
 
 def cmd_fit_tau(args) -> int:
-    config = _merge_config(args)
-    out = _out_dir(config)
+    out = _out_dir(args)
     resolved = _resolve_input(args.metrics_csv)
     tsi_values = fileio.read_tsi_column(resolved)
-    tau_hat, ks = estimate_tau(tsi_values, config.K)
+    tau_hat, ks = estimate_tau(tsi_values, args.K)
 
-    dist = world_distribution(ModelParams(tau=tau_hat, K=config.K))
+    dist = world_distribution(ModelParams(tau=tau_hat, K=args.K))
     x = dist.standardized_support
     model_cdf = dist.cdf()
     sample = np.sort(np.asarray(tsi_values))
@@ -365,7 +294,7 @@ def cmd_fit_tau(args) -> int:
                [x, model_cdf, emp_cdf])
 
     report = {
-        "config": config,
+        "config": args.config,
         "inputs": {resolved: fileio.sha256_file(resolved)},
         "tau_hat": tau_hat,
         "ks_distance": ks,
@@ -377,75 +306,120 @@ def cmd_fit_tau(args) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON file with default option values")
-    p.add_argument("--out-dir", dest="out_dir", help="output directory (default .)")
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Action]]:
+    """The command-line parser, the one place where each option's flag,
+    type, choices, default and help are declared; and each config key's
+    option, over every command."""
+    options: dict[str, argparse.Action] = {}
 
+    def parent(*declared) -> argparse.ArgumentParser:
+        """A parent parser of options declared as (flag, help, add_argument keywords)."""
+        group = argparse.ArgumentParser(add_help=False)
+        for flag, text, kwargs in declared:
+            action = group.add_argument(flag, help=text + " (default %(default)s)", **kwargs)
+            options[action.dest] = action
+        return group
 
-def _add_filter(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--filter", choices=["none", "rca"],
-                   help="binarization filter (default none)")
-    p.add_argument("--rca-threshold", dest="rca_threshold", type=float,
-                   help="RCA cutoff when --filter rca (default 1.0)")
+    common = parent(("--out-dir", "output directory", dict(default=".")))
+    common.add_argument("--config", dest="config_file", metavar="FILE",
+                        help="JSON file with default option values")
+    binary = parent(
+        ("--filter", "binarization filter", dict(choices=["none", "rca"], default="none")),
+        ("--rca-threshold", "RCA cutoff when --filter rca", dict(type=float, default=1.0)),
+        ("--tol", "fitness convergence tolerance", dict(type=float, default=1e-10)),
+        ("--max-iter", "fitness iteration cap", dict(type=int, default=10000)),
+    )
+    endowment = parent(("--K", "maximum tech endowment", dict(type=int, default=221)))
+    model = parent(
+        ("--tau", "coherence probability", dict(type=float, default=0.07)),
+        ("--seed", "generator seed", dict(type=int, default=0)),
+        ("--mode", "exact subset enumeration (K <= 20) or Monte Carlo",
+         dict(choices=["exact", "mc"], default="mc")),
+        ("--samples", "Monte Carlo sample count", dict(type=int, default=5000)),
+    )
 
-
-def _add_fitness(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, help="fitness convergence tolerance")
-    p.add_argument("--max-iter", dest="max_iter", type=int,
-                   help="fitness iteration cap")
-
-
-def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ecomplex",
         description="Economic-complexity metrics, a combinatorial knowhow "
                     "model, and the validation harness tying them together.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    for name, func, positionals, parents, text in (
+        ("ingest", cmd_ingest, ["trade_csv"], [common], "trade CSV -> canonical matrix file"),
+        ("metrics", cmd_metrics, ["matrix"], [common, binary],
+         "canonical matrix -> metric tables"),
+        ("simulate", cmd_simulate, [], [common, endowment, model],
+         "synthetic world + sophistication table"),
+        ("validate", cmd_validate, ["matrix", "income_csv"], [common, binary],
+         "regression/correlation battery"),
+        ("fit-tau", cmd_fit_tau, ["metrics_csv"], [common, endowment],
+         "estimate tau from a products table"),
+    ):
+        p = sub.add_parser(name, parents=parents, help=text)
+        for positional in positionals:
+            p.add_argument(positional)
+        p.set_defaults(func=func)
+    return parser, options
 
-    p = sub.add_parser("ingest", help="trade CSV -> canonical matrix file")
-    p.add_argument("trade_csv")
-    _add_common(p)
-    p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("metrics", help="canonical matrix -> metric tables")
-    p.add_argument("matrix")
-    _add_common(p)
-    _add_filter(p)
-    _add_fitness(p)
-    p.set_defaults(func=cmd_metrics)
+# Each option's range, checked on the merged values before a command
+# runs; a (command, option) rule replaces the option's own rule there.
+_RANGES = {
+    "rca_threshold": (lambda v: v >= 0, "rca-threshold must be >= 0"),
+    "tol": (lambda v: v > 0, "tol must be > 0"),
+    "max_iter": (lambda v: v >= 1, "max-iter must be >= 1"),
+    "samples": (lambda v: v >= 1, "samples must be >= 1"),
+    "tau": (lambda v: 0 < v <= 1, "tau must be in (0, 1]"),
+    "K": (lambda v: v >= 0, "K must be >= 0"),
+    # a world may have no technology, but a fit of tau needs one
+    ("fit-tau", "K"): (lambda v: v >= 1, "K must be >= 1"),
+}
 
-    p = sub.add_parser("simulate", help="synthetic world + sophistication table")
-    _add_common(p)
-    p.add_argument("--tau", type=float, help="coherence probability (default 0.07)")
-    p.add_argument("--K", type=int, help="maximum tech endowment (default 221)")
-    p.add_argument("--seed", type=int, help="generator seed (default 0)")
-    p.add_argument("--mode", choices=["exact", "mc"],
-                   help="exact subset enumeration (K <= 20) or Monte Carlo")
-    p.add_argument("--samples", type=int, help="Monte Carlo sample count")
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("validate", help="regression/correlation battery")
-    p.add_argument("matrix")
-    p.add_argument("income_csv")
-    _add_common(p)
-    _add_filter(p)
-    _add_fitness(p)
-    p.set_defaults(func=cmd_validate)
+def _merge_config(parser: argparse.ArgumentParser, options: dict[str, argparse.Action],
+                  argv) -> argparse.Namespace:
+    """The parsed command line, flags > config file > the parser's
+    defaults, with ``config`` set to the options the command reads.
 
-    p = sub.add_parser("fit-tau", help="estimate tau from a products table")
-    p.add_argument("metrics_csv")
-    _add_common(p)
-    p.add_argument("--K", type=int, help="maximum tech endowment (default 221)")
-    p.set_defaults(func=cmd_fit_tau)
-
-    return parser
+    A config file may hold any command's keys, so one file serves the
+    whole pipeline; a key the command does not read is checked, then
+    ignored. Raises ParseError at an unknown key or a value of the wrong
+    JSON type, and ValueError at a value out of its choices or range."""
+    args = parser.parse_args(argv)
+    if args.config_file:
+        try:
+            loaded = json.loads(Path(_resolve_input(args.config_file)).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"config file is not valid JSON: {exc}") from None
+        if not isinstance(loaded, dict):
+            raise ParseError("config file must hold a JSON object")
+        for key, value in loaded.items():
+            if key not in options:
+                raise ParseError(f"unknown config key {key!r}")
+            action = options[key]
+            kind = action.type or str
+            # An int is a valid float; a bool is never a number.
+            allowed = (int, float) if kind is float else kind
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                raise ParseError(f"config key {key!r} must be {kind.__name__}, "
+                                 f"got {type(value).__name__}")
+            if action.choices and value not in action.choices:
+                raise ValueError(f"{key} must be {' or '.join(action.choices)}, got {value!r}")
+            # as set_defaults would: every parser holding the option shares this action
+            action.default = kind(value)
+        args = parser.parse_args(argv)
+    args.config = {key: getattr(args, key) for key in options if hasattr(args, key)}
+    for key, value in args.config.items():
+        rule = _RANGES.get((args.command, key), _RANGES.get(key))
+        if rule and not rule[0](value):
+            raise ValueError(rule[1])
+    return args
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    parser, options = build_parser()
     try:
+        args = _merge_config(parser, options, argv)
         return args.func(args)
     except EcomplexError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -145,23 +145,28 @@ def _sorted_labels(column: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
     return tuple(labels), np.fromiter(map(index.__getitem__, column), np.intp, len(column))
 
 
+def _read_records(path, read):
+    """``read(records)``, where records are the (line, fields) records
+    after the header, read by csv.reader with its field limit lifted,
+    since numpy's tokenizer has none. The limit is restored before
+    anything leaves this function."""
+    limit = csv.field_size_limit(sys.maxsize)
+    records = _csv_records(path)
+    try:
+        next(records)  # the header, checked by the caller
+        return read(records)
+    finally:
+        records.close()
+        csv.field_size_limit(limit)
+
+
 def _raise_first_csv_fault(path, find_fault) -> NoReturn:
     """Raise the first fault of a CSV file that the tokenizer or a column
     check rejected. ``find_fault`` runs the reader's per-record checks in
     file order over (line, fields) and raises at the first failing one,
-    with that record's physical line; it returns no data.
-
-    The records are read by csv.reader with its field limit lifted, as
-    the tokenizer has none, so a long field before the fault is read; the
-    limit is restored before any error leaves this function."""
-    limit = csv.field_size_limit(sys.maxsize)
-    records = _csv_records(path)
-    try:
-        next(records)  # the header, checked before the file was tokenized
-        find_fault(records)
-    finally:
-        records.close()
-        csv.field_size_limit(limit)
+    with that record's physical line; it returns no data. A long field
+    before the fault is read, as the tokenizer read it."""
+    _read_records(path, find_fault)
     raise ParseError("records do not tokenize as CSV")
 
 
@@ -214,40 +219,36 @@ def read_trade_csv(path) -> ExportMatrix:
     return ExportMatrix.from_coordinates(countries, products, rows, cols, vals)
 
 
-def _income_fault(records) -> None:
-    seen: set[str] = set()
+def _income_panel(records) -> IncomePanel:
+    rows: dict[str, tuple[float, float]] = {}  # country -> (gdp, rents), in file order
     for lineno, row in records:
         if len(row) != 3:
             raise ParseError(f"expected 3 fields, got {len(row)}", lineno)
         country, raw_gdp, raw_rents = (f.strip() for f in row)
         if not country:
             raise ParseError("empty country label", lineno)
-        if country in seen:
+        if country in rows:
             raise ParseError(f"duplicate country {country!r}", lineno)
-        seen.add(country)
-        if _parse_value(raw_gdp, lineno) <= 0:
+        gdp = _parse_value(raw_gdp, lineno)
+        if gdp <= 0:
             raise ParseError(f"gdp must be positive, got {raw_gdp}", lineno)
-        if _parse_value(raw_rents, lineno) < 0:
+        rents = _parse_value(raw_rents, lineno)
+        if rents < 0:
             raise NegativeValue(f"negative natural rents {raw_rents}", lineno)
+        rows[country] = gdp, rents
+    gdp, rents = np.array(list(rows.values()), dtype=float).reshape(-1, 2).T
+    return IncomePanel(tuple(rows), gdp, rents)
 
 
 def read_income_csv(path) -> IncomePanel:
-    """country,gdp,natural_rents rows -> IncomePanel (file order kept)."""
+    """country,gdp,natural_rents rows -> IncomePanel (file order kept).
+    A panel holds one row per country, so each record is checked as
+    csv.reader reads it; error line numbers are the physical line where
+    the offending record starts."""
     header = _csv_header(path)
     if [h.strip() for h in header] != ["country", "gdp", "natural_rents"]:
         raise ParseError("expected header country,gdp,natural_rents", 1)
-    try:
-        table = _csv_table(path, header)
-        labels = tuple(text.strip() for text in table[:, 0])
-        if "" in labels or len(set(labels)) != len(labels):
-            raise _Rejected
-        gdp = _finite_floats(map(str.strip, table[:, 1]), len(table))
-        rents = _finite_floats(map(str.strip, table[:, 2]), len(table))
-        if (gdp <= 0).any() or (rents < 0).any():
-            raise _Rejected
-    except _Rejected:
-        _raise_first_csv_fault(path, _income_fault)
-    return IncomePanel(labels, gdp, rents)
+    return _read_records(path, _income_panel)
 
 
 def _tsi_fault(column: int, records) -> None:

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -480,6 +481,92 @@ class TestConfigPrecedence:
             reports.append((tmp_path / name / "out" / "simulate_report.json").read_bytes())
         assert b'"tau": 1.0' in reports[1]
         assert reports[0] == reports[1]
+
+
+class TestPerCommandConfig:
+    """Each report's config block holds the options its command reads,
+    and one config file serves the whole pipeline."""
+
+    @staticmethod
+    def pipeline(tmp_path, extra=()):
+        """ingest -> metrics -> validate -> fit-tau, and simulate, into
+        tmp_path/out; each command's report config block by command."""
+        trade_csv(tmp_path / "trade.csv", [f"C{i}" for i in range(5)],
+                  [f"p{j}" for j in range(6)])
+        income_file(tmp_path)
+        out = tmp_path / "out"
+        runs = {
+            "ingest": (["ingest", str(tmp_path / "trade.csv")], "ingest_report.json"),
+            "metrics": (["metrics", str(out / "matrix.txt")], "metrics_report.json"),
+            "validate": (["validate", str(out / "matrix.txt"), str(tmp_path / "income.csv")],
+                         "validation_report.json"),
+            "fit-tau": (["fit-tau", str(out / "products.csv")], "tau_report.json"),
+            "simulate": (["simulate"], "simulate_report.json"),
+        }
+        blocks = {}
+        for command, (argv, report) in runs.items():
+            assert main([*argv, *extra]) == 0, command
+            blocks[command] = json.loads((out / report).read_text())["config"]
+        return blocks
+
+    @staticmethod
+    def long_options(command, capsys):
+        """The config keys of a command's long options, read from its help."""
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        flags = set(re.findall(r"--[A-Za-z][\w-]*", capsys.readouterr().out))
+        return {flag[2:].replace("-", "_") for flag in flags - {"--help", "--config"}}
+
+    def test_report_echoes_its_parser_options(self, tmp_path, capsys):
+        blocks = self.pipeline(tmp_path, ["--out-dir", str(tmp_path / "out")])
+        for command, block in blocks.items():
+            assert set(block) == self.long_options(command, capsys), command
+        assert set(blocks["ingest"]) == {"out_dir"}
+        assert set(blocks["fit-tau"]) == {"K", "out_dir"}
+
+    def test_one_file_drives_every_command(self, tmp_path):
+        values = {"filter": "rca", "rca_threshold": 0.5, "tol": 1e-9, "max_iter": 500,
+                  "tau": 0.3, "K": 12, "seed": 7, "mode": "exact", "samples": 9,
+                  "out_dir": str(tmp_path / "out")}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        blocks = self.pipeline(tmp_path, ["--config", str(cfg)])
+        own = {
+            "ingest": {"out_dir"},
+            "metrics": {"filter", "rca_threshold", "tol", "max_iter", "out_dir"},
+            "validate": {"filter", "rca_threshold", "tol", "max_iter", "out_dir"},
+            "fit-tau": {"K", "out_dir"},
+            "simulate": {"tau", "K", "seed", "mode", "samples", "out_dir"},
+        }
+        for command, keys in own.items():
+            assert blocks[command] == {key: values[key] for key in keys}, command
+
+    @pytest.mark.parametrize("command, entry, message", [
+        ("metrics", {"tol": 0}, "tol must be > 0"),
+        ("metrics", {"rca_threshold": -1}, "rca-threshold must be >= 0"),
+        ("validate", {"max_iter": 0}, "max-iter must be >= 1"),
+        ("simulate", {"samples": 0}, "samples must be >= 1"),
+        ("simulate", {"tau": 0}, "tau must be in (0, 1]"),
+        ("simulate", {"K": -1}, "K must be >= 0"),
+        ("fit-tau", {"K": 0}, "K must be >= 1"),
+        ("simulate", {"mode": "grid"}, "mode must be exact or mc, got 'grid'"),
+    ])
+    def test_file_value_out_of_range_exits_2_before_any_output(self, tmp_path, capsys,
+                                                               command, entry, message):
+        matrix = str(matrix_file(tmp_path, CONVERGENT))
+        inputs = {"metrics": [matrix], "validate": [matrix, str(income_file(tmp_path))],
+                  "simulate": [], "fit-tau": ["products.csv"]}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(entry))
+        out = tmp_path / "out"
+        assert main([command, *inputs[command], "--config", str(cfg),
+                     "--out-dir", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_simulate_admits_k_0(self, tmp_path):
+        assert main(["simulate", "--K", "0", "--mode", "exact",
+                     "--out-dir", str(tmp_path / "out")]) == 0
 
 
 class TestDataDirFallback:
