@@ -109,6 +109,8 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
 
 
 def _out_dir(args) -> Path:
+    """The output directory, created once every input has been read and
+    checked, so a failed run leaves none behind."""
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -168,8 +170,8 @@ def _families_exit(errors: dict) -> int:
 
 
 def cmd_metrics(args) -> int:
-    out = _out_dir(args)
     bm, resolved = _load_binary(args)
+    out = _out_dir(args)
     cm, pm, eigen, iters, errors = run_metrics(bm, tol=args.tol, max_iter=args.max_iter)
     c_path, p_path = out / "countries.csv", out / "products.csv"
     _write_csv(c_path, ["country", "d", "tdi", "eci", "fitness"],
@@ -197,10 +199,10 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    out = _out_dir(args)
     params = ModelParams(tau=args.tau, K=args.K)
     world = simulate_world(params, mode=args.mode, samples=args.samples,
                            seed=args.seed)
+    out = _out_dir(args)
     matrix_path = out / "world.txt"
     fileio.write_matrix(world.matrix, matrix_path)
 
@@ -233,13 +235,13 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    out = _out_dir(args)
     bm, resolved_matrix = _load_binary(args)
     resolved_income = _resolve_input(args.income_csv)
     panel = fileio.read_income_csv(resolved_income)
 
     cm, pm, eigen, iters, errors = run_metrics(bm, tol=args.tol, max_iter=args.max_iter)
     rep = run_paper_regressions(bm, panel, cm, pm)
+    out = _out_dir(args)
 
     report = {
         "config": args.config,
@@ -280,10 +282,10 @@ def cmd_validate(args) -> int:
 
 
 def cmd_fit_tau(args) -> int:
-    out = _out_dir(args)
     resolved = _resolve_input(args.metrics_csv)
     tsi_values = fileio.read_tsi_column(resolved)
     tau_hat, ks = estimate_tau(tsi_values, args.K)
+    out = _out_dir(args)
 
     dist = world_distribution(ModelParams(tau=tau_hat, K=args.K))
     x = dist.standardized_support

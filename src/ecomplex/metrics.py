@@ -191,7 +191,9 @@ def eci_pci(m: BinaryMatrix) -> tuple[np.ndarray, np.ndarray, EigenReport]:
 
     cls = m.column_classes
     u_cls = u[cls.first]
-    a = cls.matrix / np.sqrt(d)[:, None] / np.sqrt(u_cls / cls.counts)[None, :]
+    # one class-sized buffer: A is scaled in place, and reused below for W*
+    a = np.divide(cls.matrix, np.sqrt(d)[:, None])
+    a /= np.sqrt(u_cls / cls.counts)[None, :]
     s = a @ a.T
     eigvals, eigvecs = np.linalg.eigh(s)
     order = np.argsort(np.abs(eigvals))[::-1]
@@ -223,7 +225,7 @@ def eci_pci(m: BinaryMatrix) -> tuple[np.ndarray, np.ndarray, EigenReport]:
 
     # W* applied to the country eigenvector gives the product eigenvector,
     # once per class.
-    p_raw = ((cls.matrix / u_cls[None, :]).T @ c_raw)[cls.inverse]
+    p_raw = (np.divide(cls.matrix, u_cls[None, :], out=a).T @ c_raw)[cls.inverse]
     if np.allclose(p_raw, p_raw.mean()):
         raise DegenerateVector("product-side eigenvector is constant")
     pci = standardize(p_raw)
@@ -276,26 +278,28 @@ def fitness_complexity(
     """Iterate the fitness fixed point to a relative-change tolerance.
 
     Both updates use the previous step's values (synchronous scheme).
-    Stops when the largest relative change across the concatenated
-    normalized (F, Q) vector drops below tol; raises NonConvergence when
-    max_iter synchronous steps do not get there, attaching the last
-    iterate for inspection. Every product's Q is its column class's Q,
-    so the largest change is taken over the classes, and Q is expanded
-    to products only for the result.
+    Stops when the largest relative change over the normalized F and Q
+    drops below tol; raises NonConvergence when max_iter synchronous
+    steps do not get there, attaching the last iterate for inspection.
+    Every product's Q is its column class's Q, so the largest change is
+    taken over the classes, and Q is expanded to products only for the
+    result.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     inverse = m.column_classes.inverse
     it = fitness_class_iterations(m)
-    f, q = next(it)
-    prev = np.concatenate([f, q])
+    prev_f, prev_q = next(it)
     for n in range(1, max_iter + 1):
         f, q = next(it)
-        cur = np.concatenate([f, q])
-        change = float(np.max(np.abs(cur - prev) / np.abs(prev)))
+        # np.maximum, unlike max, keeps a NaN change from either side;
+        # an empty side (no countries or no products) changes by -inf
+        change = float(np.maximum(
+            np.max(np.abs(f - prev_f) / np.abs(prev_f), initial=-np.inf),
+            np.max(np.abs(q - prev_q) / np.abs(prev_q), initial=-np.inf)))
         if change < tol:
             return f, q[inverse], n
-        prev = cur
+        prev_f, prev_q = f, q
     raise NonConvergence(
         f"fitness iteration did not converge in {max_iter} steps "
         f"(last relative change {change:.3e})",

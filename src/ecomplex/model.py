@@ -162,17 +162,6 @@ def world_distribution(params: ModelParams) -> SophisticationDistribution:
                                       std=float(std[0]))
 
 
-def _subset_tables(K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All 2^K subset masks of techs theta_1..theta_K with their size and
-    highest tech index."""
-    masks = np.arange(1 << K, dtype=np.int64)
-    pop = np.bitwise_count(masks).astype(np.int64)
-    # frexp exponent of an integer m > 0 is floor(log2 m) + 1, which is
-    # exactly the 1-based index of the highest tech in the mask.
-    _, maxidx = np.frexp(masks.astype(np.float64))
-    return masks, pop, maxidx.astype(np.int64)
-
-
 @dataclass(frozen=True)
 class SyntheticWorld:
     """A realized world: the country-product matrix plus product metadata.
@@ -227,13 +216,29 @@ def _build_world(params: ModelParams, s_arr, maxidx_arr, labels) -> SyntheticWor
     )
 
 
-def _hex_labels(words: np.ndarray) -> list[str]:
-    """Product labels "p<hex mask>" from subset bit words (one row per
-    product, word w holding techs 64w+1..64w+64, lowest word first)."""
-    width = 8 * words.shape[1]
-    raw = words.astype("<u8").tobytes()
-    return [f"p{int.from_bytes(raw[k:k + width], 'little'):x}"
-            for k in range(0, len(raw), width)]
+def _hex_labels(words: np.ndarray, rows: np.ndarray) -> list[str]:
+    """Product labels "p<hex mask>" of the given rows of a subset bit block
+    (word w holding techs 64w+1..64w+64, lowest word first)."""
+    width = 16 * words.shape[1]
+    # highest word first and big-endian, so each row reads as its mask in hex
+    text = words[rows, ::-1].astype(">u8").tobytes().hex()
+    return ["p" + (text[k:k + width].lstrip("0") or "0") for k in range(0, len(text), width)]
+
+
+def _distinct_products(words: np.ndarray, top: np.ndarray,
+                       sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """The distinct subsets of a bit block (one row per subset, as
+    _floyd_subsets gives it) ordered by (s, mask), with their highest
+    tech and label: the (sizes, top, labels) that _build_world takes."""
+    # lexsort's last key leads, then high word to low
+    order = np.lexsort((*words.T, sizes))
+    first = np.zeros(len(order), dtype=bool)
+    first[:1] = True
+    for word in words.T:  # a word at a time, so no sorted copy of the block is made
+        ranked = word[order]
+        first[1:] |= ranked[1:] != ranked[:-1]
+    keep = order[first]
+    return sizes[keep], top[keep], _hex_labels(words, keep)
 
 
 def _floyd_subsets(rng: np.random.Generator, K: int,
@@ -285,60 +290,45 @@ def simulate_world(
             raise InfeasibleEnumeration(
                 f"exact mode enumerates 2^K subsets; K={K} exceeds {_EXACT_ENUM_MAX_K}"
             )
-        masks, pop, maxidx = _subset_tables(K)
-        keep = rng.random(len(masks)) < params.tau ** pop
-        masks, pop, maxidx = masks[keep], pop[keep], maxidx[keep]
-        order = np.lexsort((masks, pop))
-        masks, pop, maxidx = masks[order], pop[order], maxidx[order]
-        return _build_world(params, pop, maxidx, _hex_labels(masks[:, None]))
-
-    if mode == "mc":
+        masks = np.arange(1 << K, dtype=np.uint64)
+        sizes = np.bitwise_count(masks)
+        keep = rng.random(len(masks)) < params.tau ** sizes
+        masks, sizes = masks[keep], sizes[keep]
+        # frexp's exponent of an integer m > 0 is floor(log2 m) + 1, which is
+        # exactly the 1-based index of the highest tech in the mask
+        _, top = np.frexp(masks.astype(np.float64))
+        sizes, top, labels = _distinct_products(masks[:, None], top, sizes)
+    elif mode == "mc":
         if samples is None or samples < 1:
             raise ValueError("mc mode needs samples >= 1")
         q = params.tau / (1.0 + params.tau)
         sizes = rng.binomial(K, q, size=samples)
-        words, top = _floyd_subsets(rng, K, sizes)
-        # order by (s, mask): lexsort's last key leads, then high word to low
-        order = np.lexsort((*words.T, sizes))
-        words, sizes, top = words[order], sizes[order], top[order]
-        first = np.ones(len(order), dtype=bool)
-        first[1:] = np.any(words[1:] != words[:-1], axis=1)
-        words, sizes, top = words[first], sizes[first], top[first]
-        labels = _hex_labels(words)
-        del words, order, first  # freed before the matrix is built
-        return _build_world(params, sizes, top, labels)
-
-    raise ValueError(f"unknown mode {mode!r}")
+        # the samples' bit block lives only in this call, and their sizes are
+        # rebound, so neither is held while the matrix is built
+        sizes, top, labels = _distinct_products(*_floyd_subsets(rng, K, sizes), sizes)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    return _build_world(params, sizes, top, labels)
 
 
 def _ks_distances(model_x: np.ndarray, model_p: np.ndarray,
-                  sample_sorted: np.ndarray, atoms: np.ndarray,
-                  emp_at_atoms: np.ndarray) -> np.ndarray:
+                  sample_sorted: np.ndarray) -> np.ndarray:
     """Sup-distance between each row's discrete CDF and an empirical CDF.
 
-    Both are right-continuous step functions, so the supremum is attained
-    at a jump point of either: a model atom or a sample atom. ``atoms`` are
-    the sample's distinct values and ``emp_at_atoms`` its CDF there, both
-    fixed across rows. The left limit at a grid point is the value at the
-    grid point before it, so values alone cover it.
-
-    The model CDF is constant on each run of sample atoms between two model
-    atoms, and the empirical CDF rises along the run, so the largest gap on
-    the run is at its first or last atom: only those are evaluated.
+    The model CDF F_m is flat between two of its atoms x_{s-1} and x_s,
+    while the empirical CDF F_e only rises there, so the largest gap on
+    that step is at one of its ends: |F_m(x_s) - F_e(x_s)| or
+    |F_m(x_{s-1}) - F_e(x_s-)|, with F_m(x_{-1}) = 0. Past the last atom
+    F_e rises to 1, so the last gap is |F_m(x_K) - 1|.
     """
+    n = len(sample_sorted)
     model_cdf = np.cumsum(model_p, axis=1)
-    emp_at_model = np.searchsorted(sample_sorted, model_x, side="right") / len(sample_sorted)
-    # Run r holds the atoms at or above r model atoms and below the rest;
-    # the model CDF there is its value at model atom r - 1 (0 for r = 0).
-    below = np.searchsorted(atoms, model_x, side="left")
-    edge = np.zeros((len(model_x), 1), dtype=below.dtype)
-    start = np.concatenate([edge, below], axis=1)
-    stop = np.concatenate([below, edge + len(atoms)], axis=1)
-    level = np.concatenate([edge, model_cdf], axis=1)
-    first = np.abs(level - emp_at_atoms[np.minimum(start, len(atoms) - 1)])
-    last = np.abs(level - emp_at_atoms[np.maximum(stop - 1, 0)])
-    at_atoms = np.where(stop > start, np.maximum(first, last), 0.0)
-    return np.maximum(at_atoms.max(axis=1), np.abs(model_cdf - emp_at_model).max(axis=1))
+    emp_at = np.searchsorted(sample_sorted, model_x, side="right") / n
+    emp_below = np.searchsorted(sample_sorted, model_x, side="left") / n
+    emp_below[:, 1:] -= model_cdf[:, :-1]  # |a - b| is |b - a| exactly
+    return np.maximum.reduce([np.abs(model_cdf - emp_at).max(axis=1),
+                              np.abs(emp_below).max(axis=1),
+                              np.abs(model_cdf[:, -1] - 1.0)])
 
 
 def estimate_tau(tsi_values, K: int) -> tuple[float, float]:
@@ -367,13 +357,9 @@ def estimate_tau(tsi_values, K: int) -> tuple[float, float]:
         raise DegenerateInput("input values must be finite")
     if tsi_values.size < 2 or tsi_values.std() == 0:
         raise DegenerateInput("input values have zero variance")
-    sample_sorted = np.sort(tsi_values)
-    run_starts = np.concatenate(([True], sample_sorted[1:] != sample_sorted[:-1]))
-    atoms = sample_sorted[run_starts]
-    emp_at_atoms = np.searchsorted(sample_sorted, atoms, side="right") / len(sample_sorted)
     taus = np.arange(1, 501) / 1000.0
     p, mean, std = _world_grid(K, taus)
     x = (np.arange(K + 1) - mean[:, None]) / std[:, None]
-    d = _ks_distances(x, p, sample_sorted, atoms, emp_at_atoms)
+    d = _ks_distances(x, p, np.sort(tsi_values))
     best = int(np.argmin(d))  # the first minimum: ties resolve to the smallest tau
     return float(taus[best]), float(d[best])

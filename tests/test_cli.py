@@ -105,6 +105,50 @@ class TestIngest:
         assert not out.exists()
 
 
+def _bad_header_matrix(tmp_path):
+    path = matrix_file(tmp_path, CONVERGENT)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("not a matrix file\n" + "".join(lines[1:]))
+    return path
+
+
+def _income(tmp_path, text="country,gdp,natural_rents\nZZZ,10,0\n"):
+    path = tmp_path / "income.csv"
+    path.write_text(text)
+    return path
+
+
+def _constant_tsi(tmp_path):
+    path = tmp_path / "products.csv"
+    TestFitTau._products_csv(path, np.zeros(50))
+    return path
+
+
+class TestFailedRunLeavesNoOutDir:
+    """Each command creates --out-dir only once its inputs are read and
+    checked, so a run that fails on them leaves no empty directory."""
+
+    @pytest.mark.parametrize("make_argv, code", [
+        (lambda tmp: ["simulate", "--K", "21", "--mode", "exact"], 74),
+        (lambda tmp: ["metrics", str(tmp / "missing.txt")], 2),
+        (lambda tmp: ["fit-tau", str(tmp / "missing.csv")], 2),
+        (lambda tmp: ["validate", str(_bad_header_matrix(tmp)), str(_income(tmp))], 65),
+        (lambda tmp: ["validate", str(matrix_file(tmp, CONVERGENT)), str(tmp / "missing.csv")],
+         2),
+        (lambda tmp: ["validate", str(matrix_file(tmp, CONVERGENT)),
+                      str(_income(tmp, "country,gdp\nZZZ,10\n"))], 65),
+        (lambda tmp: ["validate", str(matrix_file(tmp, CONVERGENT)), str(_income(tmp))], 77),
+        (lambda tmp: ["fit-tau", str(_constant_tsi(tmp))], 75),
+        (lambda tmp: ["ingest", str(tmp / "missing.csv")], 2),
+    ], ids=["simulate-infeasible", "metrics-missing", "fit-tau-missing",
+            "validate-bad-matrix", "validate-missing-income", "validate-bad-income",
+            "validate-empty-join", "fit-tau-constant", "ingest-missing"])
+    def test_no_out_dir(self, tmp_path, make_argv, code):
+        out = tmp_path / "o"
+        assert main([*make_argv(tmp_path), "--out-dir", str(out)]) == code
+        assert not out.exists()
+
+
 class TestMetrics:
     def test_full_battery(self, tmp_path):
         path = matrix_file(tmp_path, CONVERGENT)

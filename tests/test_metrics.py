@@ -245,6 +245,16 @@ class TestEciPci:
         with pytest.raises(DegenerateVector):
             eci_pci(BinaryMatrix.from_dense([[1, 1], [1, 1]]))
 
+    def test_peak_is_about_one_class_matrix(self):
+        """A is scaled in place and its buffer reused for W*, so the call
+        holds about one float country x class matrix at its peak."""
+        m = BinaryMatrix.from_dense(np.random.default_rng(0).random((230, 5000)) < 0.3)
+        n_classes = len(m.column_classes.first)  # built, and cached, before the trace
+        assert n_classes == 5000
+        peak = traced_peak(lambda: eci_pci(m))
+        # about 1.15x; 2.1x with a float temporary per step
+        assert peak <= 1.3 * 8 * m.n_countries * n_classes
+
 
 def _longdouble_fitness(dense, steps):
     """Independent extended-precision re-implementation of the iteration."""

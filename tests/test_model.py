@@ -4,6 +4,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 from conftest import entries, traced_peak
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from ecomplex import (
@@ -17,6 +19,7 @@ from ecomplex import (
     simulate_world,
     world_distribution,
 )
+from ecomplex.model import _ks_distances, _world_grid
 
 
 class TestParams:
@@ -378,6 +381,48 @@ def _reference_ks(model_x, model_p, sample):
     d_left = np.abs(np.concatenate([[0.0], model_cdf[:-1]])
                     - np.concatenate([[0.0], emp_cdf[:-1]]))
     return float(max(d_at.max(), d_left.max()))
+
+
+def _brute_force_ks(model_x, model_p, sample):
+    """The KS distance from its definition: both CDFs, and their left
+    limits, at every jump point of either, one point at a time."""
+    cdf = np.cumsum(model_p)
+
+    def model(t, left):
+        k = int(np.sum(model_x < t if left else model_x <= t))
+        return cdf[k - 1] if k else 0.0
+
+    def empirical(t, left):
+        return np.sum(sample < t if left else sample <= t) / len(sample)
+
+    return max(abs(model(t, left) - empirical(t, left))
+               for t in np.concatenate([model_x, sample]) for left in (False, True))
+
+
+@st.composite
+def _ks_cases(draw):
+    """Grid rows of the world distribution and a sample that may sit on
+    their atoms, below the first and above the last. Rows scaled to half
+    their mass are the ones where the gap past the last atom counts."""
+    K = draw(st.integers(1, 30))
+    steps = draw(st.lists(st.integers(1, 500), min_size=1, max_size=4, unique=True))
+    p, mean, std = _world_grid(K, np.array(sorted(steps)) / 1000.0)
+    p = p * draw(st.sampled_from([1.0, 0.5]))
+    x = (np.arange(K + 1) - mean[:, None]) / std[:, None]
+    edges = [*(x[:, 0] - 1.0), *np.nextafter(x[:, 0], -np.inf),
+             *np.nextafter(x[:, -1], np.inf), *(x[:, -1] + 1.0)]
+    value = st.one_of(st.sampled_from(x.ravel().tolist()), st.sampled_from(edges),
+                      st.floats(-20.0, 20.0))
+    sample = np.sort(np.array(draw(st.lists(value, min_size=1, max_size=50))))
+    return x, p, sample
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ks_cases())
+def test_ks_distances_equal_brute_force(case):
+    x, p, sample = case
+    got = _ks_distances(x, p, sample)
+    assert got.tolist() == [_brute_force_ks(xr, pr, sample) for xr, pr in zip(x, p)]  # bitwise
 
 
 def _reference_estimate_tau(values, K):
