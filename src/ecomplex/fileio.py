@@ -21,7 +21,7 @@ import math
 import sys
 import warnings
 from functools import partial
-from itertools import chain, islice
+from itertools import chain, count, islice
 from typing import NoReturn
 
 import numpy as np
@@ -42,6 +42,7 @@ __all__ = [
 _ENTRY_BLOCK = 1 << 16  # entry lines formatted per write
 _LABEL_BLOCK = 1 << 12  # label lines joined per write
 _SCAN_BLOCK = 1 << 20  # characters read at a time when counting lines
+_BLOCK_ROWS = 1 << 15  # CSV records tokenized per np.loadtxt call
 
 
 def sha256_file(path) -> str:
@@ -68,7 +69,7 @@ def _csv_records(path):
     csv.reader reads them. An empty file, or a record csv.reader cannot
     read (a field longer than csv.field_size_limit()), raises ParseError
     at the line where it starts."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         start = 1
         try:
@@ -98,33 +99,44 @@ class _Rejected(Exception):
     """The tokenizer or a column check rejected a CSV file."""
 
 
-def _csv_table(path, header: list[str], column: int | None = None) -> np.ndarray:
-    """The records after the header, tokenized once by numpy's C parser:
-    a 2-d object array of str, with one column when ``column`` is given.
+def _csv_blocks(path, header: list[str], column: int | None = None):
+    """The records after the header as 2-d object arrays of str, tokenized
+    by numpy's C parser _BLOCK_ROWS records at a time, with one column
+    when ``column`` is given. The first block is yielded even if empty.
 
-    The file is read as csv.reader reads it (newline="", so "\\r\\n" and
-    "\\r" end a record and stay as they are inside quotes); the parser
-    quotes as csv.reader does and skips blank lines. Raises _Rejected
-    when it rejects the file, for example at a ragged record, or when
-    its first record is not ``header``.
+    numpy iterates a handle's lines, so each np.loadtxt call reads on from
+    where the last stopped. The file is read as csv.reader reads it
+    (newline="", so "\\r\\n" and "\\r" end a record and stay as they are
+    inside quotes; a leading UTF-8 BOM is dropped); the parser quotes as
+    csv.reader does and skips blank lines. Raises _Rejected when it
+    rejects a record, when a block is not as wide as the header, or when
+    the first record is not ``header``.
     """
-    try:
-        with open(path, newline="", encoding="utf-8") as fh, warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # a file with no records warns
-            table = np.loadtxt(fh, dtype=object, delimiter=",", quotechar='"',
-                               comments=None, ndmin=2, usecols=column)
-    except ValueError:
-        raise _Rejected from None
-    if not len(table) or table[0].tolist() != (header if column is None else [header[column]]):
-        raise _Rejected
-    return table[1:]
+    expected = header if column is None else [header[column]]
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        skip = 1  # the header, the first block's first record
+        while True:
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)  # a block with no records warns
+                    block = np.loadtxt(fh, dtype=object, delimiter=",", quotechar='"', comments=None,
+                                       ndmin=2, usecols=column, max_rows=_BLOCK_ROWS)
+            except ValueError:
+                raise _Rejected from None
+            if skip and block[:1].tolist() != [expected] or len(block) and block.shape[1] != len(expected):
+                raise _Rejected
+            if len(block):
+                yield block[skip:]
+            if len(block) < _BLOCK_ROWS:
+                return
+            skip = 0
 
 
-def _finite_floats(cells, count: int) -> np.ndarray:
+def _finite_floats(cells, size: int = -1) -> np.ndarray:
     """Python's float of each cell; _Rejected unless every one parses
     and is finite."""
     try:
-        values = np.fromiter(map(float, cells), float, count)
+        values = np.fromiter(map(float, cells), float, size)
     except ValueError:
         raise _Rejected from None
     if not np.isfinite(values).all():
@@ -132,17 +144,25 @@ def _finite_floats(cells, count: int) -> np.ndarray:
     return values
 
 
-def _sorted_labels(column: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
+def _codes(cells: np.ndarray, seen: dict[str, int], start: int) -> np.ndarray:
+    """Each cell's code in ``seen``, a dict from cell text to the index of
+    the record where it first came; the cells are records start, start + 1, ..."""
+    return np.fromiter(map(seen.setdefault, cells, count(start)), np.int32, len(cells))
+
+
+def _sorted_labels(seen: dict[str, int], codes: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
     """The distinct stripped labels of a column in sorted order, and each
-    cell's position among them. Each distinct cell is stripped and
-    checked once; _Rejected at an empty label or one holding a line break."""
-    stripped = {text: text.strip() for text in set(column)}
-    labels = sorted(set(stripped.values()))
+    cell's position among them, from the cells' codes (see _codes). Each
+    distinct text is stripped and checked once; _Rejected at an empty
+    label or one holding a line break."""
+    stripped = [text.strip() for text in seen]
+    labels = sorted(set(stripped))
     if any(not label or label.splitlines() != [label] for label in labels):
         raise _Rejected
     position = {label: k for k, label in enumerate(labels)}
-    index = {text: position[label] for text, label in stripped.items()}
-    return tuple(labels), np.fromiter(map(index.__getitem__, column), np.intp, len(column))
+    remap = np.empty(len(codes), np.intp)
+    remap[np.fromiter(seen.values(), np.intp, len(seen))] = list(map(position.__getitem__, stripped))
+    return tuple(labels), remap[codes]
 
 
 def _read_records(path, read):
@@ -196,17 +216,23 @@ def read_trade_csv(path) -> ExportMatrix:
     header = _csv_header(path)
     if [h.strip() for h in header] != ["country", "product", "value"]:
         raise ParseError("expected header country,product,value", 1)
+    country_codes, product_codes, rows, cols, vals, start = {}, {}, [], [], [], 0
     try:
-        table = _csv_table(path, header)
-        countries, rows = _sorted_labels(table[:, 0])
-        products, cols = _sorted_labels(table[:, 1])
-        vals = _finite_floats(map(str.strip, table[:, 2]), len(table))
-        if (vals < 0).any():
-            raise _Rejected
+        for block in _csv_blocks(path, header):
+            rows.append(_codes(block[:, 0], country_codes, start))
+            cols.append(_codes(block[:, 1], product_codes, start))
+            vals.append(_finite_floats(map(str.strip, block[:, 2]), len(block)))
+            if (vals[-1] < 0).any():
+                raise _Rejected
+            start += len(block)
+        del block  # the last block's strings, freed before the summation
+        countries, rows = _sorted_labels(country_codes, np.concatenate(rows))
+        products, cols = _sorted_labels(product_codes, np.concatenate(cols))
     except _Rejected:
         _raise_first_csv_fault(path, _trade_fault)
-    del table
-    cells, inverse = np.unique(rows * len(products) + cols, return_inverse=True)
+    vals, cells = np.concatenate(vals), rows * len(products) + cols
+    del rows, cols
+    cells, inverse = np.unique(cells, return_inverse=True)
     # bincount adds each cell's values in file order from 0.0, as a running sum does
     totals = np.bincount(inverse, weights=vals, minlength=len(cells))
     keep = totals > 0
@@ -268,9 +294,8 @@ def read_tsi_column(path) -> np.ndarray:
         raise ParseError("no tsi column in header", 1)
     column = header.index("tsi")
     try:
-        cells = _csv_table(path, header, column)[:, 0]
-        cells = cells[cells != ""]
-        values = _finite_floats(cells, len(cells))
+        values = np.concatenate([_finite_floats(block[block[:, 0] != "", 0])
+                                 for block in _csv_blocks(path, header, column)])
     except _Rejected:
         _raise_first_csv_fault(path, partial(_tsi_fault, column))
     if len(values) < 2:

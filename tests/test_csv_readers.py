@@ -1,8 +1,9 @@
 """The CSV readers against a per-record reference.
 
-``read_trade_csv``, ``read_income_csv`` and the csv branch of
-``read_tsi_column`` tokenize a file once with numpy and check whole
-columns; a record loop runs only to name a rejected file's first fault.
+``read_trade_csv`` and ``read_tsi_column`` tokenize a file with numpy a
+block of records at a time and check whole columns of each block;
+``read_income_csv`` checks each record as csv.reader reads it. In the
+first two a record loop runs only to name a rejected file's first fault.
 The reference below is the record-by-record reading they replaced, kept
 here as the oracle: on any text the readers return what it returns, bit
 for bit, or raise its error with its message and line.
@@ -230,9 +231,14 @@ _SETTINGS = settings(max_examples=300, deadline=None,
                      suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
-@_SETTINGS
-@given(text=_TRADE_TEXTS)
-def test_trade_reader_agrees_with_reference(tmp_path, text):
+@pytest.fixture(params=[1, 2])
+def small_blocks(request, monkeypatch):
+    """The block tokenizer reads 1 or 2 records per np.loadtxt call, so
+    block boundaries fall between the records of a short text."""
+    monkeypatch.setattr(fileio, "_BLOCK_ROWS", request.param)
+
+
+def _check_trade(tmp_path, text):
     path = tmp_path / "t.csv"
     path.write_bytes(text.encode("utf-8"))
     expected, ref_error = _outcome(ref_read_trade_csv, path)
@@ -251,6 +257,18 @@ def test_trade_reader_agrees_with_reference(tmp_path, text):
 
 
 @_SETTINGS
+@given(text=_TRADE_TEXTS)
+def test_trade_reader_agrees_with_reference(tmp_path, text):
+    _check_trade(tmp_path, text)
+
+
+@_SETTINGS
+@given(text=_TRADE_TEXTS)
+def test_trade_reader_agrees_with_reference_in_small_blocks(tmp_path, small_blocks, text):
+    _check_trade(tmp_path, text)
+
+
+@_SETTINGS
 @given(text=_INCOME_TEXTS)
 def test_income_reader_agrees_with_reference(tmp_path, text):
     path = tmp_path / "i.csv"
@@ -266,9 +284,7 @@ def test_income_reader_agrees_with_reference(tmp_path, text):
         assert _bits(got.natural_rents) == _bits(expected.natural_rents)
 
 
-@_SETTINGS
-@given(text=_TSI_TEXTS)
-def test_tsi_reader_agrees_with_reference(tmp_path, text):
+def _check_tsi(tmp_path, text):
     path = tmp_path / "products.csv"
     path.write_bytes(text.encode("utf-8"))
     expected, ref_error = _outcome(ref_read_tsi_column, path)
@@ -278,6 +294,18 @@ def test_tsi_reader_agrees_with_reference(tmp_path, text):
     else:
         assert error is None
         assert _bits(got) == _bits(expected)
+
+
+@_SETTINGS
+@given(text=_TSI_TEXTS)
+def test_tsi_reader_agrees_with_reference(tmp_path, text):
+    _check_tsi(tmp_path, text)
+
+
+@_SETTINGS
+@given(text=_TSI_TEXTS)
+def test_tsi_reader_agrees_with_reference_in_small_blocks(tmp_path, small_blocks, text):
+    _check_tsi(tmp_path, text)
 
 
 # --- pinned cases ---------------------------------------------------------
@@ -393,6 +421,83 @@ def test_values_are_stripped_before_float(tmp_path):
     assert m.vals.tolist() == [13.0]
 
 
+def _matrix_facts(m):
+    return m.country_labels, m.product_labels, m.rows.tolist(), m.cols.tolist(), _bits(m.vals)
+
+
+def test_leading_bom_is_dropped_by_the_trade_reader(tmp_path):
+    """Excel's "CSV UTF-8" starts a file with a byte order mark; only a
+    leading one is dropped, and line numbers stay where they were."""
+    text = "country,product,value\na,x,1\n\ufeffb,y,2.5\n"
+    plain = read_trade_csv(_write(tmp_path / "plain.csv", text))
+    bom = _write(tmp_path / "bom.csv", "\ufeff" + text)
+    assert _matrix_facts(read_trade_csv(bom)) == _matrix_facts(plain)
+    assert plain.country_labels == ("a", "\ufeffb")
+    assert main(["ingest", str(bom), "--out-dir", str(tmp_path / "out")]) == 0
+    with pytest.raises(NegativeValue, match="^line 4: negative export value -1$"):
+        read_trade_csv(_write(tmp_path / "bad.csv", "\ufeff" + text + "c,z,-1\n"))
+
+
+def test_leading_bom_is_dropped_by_the_income_reader(tmp_path):
+    text = "country,gdp,natural_rents\na,1.5,0\nb,2,0.25\n"
+    plain = read_income_csv(_write(tmp_path / "plain.csv", text))
+    bom = read_income_csv(_write(tmp_path / "bom.csv", "\ufeff" + text))
+    assert bom.country_labels == plain.country_labels == ("a", "b")
+    assert _bits(bom.gdp) == _bits(plain.gdp) and _bits(bom.natural_rents) == _bits(plain.natural_rents)
+    with pytest.raises(ParseError, match="^line 3: gdp must be positive, got 0$"):
+        read_income_csv(_write(tmp_path / "bad.csv", "\ufeff" + text.replace("2,", "0,")))
+
+
+def test_leading_bom_is_dropped_by_the_tsi_reader(tmp_path):
+    text = "tsi,product\n0.5,p\n,q\n-1.25,r\n"
+    plain = read_tsi_column(_write(tmp_path / "plain.csv", text))
+    bom = read_tsi_column(_write(tmp_path / "bom.csv", "\ufeff" + text))
+    assert _bits(bom) == _bits(plain) == _bits([0.5, -1.25])
+    with pytest.raises(ParseError, match="^line 4: cannot parse value 'x'$"):
+        read_tsi_column(_write(tmp_path / "bad.csv", "\ufeff" + text.replace("-1.25", "x")))
+
+
+# --- block boundaries -----------------------------------------------------
+
+@pytest.mark.parametrize("block_rows", [1, 2, 3])
+def test_quoted_multiline_record_at_a_block_boundary(tmp_path, monkeypatch, block_rows):
+    """A record whose quoted fields span lines 3-5 ends a block of 3 and
+    starts one of 1 or 2; it is read whole, and a fault after it keeps
+    its physical line."""
+    text = 'country,product,value\na,x,1\n"b\n",y,"2\r\n"\nc,x,3\n'
+    expected = read_trade_csv(_write(tmp_path / "t.csv", text))
+    assert expected.country_labels == ("a", "b", "c") and expected.vals.tolist() == [1.0, 2.0, 3.0]
+    monkeypatch.setattr(fileio, "_BLOCK_ROWS", block_rows)
+    assert _matrix_facts(read_trade_csv(tmp_path / "t.csv")) == _matrix_facts(expected)
+    with pytest.raises(NegativeValue, match="^line 8: negative export value -1$"):
+        read_trade_csv(_write(tmp_path / "bad.csv", text + "\nd,x,-1\n"))
+
+
+@pytest.mark.parametrize("tail, fields", [("b,y\n", 2), ("b,y,1,2\n", 4)])
+def test_ragged_record_alone_in_a_later_block(tmp_path, small_blocks, tail, fields):
+    """np.loadtxt accepts a block whose records are all of one wrong
+    width; the reader checks each block against the header, and the fault
+    search names the record at its physical line."""
+    path = _write(tmp_path / "t.csv", 'country,product,value\n"a\n",x,1\n\n' + tail)
+    with pytest.raises(ParseError, match=f"^line 5: expected 3 fields, got {fields}$"):
+        read_trade_csv(path)
+    assert main(["ingest", str(path), "--out-dir", str(tmp_path / "out")]) == 65
+
+
+@pytest.mark.parametrize("text", ["country,product,value\n", "country,product,value\n\n\r\n\n"])
+def test_trade_file_with_no_records_in_small_blocks(tmp_path, small_blocks, text):
+    path = _write(tmp_path / "t.csv", text)
+    with pytest.raises(EmptyMatrix, match="no trade cell has a positive value"):
+        read_trade_csv(path)
+    assert main(["ingest", str(path), "--out-dir", str(tmp_path / "out")]) == 68
+
+
+def test_tsi_blank_cells_in_separate_blocks(tmp_path, small_blocks):
+    """With 2 records a block, the second block is blank cells only."""
+    path = _write(tmp_path / "products.csv", "product,tsi\np,\nq,\nr,\ns,1.5\nt,\nu,-2\n")
+    assert read_tsi_column(path).tolist() == [1.5, -2.0]
+
+
 # --- memory ---------------------------------------------------------------
 
 def _traced_peak(call) -> int:
@@ -408,8 +513,8 @@ def _traced_peak(call) -> int:
 
 
 class TestReaderMemory:
-    """The tokenized table is the largest thing a reader holds: one str
-    per cell it needs."""
+    """A reader holds one block of cells as Python strings; the trade
+    reader keeps per record only its label codes and value."""
 
     def test_trade_csv_of_200k_rows(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -418,8 +523,9 @@ class TestReaderMemory:
                     rng.integers(1, 10 ** 6, n).tolist())
         path = _write(tmp_path / "t.csv", "country,product,value\n"
                       + "".join(f"C{i:03d},{j:06d},{v}\n" for i, j, v in cells))
-        # about 11.2x; the per-record reader's dict of cells reached 16.3x
-        assert _traced_peak(lambda: read_trade_csv(path)) < 13 * path.stat().st_size
+        # about 77 bytes a record, at the final summation; tokenizing the whole
+        # file at once, with three str per record, reached 212
+        assert _traced_peak(lambda: read_trade_csv(path)) < 130 * n
 
     def test_tsi_column_of_100k_rows(self, tmp_path):
         tsi = np.random.default_rng(4).standard_normal(100_000).tolist()
