@@ -4,7 +4,9 @@ Every command is deterministic given its inputs, flags, and seed;
 re-running writes byte-identical files. Reports echo the effective
 value of each option the command reads and the sha256 of every input
 file so emitted numbers are traceable to a specific extract. No
-timestamps, no machine state.
+timestamps, no machine state. Each command is a thin shell over library
+calls: fileio reads every input and writes every matrix file and CSV
+table; this module writes only the JSON reports.
 
 Exit codes: 0 success, 2 usage/config errors, and one documented code
 per domain error class (see errors.py).
@@ -13,8 +15,6 @@ per domain error class (see errors.py).
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
@@ -34,8 +34,6 @@ __all__ = ["main", "entry",
            "cmd_ingest", "cmd_metrics", "cmd_simulate", "cmd_validate", "cmd_fit_tau"]
 
 DATA_DIR_ENV = "ECOMPLEX_DATA_DIR"
-
-_CSV_BLOCK = 1 << 12  # table rows formatted per write
 
 
 def _resolve_input(path: str) -> str:
@@ -66,46 +64,6 @@ def _json_default(obj):
 def _write_json(path: Path, payload: dict) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default)
     path.write_text(text + "\n", encoding="utf-8")
-
-
-def _cells(column) -> list[str]:
-    """A column's CSV cells: numbers as repr text (an int's repr is its
-    str), None as a blank cell, and labels as csv.writer writes them."""
-    if isinstance(column, np.ndarray):
-        texts, inverse = fileio._distinct_reprs(column)
-        return np.array(texts, dtype=object)[inverse].tolist()
-    cells = ["" if v is None else v for v in column]
-    if _csv_special("".join(cells)):
-        cells = list(map(_csv_cell, cells))
-    return cells
-
-
-def _csv_special(text: str) -> bool:
-    """Whether text holds a character csv.writer may quote a cell for;
-    plain substring tests, several times faster than a regex search."""
-    return "," in text or '"' in text or "\r" in text or "\n" in text
-
-
-def _csv_cell(text: str) -> str:
-    """One cell as csv.writer writes it in a row of two or more cells."""
-    if not _csv_special(text):
-        return text
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([text])
-    return buf.getvalue()[:-1]
-
-
-def _write_csv(path: Path, header: list[str], columns) -> None:
-    """Write the columns as rows, a block at a time, byte for byte as
-    csv.writer(lineterminator="\n") writes a table of two or more columns.
-    The first column sets the row count; a None column (a metric family
-    that failed) is written blank."""
-    columns = [[None] * len(columns[0]) if c is None else c for c in columns]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(_cells(header)) + "\n")
-        for start in range(0, len(columns[0]), _CSV_BLOCK):
-            block = [_cells(column[start:start + _CSV_BLOCK]) for column in columns]
-            fh.write("\n".join(map(",".join, zip(*block))) + "\n")
 
 
 def _out_dir(args) -> Path:
@@ -174,10 +132,10 @@ def cmd_metrics(args) -> int:
     out = _out_dir(args)
     cm, pm, eigen, iters, errors = run_metrics(bm, tol=args.tol, max_iter=args.max_iter)
     c_path, p_path = out / "countries.csv", out / "products.csv"
-    _write_csv(c_path, ["country", "d", "tdi", "eci", "fitness"],
-               [bm.country_labels, bm.diversification, cm.tdi, cm.eci, cm.fitness])
-    _write_csv(p_path, ["product", "u", "tsi", "pci", "q"],
-               [bm.product_labels, bm.ubiquity, pm.tsi, pm.pci, pm.q])
+    fileio.write_table(c_path, ["country", "d", "tdi", "eci", "fitness"],
+                       [bm.country_labels, bm.diversification, cm.tdi, cm.eci, cm.fitness])
+    fileio.write_table(p_path, ["product", "u", "tsi", "pci", "q"],
+                       [bm.product_labels, bm.ubiquity, pm.tsi, pm.pci, pm.q])
 
     report = {
         "config": args.config,
@@ -212,11 +170,11 @@ def cmd_simulate(args) -> int:
     pool_share = pool / pool.sum() if pool.sum() else pool
     pc_share = per_country / per_country.sum() if per_country.sum() else per_country
     hist_path = out / "sophistication.csv"
-    _write_csv(hist_path,
-               ["s", "predicted", "empirical_pool", "empirical_per_country",
-                "count_pool", "count_per_country"],
-               [predicted.support, predicted.probabilities, pool_share, pc_share,
-                pool.astype(np.int64), per_country.astype(np.int64)])
+    fileio.write_table(hist_path,
+                       ["s", "predicted", "empirical_pool", "empirical_per_country",
+                        "count_pool", "count_per_country"],
+                       [predicted.support, predicted.probabilities, pool_share, pc_share,
+                        pool.astype(np.int64), per_country.astype(np.int64)])
 
     report = {
         "config": args.config,
@@ -273,10 +231,10 @@ def cmd_validate(args) -> int:
         "fitness_dlogd": ["dlogd_norm", "fitness"],
     }
     for name, columns in scatter.items():
-        _write_csv(out / f"{name}.csv", ["country", *columns],
-                   [rep.join.matched, *(rep.design[c] for c in columns)])
-    _write_csv(out / "product_scatter.csv", ["product", "tsi", "pci", "q"],
-               [pm.product_labels, pm.tsi, pm.pci, pm.q])
+        fileio.write_table(out / f"{name}.csv", ["country", *columns],
+                           [rep.join.matched, *(rep.design[c] for c in columns)])
+    fileio.write_table(out / "product_scatter.csv", ["product", "tsi", "pci", "q"],
+                       [pm.product_labels, pm.tsi, pm.pci, pm.q])
     print(f"wrote {out / 'validation_report.json'} and scatter tables")
     return _families_exit(errors)
 
@@ -292,8 +250,8 @@ def cmd_fit_tau(args) -> int:
     model_cdf = dist.cdf()
     sample = np.sort(np.asarray(tsi_values))
     emp_cdf = np.searchsorted(sample, x, side="right") / len(sample)
-    _write_csv(out / "tau_cdf.csv", ["x", "model_cdf", "empirical_cdf"],
-               [x, model_cdf, emp_cdf])
+    fileio.write_table(out / "tau_cdf.csv", ["x", "model_cdf", "empirical_cdf"],
+                       [x, model_cdf, emp_cdf])
 
     report = {
         "config": args.config,

@@ -1,4 +1,8 @@
-"""File formats: trade/income CSV ingestion and the canonical matrix file.
+"""File formats: CSV tables in and out, and the canonical matrix file.
+
+Each CSV reader reads a file's header, and searches a rejected file's
+records for its first fault, with one csv.reader; write_table writes
+every output table as csv.writer would.
 
 The canonical matrix file is plain text, diff-able and bit-reproducible:
 
@@ -17,9 +21,11 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import math
 import sys
 import warnings
+from contextlib import contextmanager
 from functools import partial
 from itertools import chain, count, islice
 from typing import NoReturn
@@ -36,11 +42,12 @@ __all__ = [
     "read_tsi_column",
     "read_matrix",
     "write_matrix",
+    "write_table",
     "sha256_file",
 ]
 
 _ENTRY_BLOCK = 1 << 16  # entry lines formatted per write
-_LABEL_BLOCK = 1 << 12  # label lines joined per write
+_LINE_BLOCK = 1 << 12  # matrix label lines or table rows joined per write
 _SCAN_BLOCK = 1 << 20  # characters read at a time when counting lines
 _BLOCK_ROWS = 1 << 15  # CSV records tokenized per np.loadtxt call
 
@@ -86,13 +93,20 @@ def _csv_records(path):
             raise ParseError(f"cannot read record: {exc}", start) from None
 
 
-def _csv_header(path) -> list[str]:
-    """A CSV file's first record, as csv.reader reads it."""
-    records = _csv_records(path)
+@contextmanager
+def _csv_file(path):
+    """A CSV file's header row, read with csv.field_size_limit() in force,
+    and an iterator of its (line, fields) records after it, read with the
+    limit lifted, since numpy's tokenizer has none. Leaving the with block
+    closes the file and restores the limit."""
+    records, limit = _csv_records(path), csv.field_size_limit()
     try:
-        return next(records)
+        header = next(records)
+        csv.field_size_limit(sys.maxsize)
+        yield header, records
     finally:
         records.close()
+        csv.field_size_limit(limit)
 
 
 class _Rejected(Exception):
@@ -165,32 +179,9 @@ def _sorted_labels(seen: dict[str, int], codes: np.ndarray) -> tuple[tuple[str, 
     return tuple(labels), remap[codes]
 
 
-def _read_records(path, read):
-    """``read(records)``, where records are the (line, fields) records
-    after the header, read by csv.reader with its field limit lifted,
-    since numpy's tokenizer has none. The limit is restored before
-    anything leaves this function."""
-    limit = csv.field_size_limit(sys.maxsize)
-    records = _csv_records(path)
-    try:
-        next(records)  # the header, checked by the caller
-        return read(records)
-    finally:
-        records.close()
-        csv.field_size_limit(limit)
-
-
-def _raise_first_csv_fault(path, find_fault) -> NoReturn:
-    """Raise the first fault of a CSV file that the tokenizer or a column
-    check rejected. ``find_fault`` runs the reader's per-record checks in
-    file order over (line, fields) and raises at the first failing one,
-    with that record's physical line; it returns no data. A long field
-    before the fault is read, as the tokenizer read it."""
-    _read_records(path, find_fault)
-    raise ParseError("records do not tokenize as CSV")
-
-
-def _trade_fault(records) -> None:
+def _trade_fault(records) -> NoReturn:
+    """Raise the first fault of a rejected trade file's records, at the
+    physical line of the first record that fails a check."""
     for lineno, row in records:
         if len(row) != 3:
             raise ParseError(f"expected 3 fields, got {len(row)}", lineno)
@@ -201,6 +192,7 @@ def _trade_fault(records) -> None:
             raise ParseError("country or product label holds a line break", lineno)
         if _parse_value(raw, lineno) < 0:
             raise NegativeValue(f"negative export value {raw}", lineno)
+    raise ParseError("records do not tokenize as CSV")
 
 
 def read_trade_csv(path) -> ExportMatrix:
@@ -213,23 +205,23 @@ def read_trade_csv(path) -> ExportMatrix:
     matrix file keeps one label per line. Error line numbers are the
     physical line where the offending record starts.
     """
-    header = _csv_header(path)
-    if [h.strip() for h in header] != ["country", "product", "value"]:
-        raise ParseError("expected header country,product,value", 1)
-    country_codes, product_codes, rows, cols, vals, start = {}, {}, [], [], [], 0
-    try:
-        for block in _csv_blocks(path, header):
-            rows.append(_codes(block[:, 0], country_codes, start))
-            cols.append(_codes(block[:, 1], product_codes, start))
-            vals.append(_finite_floats(map(str.strip, block[:, 2]), len(block)))
-            if (vals[-1] < 0).any():
-                raise _Rejected
-            start += len(block)
-        del block  # the last block's strings, freed before the summation
-        countries, rows = _sorted_labels(country_codes, np.concatenate(rows))
-        products, cols = _sorted_labels(product_codes, np.concatenate(cols))
-    except _Rejected:
-        _raise_first_csv_fault(path, _trade_fault)
+    with _csv_file(path) as (header, records):
+        if [h.strip() for h in header] != ["country", "product", "value"]:
+            raise ParseError("expected header country,product,value", 1)
+        country_codes, product_codes, rows, cols, vals, start = {}, {}, [], [], [], 0
+        try:
+            for block in _csv_blocks(path, header):
+                rows.append(_codes(block[:, 0], country_codes, start))
+                cols.append(_codes(block[:, 1], product_codes, start))
+                vals.append(_finite_floats(map(str.strip, block[:, 2]), len(block)))
+                if (vals[-1] < 0).any():
+                    raise _Rejected
+                start += len(block)
+            del block  # the last block's strings, freed before the summation
+            countries, rows = _sorted_labels(country_codes, np.concatenate(rows))
+            products, cols = _sorted_labels(product_codes, np.concatenate(cols))
+        except _Rejected:
+            _trade_fault(records)
     vals, cells = np.concatenate(vals), rows * len(products) + cols
     del rows, cols
     cells, inverse = np.unique(cells, return_inverse=True)
@@ -245,59 +237,57 @@ def read_trade_csv(path) -> ExportMatrix:
     return ExportMatrix.from_coordinates(countries, products, rows, cols, vals)
 
 
-def _income_panel(records) -> IncomePanel:
-    rows: dict[str, tuple[float, float]] = {}  # country -> (gdp, rents), in file order
-    for lineno, row in records:
-        if len(row) != 3:
-            raise ParseError(f"expected 3 fields, got {len(row)}", lineno)
-        country, raw_gdp, raw_rents = (f.strip() for f in row)
-        if not country:
-            raise ParseError("empty country label", lineno)
-        if country in rows:
-            raise ParseError(f"duplicate country {country!r}", lineno)
-        gdp = _parse_value(raw_gdp, lineno)
-        if gdp <= 0:
-            raise ParseError(f"gdp must be positive, got {raw_gdp}", lineno)
-        rents = _parse_value(raw_rents, lineno)
-        if rents < 0:
-            raise NegativeValue(f"negative natural rents {raw_rents}", lineno)
-        rows[country] = gdp, rents
-    gdp, rents = np.array(list(rows.values()), dtype=float).reshape(-1, 2).T
-    return IncomePanel(tuple(rows), gdp, rents)
-
-
 def read_income_csv(path) -> IncomePanel:
     """country,gdp,natural_rents rows -> IncomePanel (file order kept).
     A panel holds one row per country, so each record is checked as
     csv.reader reads it; error line numbers are the physical line where
     the offending record starts."""
-    header = _csv_header(path)
-    if [h.strip() for h in header] != ["country", "gdp", "natural_rents"]:
-        raise ParseError("expected header country,gdp,natural_rents", 1)
-    return _read_records(path, _income_panel)
+    rows: dict[str, tuple[float, float]] = {}  # country -> (gdp, rents), in file order
+    with _csv_file(path) as (header, records):
+        if [h.strip() for h in header] != ["country", "gdp", "natural_rents"]:
+            raise ParseError("expected header country,gdp,natural_rents", 1)
+        for lineno, row in records:
+            if len(row) != 3:
+                raise ParseError(f"expected 3 fields, got {len(row)}", lineno)
+            country, raw_gdp, raw_rents = (f.strip() for f in row)
+            if not country:
+                raise ParseError("empty country label", lineno)
+            if country in rows:
+                raise ParseError(f"duplicate country {country!r}", lineno)
+            gdp = _parse_value(raw_gdp, lineno)
+            if gdp <= 0:
+                raise ParseError(f"gdp must be positive, got {raw_gdp}", lineno)
+            rents = _parse_value(raw_rents, lineno)
+            if rents < 0:
+                raise NegativeValue(f"negative natural rents {raw_rents}", lineno)
+            rows[country] = gdp, rents
+    gdp, rents = np.array(list(rows.values()), dtype=float).reshape(-1, 2).T
+    return IncomePanel(tuple(rows), gdp, rents)
 
 
-def _tsi_fault(column: int, records) -> None:
+def _tsi_fault(column: int, records) -> NoReturn:
+    """As _trade_fault, for a products table's tsi column."""
     for lineno, row in records:
         if column >= len(row):
             raise ParseError("short row", lineno)
         if row[column] != "":
             _parse_value(row[column], lineno)
+    raise ParseError("records do not tokenize as CSV")
 
 
 def read_tsi_column(path) -> np.ndarray:
     """The tsi column of a metrics products table, a CSV file tokenized
     for that column only. Blank cells are skipped; every other cell must
     parse as a finite float."""
-    header = _csv_header(path)
-    if "tsi" not in header:
-        raise ParseError("no tsi column in header", 1)
-    column = header.index("tsi")
-    try:
-        values = np.concatenate([_finite_floats(block[block[:, 0] != "", 0])
-                                 for block in _csv_blocks(path, header, column)])
-    except _Rejected:
-        _raise_first_csv_fault(path, partial(_tsi_fault, column))
+    with _csv_file(path) as (header, records):
+        if "tsi" not in header:
+            raise ParseError("no tsi column in header", 1)
+        column = header.index("tsi")
+        try:
+            values = np.concatenate([_finite_floats(block[block[:, 0] != "", 0])
+                                     for block in _csv_blocks(path, header, column)])
+        except _Rejected:
+            _tsi_fault(column, records)
     if len(values) < 2:
         raise DegenerateInput("need at least two tsi values")
     return values
@@ -314,6 +304,46 @@ def _distinct_reprs(values: np.ndarray) -> tuple[list[str], np.ndarray]:
     bits = values.view(f"u{values.itemsize}")
     distinct, inverse = np.unique(bits, return_inverse=True)
     return list(map(repr, distinct.view(values.dtype).tolist())), inverse
+
+
+def _cells(column) -> list[str]:
+    """A column's CSV cells: numbers as repr text (an int's repr is its
+    str), None as a blank cell, and labels as csv.writer writes them."""
+    if isinstance(column, np.ndarray):
+        texts, inverse = _distinct_reprs(column)
+        return np.array(texts, dtype=object)[inverse].tolist()
+    cells = ["" if v is None else v for v in column]
+    if _csv_special("".join(cells)):
+        cells = list(map(_csv_cell, cells))
+    return cells
+
+
+def _csv_special(text: str) -> bool:
+    """Whether text holds a character csv.writer may quote a cell for;
+    plain substring tests, several times faster than a regex search."""
+    return "," in text or '"' in text or "\r" in text or "\n" in text
+
+
+def _csv_cell(text: str) -> str:
+    """One cell as csv.writer writes it in a row of two or more cells."""
+    if not _csv_special(text):
+        return text
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text])
+    return buf.getvalue()[:-1]
+
+
+def write_table(path, header: list[str], columns) -> None:
+    """Write the columns (numpy arrays of numbers, or label sequences) as a
+    CSV table under its header, a block of rows at a time, byte for byte as
+    csv.writer(lineterminator="\n") writes two or more columns. The first
+    column sets the row count; a None column (a failed metric family) is blank."""
+    columns = [[None] * len(columns[0]) if c is None else c for c in columns]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(_cells(header)) + "\n")
+        for start in range(0, len(columns[0]), _LINE_BLOCK):
+            block = [_cells(column[start:start + _LINE_BLOCK]) for column in columns]
+            fh.write("\n".join(map(",".join, zip(*block))) + "\n")
 
 
 def _index_texts(count: int, end: bytes) -> np.ndarray:
@@ -337,8 +367,8 @@ def write_matrix(m, path) -> None:
         fh.write(f"countries={m.n_countries} products={m.n_products} entries={m.n_entries}\n"
                  .encode("utf-8"))
         for prefix, labels in (("c ", m.country_labels), ("p ", m.product_labels)):
-            for start in range(0, len(labels), _LABEL_BLOCK):
-                block = labels[start:start + _LABEL_BLOCK]
+            for start in range(0, len(labels), _LINE_BLOCK):
+                block = labels[start:start + _LINE_BLOCK]
                 fh.write((prefix + f"\n{prefix}".join(block) + "\n").encode("utf-8"))
         for start in range(0, m.n_entries, _ENTRY_BLOCK):
             stop = min(start + _ENTRY_BLOCK, m.n_entries)

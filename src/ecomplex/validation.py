@@ -106,6 +106,8 @@ def spearman(x, y) -> CorrelationResult:
         raise ValueError("x and y must be equal-length vectors")
     if x.size < 3:
         raise DegenerateInput(f"need at least 3 observations, got {x.size}")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise DegenerateInput("correlation inputs must be finite")
     if np.all(x == x[0]) or np.all(y == y[0]):
         raise DegenerateInput("constant vector has no rank ordering")
     return CorrelationResult(statistic=_spearman(x, y), method="spearman", n=x.size)
@@ -186,8 +188,9 @@ def ols(y, X, intercept: bool = True) -> RegressionResult:
     requested, is appended last so coefficient order matches the
     regressor list. R-squared is centered when an intercept is included
     and uncentered otherwise. P-values are two-sided, from Student's t
-    with n - k degrees of freedom. Raises Collinear when the design
-    matrix condition number exceeds 1e10.
+    with n - k degrees of freedom. Raises DegenerateInput at a non-finite
+    response or regressor value, and Collinear when the design matrix
+    condition number exceeds 1e10.
     """
     y = np.asarray(y, dtype=float)
     cols = [np.asarray(c, dtype=float) for c in X]
@@ -200,6 +203,8 @@ def ols(y, X, intercept: bool = True) -> RegressionResult:
     if intercept:
         cols = cols + [np.ones(n)]
     design = np.column_stack(cols)
+    if not (np.isfinite(y).all() and np.isfinite(design).all()):
+        raise DegenerateInput("response and regressors must be finite")
     k = design.shape[1]
     if n < k + 1:
         raise DegenerateInput(

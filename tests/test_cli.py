@@ -739,8 +739,8 @@ class TestCsvWriter:
         columns = [tuple(labels), np.array(floats, dtype=float),
                    np.arange(len(labels), dtype=np.int64) - 2 ** 40, [None] * len(labels)]
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cli, "_CSV_BLOCK", 3)
-            cli._write_csv(path, self.HEADER, columns)
+            mp.setattr(fileio, "_LINE_BLOCK", 3)
+            fileio.write_table(path, self.HEADER, columns)
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(self.HEADER)
@@ -788,13 +788,13 @@ class TestDistinctNumbers:
            ints=_repeats(st.one_of(st.sampled_from(_INT_EDGES), st.integers(-2**63, 2**63 - 1))))
     @example(floats=[-0.0, 0.0, -0.0, 0.0], ints=[0, 1, 0, 1])  # equal values, distinct bits
     def test_tables_equal_per_value_text(self, tmp_path, monkeypatch, floats, ints):
-        monkeypatch.setattr(cli, "_CSV_BLOCK", 3)
+        monkeypatch.setattr(fileio, "_LINE_BLOCK", 3)
         rows = min(len(floats), len(ints))
         floats, ints = floats[:rows], ints[:rows]
         labels = tuple(f"p{k}" for k in range(rows))
         columns = [labels, np.array(floats), np.array(ints, dtype=np.int64)]
         header = ["label", "x", "n"]
-        cli._write_csv(tmp_path / "t.csv", header, columns)
+        fileio.write_table(tmp_path / "t.csv", header, columns)
         expected = ["label,x,n"] + [f"{lab},{x!r},{n!r}" for lab, x, n in zip(labels, floats, ints)]
         assert (tmp_path / "t.csv").read_text() == "\n".join(expected) + "\n"
 

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ecomplex import BinaryMatrix, cli, fileio, write_matrix
+from ecomplex import BinaryMatrix, fileio, write_matrix
 from ecomplex.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -114,7 +114,7 @@ def test_outputs_match_golden_files_in_small_blocks(tmp_path, monkeypatch):
     spans several blocks and still has the golden bytes."""
     monkeypatch.setattr(fileio, "_ENTRY_BLOCK", 3)
     monkeypatch.setattr(fileio, "_SCAN_BLOCK", 3)
-    monkeypatch.setattr(cli, "_CSV_BLOCK", 3)
+    monkeypatch.setattr(fileio, "_LINE_BLOCK", 3)
     monkeypatch.chdir(tmp_path)
     outputs = run_all(Path("."))
     for name in RUNS:

@@ -370,6 +370,36 @@ class TestMonteCarloLaw:
         assert tested >= 5
 
 
+class TestUbiquityLaw:
+    """Under nesting a product's ubiquity is u = K + 1 - top tech, and the
+    top tech is at most m with probability (1+tau)^-(K-m), in both modes;
+    so P(u >= v) = (1+tau)^-(v-1) for v = 1..K+1, a geometric law
+    truncated at K + 1. The empirical survival of u stays within 2/sqrt(n)
+    of it: by the DKW inequality a sup deviation that large has
+    probability below 2 exp(-8) for n independent products."""
+
+    @staticmethod
+    def max_deviation(world, tau: float, K: int) -> tuple[float, int]:
+        u = world.matrix.ubiquity
+        v = np.arange(1, K + 2)
+        survival = (u[:, None] >= v).mean(axis=0)
+        return float(np.abs(survival - (1 + tau) ** -(v - 1.0)).max()), u.size
+
+    @pytest.mark.parametrize("tau", [0.07, 0.15])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_mc_world(self, tau, seed):
+        world = simulate_world(ModelParams(tau=tau, K=221), "mc", samples=20_000, seed=seed)
+        deviation, n = self.max_deviation(world, tau, 221)
+        assert n == 20_000  # no draw merged: the law holds for every product
+        assert deviation < 2 / math.sqrt(n)  # 0.0028-0.0053 against 0.0141
+
+    def test_exact_world(self):
+        world = simulate_world(ModelParams(tau=0.5, K=18), "exact", seed=2)
+        deviation, n = self.max_deviation(world, 0.5, 18)
+        assert n == 1469
+        assert deviation < 2 / math.sqrt(n)  # 0.0149 against 0.0522
+
+
 def _reference_ks(model_x, model_p, sample):
     """The KS distance evaluated on the full merged grid, as a direct
     transcription of its definition."""

@@ -48,6 +48,15 @@ class TestSpearman:
         with pytest.raises(DegenerateInput):
             spearman([1.0, 2.0, 3.0], [5.0, 5.0, 5.0])
 
+    def test_non_finite_input_rejected(self):
+        """A NaN once made the statistic NaN, which the result rejected
+        with a ValueError; it is degenerate input (exit 75)."""
+        with pytest.raises(DegenerateInput, match="^correlation inputs must be finite$") as info:
+            spearman([math.nan, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0])
+        assert info.value.exit_code == 75
+        with pytest.raises(DegenerateInput):
+            spearman([1.0, 2.0, 3.0, 4.0], [1.0, math.inf, 3.0, 4.0])
+
     def test_shape_errors(self):
         with pytest.raises(DegenerateInput, match="need at least 3 observations, got 2"):
             spearman([1.0, 2.0], [1.0, 2.0])
@@ -112,6 +121,21 @@ class TestOls:
         with pytest.raises(Collinear):
             # constant regressor duplicates the intercept column
             ols([1.0, 2.0, 1.0, 2.0, 3.0], [[1.0] * 5])
+
+    def test_non_finite_response_rejected(self):
+        """A NaN response once gave NaN coefficients with r_squared 0.0."""
+        with pytest.raises(DegenerateInput, match="^response and regressors must be finite$"):
+            ols([1.0, math.nan, 3.0, 4.0, 5.0], [[1.0, 2.0, 3.0, 4.5, 5.0]])
+        with pytest.raises(DegenerateInput):
+            ols([1.0, -math.inf, 3.0, 4.0, 5.0], [[1.0, 2.0, 3.0, 4.5, 5.0]], intercept=False)
+
+    def test_non_finite_regressor_rejected(self):
+        """A NaN regressor once failed in the SVD of the condition number
+        with numpy's LinAlgError."""
+        with pytest.raises(DegenerateInput, match="^response and regressors must be finite$"):
+            ols([1.0, 2.0, 3.0, 4.0, 5.0], [[1.0, 2.0, math.nan, 4.5, 5.0]])
+        with pytest.raises(DegenerateInput):
+            ols([1.0, 2.0, 3.0, 4.0, 5.0], [[1.0, 2.0, 3.0, 4.5, 5.0], [0.0, 1.0, 0.0, math.inf, 2.0]])
 
     def test_too_few_observations(self):
         with pytest.raises(DegenerateInput):
