@@ -2,6 +2,10 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
+from collections import Counter
+from functools import cached_property
 from itertools import islice
 from pathlib import Path
 
@@ -19,6 +23,7 @@ from ecomplex import (
     DegenerateSpectrum,
     DegenerateVector,
     DisconnectedMatrix,
+    EcomplexError,
     ModelParams,
     NonConvergence,
     NumericalUnderflow,
@@ -575,7 +580,183 @@ class TestRunMetrics:
                 return _original(*args, **kwargs)
             monkeypatch.setattr(metrics, name, counted)
         compute_metrics(BinaryMatrix.from_dense(_CONVERGENT))
-        assert calls == ["tdi", "tsi", "eci_pci", "fitness_complexity"]
+        # eci_pci runs on a second thread, so only the calls, not their order, are fixed
+        assert Counter(calls) == Counter(["tdi", "tsi", "eci_pci", "fitness_complexity"])
+
+
+def _bits(v) -> np.ndarray:
+    return np.ascontiguousarray(v, dtype=float).view(np.uint64)
+
+
+def _one_after_another(m: BinaryMatrix) -> dict:
+    """Each family's outputs, or the EcomplexError it raised, from the
+    public functions called one after another on this thread."""
+    out = {}
+    for name, call in (("tdi", lambda: (tdi(m),)), ("tsi", lambda: (tsi(m),)),
+                       ("eci_pci", lambda: eci_pci(m)), ("fitness", lambda: fitness_complexity(m))):
+        try:
+            out[name] = call()
+        except EcomplexError as exc:
+            out[name] = exc
+    return out
+
+
+def _assert_one_after_another(result, ref: dict):
+    """run_metrics' result holds ref's outputs bit for bit and its
+    errors, by type and message, in FAMILIES order."""
+    cm, pm, eigen, iters, errors = result
+    got = {"tdi": (cm.tdi,), "tsi": (pm.tsi,), "eci_pci": (cm.eci, pm.pci, eigen),
+           "fitness": (cm.fitness, pm.q, iters)}
+    assert list(errors) == [name for name, want in ref.items() if isinstance(want, EcomplexError)]
+    for name, want in ref.items():
+        if name in errors:
+            assert type(errors[name]) is type(want) and str(errors[name]) == str(want)
+            assert all(g is None for g in got[name])
+            continue
+        for g, w in zip(got[name], want, strict=True):
+            if isinstance(w, np.ndarray):
+                assert_array_equal(_bits(g), _bits(w))
+            else:
+                assert g == w
+
+
+class TestThreadedRunMetrics:
+    """run_metrics runs ECI/PCI on a second thread while TDI, TSI and
+    fitness run on the caller's."""
+
+    @pytest.mark.parametrize("world", ["dense", "nested"])
+    def test_bitwise_equal_to_the_families_one_after_another(self, world):
+        if world == "dense":
+            dense = np.random.default_rng(3).random((230, 5000)) < 0.09
+            m = prune_degenerate(BinaryMatrix.from_dense(dense))
+        else:
+            params = ModelParams(tau=0.07, K=60)
+            m = prune_degenerate(simulate_world(params, mode="mc", samples=5000, seed=2).matrix)
+        ref = _one_after_another(m)
+        failed = [name for name, want in ref.items() if isinstance(want, EcomplexError)]
+        assert failed == ([] if world == "dense" else ["fitness"])
+        for _ in range(3):
+            _assert_one_after_another(run_metrics(m), ref)
+
+    def test_concurrent_callers_under_fast_switching(self):
+        """Four callers, so eight threads, with the interpreter switching
+        threads every microsecond: every call gives the results and errors
+        of the families run one after another."""
+        worlds = [random_connected_matrix(np.random.default_rng(seed)) for seed in range(3)]
+        worlds.append(BinaryMatrix.from_dense(_STAR))  # fitness underflows
+        refs = [_one_after_another(m) for m in worlds]
+        assert isinstance(refs[-1]["fitness"], NumericalUnderflow)
+        failures = []
+
+        def caller():
+            try:
+                for _ in range(5):
+                    for m, ref in zip(worlds, refs):
+                        _assert_one_after_another(run_metrics(m), ref)
+            except BaseException as exc:  # kept for the assertion below
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=caller) for _ in range(4)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert failures == []
+
+    def test_errors_keep_the_family_order(self, monkeypatch):
+        """ECI/PCI fails only after fitness has, on a daemon thread of its
+        own, and is still listed first; fitness runs on the caller's thread,
+        where the benchmark's tracer counts its iterations."""
+        fitness_failed = threading.Event()
+        threads = {}
+
+        def eci_fails(m):
+            threads["eci_pci"] = threading.current_thread()
+            assert fitness_failed.wait(30)
+            raise DegenerateSpectrum("eci")
+
+        def fitness_fails(m, **kwargs):
+            threads["fitness"] = threading.current_thread()
+            fitness_failed.set()
+            raise NonConvergence("fitness")
+
+        monkeypatch.setattr(metrics, "eci_pci", eci_fails)
+        monkeypatch.setattr(metrics, "fitness_complexity", fitness_fails)
+        cm, pm, eigen, iters, errors = run_metrics(BinaryMatrix.from_dense(_CONVERGENT))
+        assert list(errors) == ["eci_pci", "fitness"]
+        assert (cm.eci, cm.fitness, eigen, iters) == (None, None, None, None)
+        assert_array_equal(cm.tdi, tdi(BinaryMatrix.from_dense(_CONVERGENT)))
+        assert threads["fitness"] is threading.current_thread()
+        assert threads["eci_pci"] is not threads["fitness"] and threads["eci_pci"].daemon
+
+    def test_second_thread_failure_propagates(self, monkeypatch, capsys):
+        hooked = []
+        monkeypatch.setattr(threading, "excepthook", hooked.append)
+        fitness_failed = threading.Event()
+
+        def eci_breaks(m):
+            fitness_failed.wait(30)
+            raise RuntimeError("a bug in eci_pci")
+
+        def fitness_breaks(m, **kwargs):
+            fitness_failed.set()
+            return 1 / 0
+
+        monkeypatch.setattr(metrics, "eci_pci", eci_breaks)
+        fitness_failed.set()
+        with pytest.raises(RuntimeError, match="a bug in eci_pci"):
+            run_metrics(BinaryMatrix.from_dense(_CONVERGENT))
+        # ECI/PCI comes before fitness in FAMILIES, so its failure wins over
+        # fitness's, though fitness failed first
+        fitness_failed.clear()
+        monkeypatch.setattr(metrics, "fitness_complexity", fitness_breaks)
+        with pytest.raises(RuntimeError, match="a bug in eci_pci"):
+            run_metrics(BinaryMatrix.from_dense(_CONVERGENT))
+        assert hooked == []
+        assert capsys.readouterr().err == ""
+
+    def test_caller_thread_failure_starts_no_later_family(self, monkeypatch):
+        started = []
+        monkeypatch.setattr(metrics, "tsi", lambda m: 1 / 0)
+        monkeypatch.setattr(metrics, "fitness_complexity",
+                            lambda m, **kwargs: started.append("fitness"))
+        with pytest.raises(ZeroDivisionError):
+            run_metrics(BinaryMatrix.from_dense(_CONVERGENT))
+        assert started == []
+
+    def test_column_classes_built_once_per_call(self, monkeypatch):
+        builds = []
+        build = BinaryMatrix.column_classes.func
+
+        def counted(self):
+            builds.append(self)
+            time.sleep(0.05)  # time for a second thread to start a build of its own
+            return build(self)
+
+        prop = cached_property(counted)
+        prop.__set_name__(BinaryMatrix, "column_classes")
+        monkeypatch.setattr(BinaryMatrix, "column_classes", prop)
+        for seed in range(3):
+            m = random_connected_matrix(np.random.default_rng(seed))
+            run_metrics(m)
+            assert len(builds) == 1 and builds[0] is m
+            builds.clear()
+
+    def test_peak_is_about_two_class_matrices(self):
+        """ECI/PCI's scaled class matrix and fitness's float copy of it are
+        alive at the same time."""
+        m = BinaryMatrix.from_dense(np.random.default_rng(0).random((230, 5000)) < 0.3)
+        n_classes = len(m.column_classes.first)  # built, and cached, before the trace
+        assert n_classes == 5000
+        peak = traced_peak(lambda: run_metrics(m))
+        # about 2.15x; 1.15x with the families run one after another
+        assert peak <= 2.3 * 8 * m.n_countries * n_classes
 
 
 class TestColumnClasses:
