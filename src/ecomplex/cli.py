@@ -4,9 +4,11 @@ Every command is deterministic given its inputs, flags, and seed;
 re-running writes byte-identical files. Reports echo the effective
 value of each option the command reads and the sha256 of every input
 file so emitted numbers are traceable to a specific extract. No
-timestamps, no machine state. Each command is a thin shell over library
-calls: fileio reads every input and writes every matrix file and CSV
-table; this module writes only the JSON reports.
+timestamps, no machine state. Each input path is opened as given,
+relative to the working directory. Each command is a thin shell over
+library calls: fileio reads every input and writes every matrix file and
+CSV table; this module writes only the JSON reports, all through
+``_write_report``.
 
 Exit codes: 0 success, 2 usage/config errors, and one documented code
 per domain error class (see errors.py).
@@ -16,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict, is_dataclass
 from pathlib import Path
@@ -33,21 +34,6 @@ from .validation import run_paper_regressions
 __all__ = ["main", "entry",
            "cmd_ingest", "cmd_metrics", "cmd_simulate", "cmd_validate", "cmd_fit_tau"]
 
-DATA_DIR_ENV = "ECOMPLEX_DATA_DIR"
-
-
-def _resolve_input(path: str) -> str:
-    """Relative input paths fall back to $ECOMPLEX_DATA_DIR when not found."""
-    p = Path(path)
-    if p.exists() or p.is_absolute():
-        return str(p)
-    base = os.environ.get(DATA_DIR_ENV)
-    if base:
-        candidate = Path(base) / p
-        if candidate.exists():
-            return str(candidate)
-    return str(p)
-
 
 def _json_default(obj):
     """Dataclasses are written as their fields, numpy values as Python
@@ -61,9 +47,14 @@ def _json_default(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default)
-    path.write_text(text + "\n", encoding="utf-8")
+def _write_report(out: Path, name: str, args, inputs, **fields) -> None:
+    """Write out/<name>_report.json: the options the command reads, the
+    sha256 of each input file by its path, and the command's own fields."""
+    report = {"config": args.config,
+              "inputs": {str(Path(p)): fileio.sha256_file(p) for p in inputs},
+              **fields}
+    text = json.dumps(report, indent=2, sort_keys=True, default=_json_default)
+    (out / f"{name}_report.json").write_text(text + "\n", encoding="utf-8")
 
 
 def _out_dir(args) -> Path:
@@ -74,9 +65,8 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _load_binary(args) -> tuple[BinaryMatrix, str]:
-    resolved = _resolve_input(args.matrix)
-    mat = fileio.read_matrix(resolved)
+def _load_binary(args) -> BinaryMatrix:
+    mat = fileio.read_matrix(args.matrix)
     if isinstance(mat, ExportMatrix):
         if args.filter == "rca":
             bm = rca_binarize(mat, args.rca_threshold)
@@ -87,29 +77,20 @@ def _load_binary(args) -> tuple[BinaryMatrix, str]:
             raise ParseError("the rca filter needs a valued matrix file; "
                              "this one is already binary")
         bm = mat
-    return prune_degenerate(bm), resolved
+    return prune_degenerate(bm)
 
 
 def cmd_ingest(args) -> int:
-    resolved = _resolve_input(args.trade_csv)
-    x = fileio.read_trade_csv(resolved)
+    x = fileio.read_trade_csv(args.trade_csv)
     out = _out_dir(args)
     matrix_path = out / "matrix.txt"
     fileio.write_matrix(x, matrix_path)
     cells = x.n_countries * x.n_products
     fill = x.n_entries / cells if cells else 0.0
-    report = {
-        "config": args.config,
-        "inputs": {resolved: fileio.sha256_file(resolved)},
-        "matrix": {
-            "countries": x.n_countries,
-            "products": x.n_products,
-            "entries": x.n_entries,
-            "fill": fill,
-        },
-        "output": matrix_path.name,
-    }
-    _write_json(out / "ingest_report.json", report)
+    _write_report(out, "ingest", args, [args.trade_csv],
+                  matrix={"countries": x.n_countries, "products": x.n_products,
+                          "entries": x.n_entries, "fill": fill},
+                  output=matrix_path.name)
     print(f"countries={x.n_countries} products={x.n_products} "
           f"entries={x.n_entries} fill={fill:.4f}")
     print(f"wrote {matrix_path}")
@@ -128,30 +109,22 @@ def _families_exit(errors: dict) -> int:
 
 
 def cmd_metrics(args) -> int:
-    bm, resolved = _load_binary(args)
-    out = _out_dir(args)
+    bm = _load_binary(args)
     cm, pm, eigen, iters, errors = run_metrics(bm, tol=args.tol, max_iter=args.max_iter)
+    out = _out_dir(args)
     c_path, p_path = out / "countries.csv", out / "products.csv"
     fileio.write_table(c_path, ["country", "d", "tdi", "eci", "fitness"],
                        [bm.country_labels, bm.diversification, cm.tdi, cm.eci, cm.fitness])
     fileio.write_table(p_path, ["product", "u", "tsi", "pci", "q"],
                        [bm.product_labels, bm.ubiquity, pm.tsi, pm.pci, pm.q])
-
-    report = {
-        "config": args.config,
-        "inputs": {resolved: fileio.sha256_file(resolved)},
-        "matrix": {
-            "countries": bm.n_countries,
-            "products": bm.n_products,
-            "entries": bm.n_entries,
-            "product_classes": len(bm.column_classes.first),
-        },
-        "errors": errors,
-        "eigen": eigen,
-        "fitness_iterations": iters,
-        "outputs": [c_path.name, p_path.name],
-    }
-    _write_json(out / "metrics_report.json", report)
+    _write_report(out, "metrics", args, [args.matrix],
+                  matrix={"countries": bm.n_countries, "products": bm.n_products,
+                          "entries": bm.n_entries,
+                          "product_classes": len(bm.column_classes.first)},
+                  errors=errors,
+                  eigen=eigen,
+                  fitness_iterations=iters,
+                  outputs=[c_path.name, p_path.name])
     print(f"wrote {c_path} {p_path}")
     return _families_exit(errors)
 
@@ -175,53 +148,33 @@ def cmd_simulate(args) -> int:
                         "count_pool", "count_per_country"],
                        [predicted.support, predicted.probabilities, pool_share, pc_share,
                         pool.astype(np.int64), per_country.astype(np.int64)])
-
-    report = {
-        "config": args.config,
-        "inputs": {},
-        "world": {
-            "countries": world.matrix.n_countries,
-            "products": world.matrix.n_products,
-            "entries": world.matrix.n_entries,
-        },
-        "diversification": world.matrix.diversification,
-        "outputs": [matrix_path.name, hist_path.name],
-    }
-    _write_json(out / "simulate_report.json", report)
+    _write_report(out, "simulate", args, [],
+                  world={"countries": world.matrix.n_countries,
+                         "products": world.matrix.n_products,
+                         "entries": world.matrix.n_entries},
+                  diversification=world.matrix.diversification,
+                  outputs=[matrix_path.name, hist_path.name])
     print(f"wrote {matrix_path} {hist_path}")
     return 0
 
 
 def cmd_validate(args) -> int:
-    bm, resolved_matrix = _load_binary(args)
-    resolved_income = _resolve_input(args.income_csv)
-    panel = fileio.read_income_csv(resolved_income)
-
+    bm = _load_binary(args)
+    panel = fileio.read_income_csv(args.income_csv)
     cm, pm, eigen, iters, errors = run_metrics(bm, tol=args.tol, max_iter=args.max_iter)
     rep = run_paper_regressions(bm, panel, cm, pm)
     out = _out_dir(args)
-
-    report = {
-        "config": args.config,
-        "inputs": {
-            resolved_matrix: fileio.sha256_file(resolved_matrix),
-            resolved_income: fileio.sha256_file(resolved_income),
-        },
-        "join": rep.join,
-        "rent_offset": rep.rent_offset,
-        "regressions": {
-            "rank_rank": rep.rank_rank,
-            "log_log": rep.log_log,
-            "eci_on_tdi": rep.eci_on_tdi,
-            "fitness_on_dlogd": rep.fitness_on_dlogd,
-        },
-        "spearman_gdp_d": rep.spearman_gdp_d,
-        "product_spearman": rep.product_spearman,
-        "errors": {**errors, **rep.errors},
-        "eigen": eigen,
-        "fitness_iterations": iters,
-    }
-    _write_json(out / "validation_report.json", report)
+    _write_report(out, "validation", args, [args.matrix, args.income_csv],
+                  join=rep.join,
+                  rent_offset=rep.rent_offset,
+                  regressions={"rank_rank": rep.rank_rank, "log_log": rep.log_log,
+                               "eci_on_tdi": rep.eci_on_tdi,
+                               "fitness_on_dlogd": rep.fitness_on_dlogd},
+                  spearman_gdp_d=rep.spearman_gdp_d,
+                  product_spearman=rep.product_spearman,
+                  errors={**errors, **rep.errors},
+                  eigen=eigen,
+                  fitness_iterations=iters)
 
     # Scatter tables for the joined sample, plot-ready.
     scatter = {
@@ -240,8 +193,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_fit_tau(args) -> int:
-    resolved = _resolve_input(args.metrics_csv)
-    tsi_values = fileio.read_tsi_column(resolved)
+    tsi_values = fileio.read_tsi_column(args.metrics_csv)
     tau_hat, ks = estimate_tau(tsi_values, args.K)
     out = _out_dir(args)
 
@@ -252,16 +204,11 @@ def cmd_fit_tau(args) -> int:
     emp_cdf = np.searchsorted(sample, x, side="right") / len(sample)
     fileio.write_table(out / "tau_cdf.csv", ["x", "model_cdf", "empirical_cdf"],
                        [x, model_cdf, emp_cdf])
-
-    report = {
-        "config": args.config,
-        "inputs": {resolved: fileio.sha256_file(resolved)},
-        "tau_hat": tau_hat,
-        "ks_distance": ks,
-        "n": int(len(tsi_values)),
-        "outputs": ["tau_cdf.csv"],
-    }
-    _write_json(out / "tau_report.json", report)
+    _write_report(out, "tau", args, [args.metrics_csv],
+                  tau_hat=tau_hat,
+                  ks_distance=ks,
+                  n=int(len(tsi_values)),
+                  outputs=["tau_cdf.csv"])
     print(f"tau_hat={tau_hat} ks={ks:.6f}")
     return 0
 
@@ -348,7 +295,7 @@ def _merge_config(parser: argparse.ArgumentParser, options: dict[str, argparse.A
     args = parser.parse_args(argv)
     if args.config_file:
         try:
-            loaded = json.loads(Path(_resolve_input(args.config_file)).read_text(encoding="utf-8"))
+            loaded = json.loads(Path(args.config_file).read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ParseError(f"config file is not valid JSON: {exc}") from None
         if not isinstance(loaded, dict):

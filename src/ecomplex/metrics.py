@@ -157,9 +157,9 @@ def _flip(v: np.ndarray, ref: np.ndarray, sign: int) -> bool:
     (sign -1) with ref: by the Spearman correlation, on an exact tie by
     the Pearson correlation, and when that is 0 too so that the first
     nonzero component of v is positive."""
-    for corr in (_spearman(v, ref), _pearson(v, ref)):
-        if corr != 0:
-            return sign * corr < 0
+    corr = _spearman(v, ref) or _pearson(v, ref)
+    if corr != 0:
+        return sign * corr < 0
     return bool(v[np.flatnonzero(v)[0]] < 0)
 
 

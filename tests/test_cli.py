@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -146,6 +147,20 @@ class TestFailedRunLeavesNoOutDir:
     def test_no_out_dir(self, tmp_path, make_argv, code):
         out = tmp_path / "o"
         assert main([*make_argv(tmp_path), "--out-dir", str(out)]) == code
+        assert not out.exists()
+
+    def test_metrics_error_after_reading_leaves_no_out_dir(self, tmp_path, monkeypatch):
+        """metrics creates --out-dir once run_metrics has returned, so an
+        exception it raises after the join leaves no directory either."""
+        import ecomplex.metrics as metrics
+
+        def broken(m):
+            raise RuntimeError("eci_pci broke")
+
+        monkeypatch.setattr(metrics, "eci_pci", broken)
+        out = tmp_path / "o"
+        with pytest.raises(RuntimeError, match="eci_pci broke"):
+            main(["metrics", str(matrix_file(tmp_path, CONVERGENT)), "--out-dir", str(out)])
         assert not out.exists()
 
 
@@ -613,8 +628,11 @@ class TestPerCommandConfig:
                      "--out-dir", str(tmp_path / "out")]) == 0
 
 
-class TestDataDirFallback:
-    def test_relative_input_resolves(self, tmp_path, monkeypatch):
+class TestInputPaths:
+    def test_relative_input_is_read_from_the_working_directory(self, tmp_path, monkeypatch,
+                                                              capsys):
+        """The environment names no place to look for inputs: a relative
+        path that is missing here is missing, wherever else it exists."""
         data = tmp_path / "data"
         data.mkdir()
         (data / "trade.csv").write_text(TRADE)
@@ -622,23 +640,22 @@ class TestDataDirFallback:
         work.mkdir()
         monkeypatch.chdir(work)
         monkeypatch.setenv("ECOMPLEX_DATA_DIR", str(data))
-        assert main(["ingest", "trade.csv", "--out-dir", "out"]) == 0
-        report = json.loads((work / "out" / "ingest_report.json").read_text())
-        (input_path,) = report["inputs"]
-        assert input_path.startswith(str(data))
+        assert main(["ingest", "trade.csv", "--out-dir", "out"]) == 2
+        assert "trade.csv" in capsys.readouterr().err
+        assert not (work / "out").exists()
 
-    def test_local_file_wins(self, tmp_path, monkeypatch):
-        data = tmp_path / "data"
-        data.mkdir()
-        (data / "trade.csv").write_text("country,product,value\nAAA,x,1.0\n")
-        work = tmp_path / "work"
-        work.mkdir()
-        (work / "trade.csv").write_text(TRADE)
-        monkeypatch.chdir(work)
-        monkeypatch.setenv("ECOMPLEX_DATA_DIR", str(data))
-        assert main(["ingest", "trade.csv", "--out-dir", "out"]) == 0
-        m = read_matrix(work / "out" / "matrix.txt")
-        assert m.country_labels == ("NER", "USA")
+    def test_reports_key_inputs_by_normalized_path(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "trade.csv").write_text(TRADE)
+        matrix_file(tmp_path, CONVERGENT)
+        income_file(tmp_path)
+        assert main(["ingest", "./trade.csv", "--out-dir", "a"]) == 0
+        assert main(["validate", "./m.txt", "./income.csv", "--out-dir", "b"]) == 0
+        for report, names in (("a/ingest_report.json", ["trade.csv"]),
+                              ("b/validation_report.json", ["m.txt", "income.csv"])):
+            inputs = json.loads((tmp_path / report).read_text())["inputs"]
+            assert inputs == {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                              for name in names}
 
 
 def trade_csv(path, country_labels, product_labels, dense=CONVERGENT):

@@ -246,6 +246,23 @@ class TestEciPci:
             assert not _flip(tied, ref, sign) and _flip(-tied, ref, sign)
         assert _flip(np.array([0.0, -1.0, 1.0, 0.0]), np.ones(4), 1)  # a constant ref
 
+    def test_sign_by_spearman_computes_no_pearson(self, monkeypatch):
+        """The Pearson correlation of v itself is formed only on a Spearman
+        tie; a nonzero Spearman correlation is one Pearson call, on ranks."""
+        calls = []
+        pearson = metrics._pearson
+
+        def counted(a, b):
+            calls.append(1)
+            return pearson(a, b)
+
+        monkeypatch.setattr(metrics, "_pearson", counted)
+        ref = np.array([1.0, 2.0, 3.0, 4.0])
+        v = np.array([0.1, 0.3, 0.2, 0.9])
+        assert _spearman(v, ref) != 0 and len(calls) == 1
+        calls.clear()
+        assert not _flip(v, ref, 1) and len(calls) == 1
+
     def test_too_small_raises(self):
         with pytest.raises(DegenerateVector):
             eci_pci(BinaryMatrix.from_dense([[1, 1], [1, 1]]))
