@@ -1,14 +1,15 @@
 """Command-line pipeline: ingest, metrics, simulate, validate, fit-tau.
 
-Every command is deterministic given its inputs, flags, and seed;
-re-running writes byte-identical files. Reports echo the effective
-value of each option the command reads and the sha256 of every input
-file so emitted numbers are traceable to a specific extract. No
-timestamps, no machine state. Each input path is opened as given,
-relative to the working directory. Each command is a thin shell over
-library calls: fileio reads every input and writes every matrix file and
-CSV table; this module writes only the JSON reports, all through
-``_write_report``.
+Every command is deterministic given its inputs, flags, and seed:
+re-running on one numpy/BLAS build and BLAS thread count writes
+byte-identical files (another thread count may move the metrics' last
+bits). Reports echo the effective value of each option the command
+reads and the sha256 of every input file so emitted numbers are
+traceable to a specific extract. No timestamps, no machine state. Each
+input path is opened as given, relative to the working directory. Each
+command is a thin shell over library calls: fileio reads every input and
+writes every matrix file and CSV table; this module writes only the JSON
+reports, all through ``_write_report``.
 
 Exit codes: 0 success, 2 usage/config errors, and one documented code
 per domain error class (see errors.py).

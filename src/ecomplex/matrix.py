@@ -100,9 +100,7 @@ class _CoordinateMatrix:
         key = rows.astype(np.intp) * m + cols.astype(np.intp, copy=False)
         if not np.all(key[1:] > key[:-1]):  # sorted input is stored as given
             order = np.argsort(key, kind="stable")
-            key = key[order]
-            if np.any(key[1:] == key[:-1]):
-                raise ValueError("repeated matrix entry")
+            key = key[order]  # a repeated entry repeats its column: the constructor rejects it
             cols, *vals = (array[order] for array in (cols, *vals))
             for array in (cols, *vals):  # fresh, so the constructor stores them uncopied
                 array.flags.writeable = False
@@ -179,10 +177,11 @@ class ColumnClasses(NamedTuple):
 
     Products made by exactly the same countries form one class. Classes
     are numbered in order of their first product, so a matrix with no
-    repeated column has one class per product, in product order.
+    repeated column has one class per product, in product order. ECI/PCI
+    and fitness both read the class matrix as float 0/1.
     """
 
-    matrix: np.ndarray  # n_countries x n_classes bool: each class's column, unpacked from its key
+    matrix: np.ndarray  # n_countries x n_classes float 0/1: each class's column, unpacked
     counts: np.ndarray  # float number of products in each class
     inverse: np.ndarray  # class of each product, from grouping the packed column keys
     first: np.ndarray  # first product of each class
@@ -244,8 +243,8 @@ class BinaryMatrix(_CoordinateMatrix):
         rank = np.empty_like(order)
         rank[order] = np.arange(len(order))
         first = first[order]
-        columns = np.unpackbits(packed[first], axis=1, count=n).view(bool)
-        classes = ColumnClasses(matrix=np.ascontiguousarray(columns.T),
+        columns = np.unpackbits(packed[first], axis=1, count=n)
+        classes = ColumnClasses(matrix=np.ascontiguousarray(columns.T, dtype=float),
                                 counts=counts[order].astype(float),
                                 inverse=rank[inverse],
                                 first=first)

@@ -254,7 +254,7 @@ def fitness_class_iterations(m: BinaryMatrix):
     drops below 1e-300.
     """
     cls = m.column_classes
-    mat, cnt, n_p = cls.matrix.astype(float), cls.counts, m.n_products
+    mat, cnt, n_p = cls.matrix, cls.counts, m.n_products
     c = np.ones(m.n_countries)
     p = np.ones(len(cnt))  # one value per class
     weighted = cnt * p

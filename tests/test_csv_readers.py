@@ -19,10 +19,10 @@ Declared changes against the reference:
 import csv
 import math
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -500,18 +500,6 @@ def test_tsi_blank_cells_in_separate_blocks(tmp_path, small_blocks):
 
 # --- memory ---------------------------------------------------------------
 
-def _traced_peak(call) -> int:
-    """Bytes allocated at the peak of call() beyond those allocated before
-    it; numpy reports its buffers to tracemalloc."""
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        call()
-        return tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-
-
 class TestReaderMemory:
     """A reader holds one block of cells as Python strings; the trade
     reader keeps per record only its label codes and value."""
@@ -525,11 +513,11 @@ class TestReaderMemory:
                       + "".join(f"C{i:03d},{j:06d},{v}\n" for i, j, v in cells))
         # about 77 bytes a record, at the final summation; tokenizing the whole
         # file at once, with three str per record, reached 212
-        assert _traced_peak(lambda: read_trade_csv(path)) < 130 * n
+        assert traced_peak(lambda: read_trade_csv(path)) < 130 * n
 
     def test_tsi_column_of_100k_rows(self, tmp_path):
         tsi = np.random.default_rng(4).standard_normal(100_000).tolist()
         path = _write(tmp_path / "products.csv", "product,u,tsi,pci,q\n"
                       + "".join(f"p{k},{k % 50},{x!r},{-x!r},{abs(x)!r}\n" for k, x in enumerate(tsi)))
         # about 1.2x with the tsi column alone; every column tokenized is several times that
-        assert _traced_peak(lambda: read_tsi_column(path)) < 2 * path.stat().st_size
+        assert traced_peak(lambda: read_tsi_column(path)) < 2 * path.stat().st_size

@@ -422,8 +422,8 @@ def _columns_from_a_pool(draw) -> BinaryMatrix:
 
 
 def _dense_column_classes(m: BinaryMatrix):
-    """Unique dense columns in order of first occurrence."""
-    dense = m.to_dense().astype(bool)
+    """Unique dense columns in order of first occurrence, as float 0/1."""
+    dense = m.to_dense()
     classes = {}
     inverse = [classes.setdefault(dense[:, j].tobytes(), len(classes))
                for j in range(m.n_products)]
@@ -533,6 +533,15 @@ class TestFitnessPerClass:
         expected = _per_product_fitness_complexity(nested3, 1e-10, 500)
         assert _fitness_outcome(nested3, 1e-10, 500) == (
             expected[0], expected[1].tobytes(), expected[2].tobytes(), expected[3])
+
+    def test_peak_is_a_small_share_of_one_class_matrix(self):
+        """The iteration reads the cached float class matrix as it is."""
+        m = BinaryMatrix.from_dense(np.random.default_rng(0).random((230, 5000)) < 0.3)
+        n_classes = len(m.column_classes.first)  # built, and cached, before the trace
+        assert n_classes == 5000
+        peak = traced_peak(lambda: fitness_complexity(m))
+        # about 0.03x; 1.03x with a float copy of the class matrix per call
+        assert peak <= 0.1 * 8 * m.n_countries * n_classes
 
 
 _CONVERGENT = [[1, 1, 1, 1, 1, 1], [1, 1, 1, 1, 0, 0], [1, 1, 0, 0, 1, 1],
@@ -765,15 +774,15 @@ class TestThreadedRunMetrics:
             assert len(builds) == 1 and builds[0] is m
             builds.clear()
 
-    def test_peak_is_about_two_class_matrices(self):
-        """ECI/PCI's scaled class matrix and fitness's float copy of it are
-        alive at the same time."""
+    def test_peak_is_about_one_class_matrix(self):
+        """ECI/PCI's scaled copy of the class matrix is the one class-sized
+        buffer; fitness, running beside it, reads the cached matrix."""
         m = BinaryMatrix.from_dense(np.random.default_rng(0).random((230, 5000)) < 0.3)
         n_classes = len(m.column_classes.first)  # built, and cached, before the trace
         assert n_classes == 5000
         peak = traced_peak(lambda: run_metrics(m))
-        # about 2.15x; 1.15x with the families run one after another
-        assert peak <= 2.3 * 8 * m.n_countries * n_classes
+        # about 1.16x; 2.14x when fitness made its own float copy of the class matrix
+        assert peak <= 1.3 * 8 * m.n_countries * n_classes
 
 
 class TestColumnClasses:
@@ -786,6 +795,8 @@ class TestColumnClasses:
         assert cls.inverse.tolist() == [0, 1, 0, 2, 1]
         assert cls.counts.tolist() == [2.0, 2.0, 1.0]
         assert cls.matrix.tolist() == [[1, 0, 1], [1, 1, 0], [0, 1, 1]]
+        assert cls.matrix.dtype == np.float64 and cls.matrix.flags.c_contiguous
+        assert not cls.matrix.flags.writeable
         assert m.column_classes is cls  # built once per matrix
         with pytest.raises(ValueError, match="read-only"):
             cls.inverse[0] = 1
