@@ -97,11 +97,18 @@ def standardize(v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.size < 2:
         raise DegenerateVector("need at least two values to standardize")
+    return _standardize_in_place(v.copy())
+
+
+def _standardize_in_place(v: np.ndarray) -> np.ndarray:
+    """standardize's arithmetic, (v - mean) / std, written over v."""
     mu = v.mean()
     sigma = v.std()
     if sigma == 0:
         raise DegenerateVector("zero variance")
-    return (v - mu) / sigma
+    v -= mu
+    v /= sigma
+    return v
 
 
 def tdi(m: BinaryMatrix) -> np.ndarray:
@@ -123,33 +130,44 @@ def tsi(m: BinaryMatrix) -> np.ndarray:
     return -standardize(np.log(u))
 
 
-def _average_ranks(v) -> np.ndarray:
+def _average_ranks(v, counts=None) -> np.ndarray:
     """1-based ranks in which tied values share the mean of their
-    positions; any NaN makes every rank NaN."""
+    positions; any NaN makes every rank NaN. With counts, v[k] stands
+    for counts[k] equal values, and gets their shared rank."""
     v = np.asarray(v, dtype=float)
     if np.isnan(v).any():
         return np.full(v.shape, np.nan)
     order = np.argsort(v, kind="stable")
     ordered = v[order]
     starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-    counts = np.diff(np.r_[starts, v.size])
+    ties = np.diff(np.r_[starts, v.size])
+    if counts is None:
+        before, size = starts, ties
+    else:  # positions before each tie group, and the positions it spans
+        w = np.asarray(counts, dtype=float)[order]
+        before = (np.cumsum(w) - w)[starts]
+        size = np.add.reduceat(w, starts)
     ranks = np.empty(v.size)
-    ranks[order] = np.repeat(starts + (counts + 1) / 2, counts)
+    ranks[order] = np.repeat(before + (size + 1) / 2, ties)
     return ranks
 
 
-def _pearson(a, b) -> float:
-    """Pearson correlation; 0 when either side is constant."""
-    ca, cb = (v - v.mean() for v in (np.asarray(a, dtype=float), np.asarray(b, dtype=float)))
-    denom = np.sqrt((ca * ca).sum() * (cb * cb).sum())
+def _pearson(a, b, counts=None) -> float:
+    """Pearson correlation, pair k counted counts[k] times (once without
+    counts); 0 when either side is constant."""
+    ca, cb = (v - np.average(v, weights=counts)
+              for v in (np.asarray(a, dtype=float), np.asarray(b, dtype=float)))
+    w = 1.0 if counts is None else counts
+    denom = np.sqrt((w * ca * ca).sum() * (w * cb * cb).sum())
     if denom == 0:
         return 0.0
-    return float((ca * cb).sum() / denom)
+    return float((w * ca * cb).sum() / denom)
 
 
-def _spearman(a, b) -> float:
-    """Pearson correlation of average ranks; 0 when either side is constant."""
-    return _pearson(_average_ranks(a), _average_ranks(b))
+def _spearman(a, b, counts=None) -> float:
+    """Pearson correlation of average ranks, pair k counted counts[k]
+    times (once without counts); 0 when either side is constant."""
+    return _pearson(_average_ranks(a, counts), _average_ranks(b, counts), counts)
 
 
 def _flip(v: np.ndarray, ref: np.ndarray, sign: int) -> bool:
@@ -181,17 +199,23 @@ def eci_pci(m: BinaryMatrix) -> tuple[np.ndarray, np.ndarray, EigenReport]:
     the Pearson correlation with d (or u) decides, and when that is 0 as
     well, the first nonzero component is made positive, so the solver's
     arbitrary eigenvector sign never decides.
+
+    PCI's sign is decided per column class, from ranks in which each class
+    counts once per product. That is the product-level decision exactly
+    while the rank sums are exact, below about 2e5 products; past that it
+    can differ only when the correlation is within rounding of 0. Only
+    PCI itself is expanded to products, so the call allocates about two
+    product-sized arrays.
     """
     n_c, n_p = m.n_countries, m.n_products
     if n_c < 3 or n_p < 3:
         raise DegenerateVector("need at least 3 countries and 3 products")
     d = m.diversification.astype(float)
-    u = m.ubiquity.astype(float)
-    if np.any(d < 1) or np.any(u < 1):
+    if np.any(d < 1) or np.any(m.ubiquity < 1):
         raise DegenerateVector("prune zero-marginal rows/columns first")
 
     cls = m.column_classes
-    u_cls = u[cls.first]
+    u_cls = m.ubiquity[cls.first].astype(float)
     # one class-sized buffer: A is scaled in place, and reused below for W*
     a = np.divide(cls.matrix, np.sqrt(d)[:, None])
     a /= np.sqrt(u_cls / cls.counts)[None, :]
@@ -225,14 +249,20 @@ def eci_pci(m: BinaryMatrix) -> tuple[np.ndarray, np.ndarray, EigenReport]:
         eci = -eci
 
     # W* applied to the country eigenvector gives the product eigenvector,
-    # once per class.
-    p_raw = (np.divide(cls.matrix, u_cls[None, :], out=a).T @ c_raw)[cls.inverse]
-    if np.allclose(p_raw, p_raw.mean()):
+    # once per class. pci, expanded to products, is the one product-sized
+    # result, standardized and oriented in place.
+    p_cls = np.divide(cls.matrix, u_cls[None, :], out=a).T @ c_raw
+    pci = p_cls[cls.inverse]
+    if np.allclose(p_cls, pci.mean()):  # the products' values, once each
         raise DegenerateVector("product-side eigenvector is constant")
-    pci = standardize(p_raw)
-    flip_p = _flip(pci, u, -1)
+    _standardize_in_place(pci)
+    # the sign from the classes, each counted once per product (the
+    # products' Spearman correlation, as the docstring says); on an exact
+    # 0, _flip reads the products
+    corr = _spearman(pci[cls.first], u_cls, cls.counts)
+    flip_p = corr > 0 if corr != 0 else _flip(pci, m.ubiquity, -1)
     if flip_p:
-        pci = -pci
+        np.negative(pci, out=pci)
 
     report = EigenReport(
         leading_eigenvalue=leading,

@@ -145,6 +145,23 @@ class TestAverageRanks:
         assert got.dtype == expected.dtype
         assert got.tobytes() == expected.tobytes()
 
+    @given(st.lists(st.tuples(_values, _values, st.integers(1, 5)), min_size=1, max_size=60),
+           st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_counts_stand_for_repeated_values(self, rows, with_nan):
+        """Ranks and Spearman correlation with counts are those of each value
+        repeated counts times, bit for bit: the rank sums are exact."""
+        a, b, counts = (np.array(column, dtype=float) for column in zip(*rows))
+        if with_nan:
+            a[len(a) // 2] = np.nan
+        repeats = counts.astype(int)
+        last = np.cumsum(repeats) - 1  # each value's last copy
+        expanded = _average_ranks(np.repeat(a, repeats))[last]
+        assert _average_ranks(a, counts).tobytes() == expanded.tobytes()
+        got = _spearman(a, b, counts)
+        want = _spearman(np.repeat(a, repeats), np.repeat(b, repeats))
+        assert got == want or (np.isnan(got) and np.isnan(want))
+
 
 class TestEciPci:
     def test_nested_ordering_and_values(self, nested3):
@@ -252,9 +269,9 @@ class TestEciPci:
         calls = []
         pearson = metrics._pearson
 
-        def counted(a, b):
+        def counted(a, b, counts=None):
             calls.append(1)
-            return pearson(a, b)
+            return pearson(a, b, counts)
 
         monkeypatch.setattr(metrics, "_pearson", counted)
         ref = np.array([1.0, 2.0, 3.0, 4.0])
@@ -276,6 +293,115 @@ class TestEciPci:
         peak = traced_peak(lambda: eci_pci(m))
         # about 1.15x; 2.1x with a float temporary per step
         assert peak <= 1.3 * 8 * m.n_countries * n_classes
+
+    def test_peak_holds_about_two_product_vectors(self):
+        """Past the class matrix, only PCI itself is product-sized: its
+        sign, constancy check and ubiquities are read per class."""
+        dense = np.random.default_rng(0).random((50, 100)) < 0.3
+        m = BinaryMatrix.from_dense(np.tile(dense, (1, 1000)))  # 100 classes of 1,000 products
+        n_classes = len(m.column_classes.first)  # built, and cached, before the trace
+        assert n_classes == 100
+        peak = traced_peak(lambda: eci_pci(m))
+        # about 2.1x; 8.1x when the sign was decided over products
+        assert peak <= 2.5 * 8 * m.n_products + 1.3 * 8 * m.n_countries * n_classes
+
+
+def _flip_over_products(v, ref, sign) -> bool:
+    """The PCI sign rule taken over every product: Spearman, then Pearson,
+    then the first nonzero component (reference)."""
+    corr = _spearman(v, ref) or metrics._pearson(v, ref)
+    if corr != 0:
+        return sign * corr < 0
+    return bool(v[np.flatnonzero(v)[0]] < 0)
+
+
+def _product_level_eci_pci(m: BinaryMatrix):
+    """eci_pci with PCI expanded to products before it is standardized and
+    oriented by _flip_over_products (reference for the per-class tail);
+    returns eci, pci and the two sign flags."""
+    d = m.diversification.astype(float)
+    u = m.ubiquity.astype(float)
+    cls = m.column_classes
+    u_cls = u[cls.first]
+    a = cls.matrix / np.sqrt(d)[:, None] / np.sqrt(u_cls / cls.counts)[None, :]
+    eigvals, eigvecs = np.linalg.eigh(a @ a.T)
+    c_raw = eigvecs[:, np.argsort(np.abs(eigvals))[::-1][1]] / np.sqrt(d)
+    eci = standardize(c_raw)
+    flip_c = _flip_over_products(eci, d, 1)
+    p_raw = ((cls.matrix / u_cls[None, :]).T @ c_raw)[cls.inverse]
+    assert not np.allclose(p_raw, p_raw.mean())
+    pci = standardize(p_raw)
+    flip_p = _flip_over_products(pci, u, -1)
+    return -eci if flip_c else eci, -pci if flip_p else pci, flip_c, flip_p
+
+
+class TestPciSignPerClass:
+    """eci_pci decides PCI's sign per column class, each class counted
+    once per product; outputs and flags equal the product-level rule's."""
+
+    @staticmethod
+    def _assert_product_level(m: BinaryMatrix):
+        eci, pci, report = eci_pci(m)
+        ref_eci, ref_pci, flip_c, flip_p = _product_level_eci_pci(m)
+        assert eci.tobytes() == ref_eci.tobytes()
+        assert pci.tobytes() == ref_pci.tobytes()
+        assert (report.eci_sign_flipped, report.pci_sign_flipped) == (flip_c, flip_p)
+        return pci, report
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 80))
+    @settings(max_examples=60, deadline=None)
+    def test_bitwise_equal_with_repeated_columns(self, seed, copies):
+        rng = np.random.default_rng(seed)
+        m = _with_repeated_columns(random_connected_matrix(rng, 20, 30), rng, copies)
+        try:
+            eci_pci(m)
+        except DegenerateSpectrum:
+            assume(False)
+        self._assert_product_level(m)
+
+    @pytest.mark.parametrize("seed, u_constant", [(154, False), (650, True)])
+    def test_rank_correlation_exactly_zero(self, seed, u_constant):
+        # the classes' weighted Spearman correlation with u is exactly 0, so
+        # the products' Pearson correlation decides, or with a constant u
+        # the first nonzero component
+        rng = np.random.default_rng(seed)
+        copies = int(rng.integers(1, 12))
+        m = _with_repeated_columns(random_connected_matrix(rng, 8, 10), rng, copies)
+        cls = m.column_classes
+        assert len(cls.first) < m.n_products
+        pci, _ = self._assert_product_level(m)
+        u_cls = m.ubiquity[cls.first]
+        assert _spearman(pci[cls.first], u_cls, cls.counts) == 0.0
+        assert (u_cls == u_cls[0]).all() == u_constant
+        assert (metrics._pearson(pci, m.ubiquity) == 0.0) == u_constant
+
+    def test_classes_tied_in_pci(self, monkeypatch):
+        # every country makes 7 products, and the second vector gives
+        # countries 0 and 1, and 2 and 3, opposite values: the classes
+        # {0, 1}, {2, 3} and {0, 1, 2, 3} (u 2, 2 and 4; 1, 2 and 3
+        # products) all get p = 0 exactly, a tie the ranks must share
+        # across classes; the solver's sign moves the flag, not PCI
+        columns = {(0, 1): 1, (2, 3): 2, (0, 1, 2, 3): 3, (0,): 2, (1,): 2, (2,): 1, (3,): 1,
+                   (0, 2): 1, (1, 3): 1}
+        dense = np.zeros((4, sum(columns.values())))
+        j = 0
+        for countries, copies in columns.items():
+            dense[list(countries), j:j + copies] = 1
+            j += copies
+        m = BinaryMatrix.from_dense(dense[:, np.random.default_rng(5).permutation(j)])
+        assert (m.diversification == 7).all()
+        results = []
+        for solver_sign in (1, -1):
+            vectors = np.eye(4)
+            vectors[:, 1] = solver_sign * np.array([0.3, -0.3, 0.8, -0.8])
+            monkeypatch.setattr(np.linalg, "eigh",
+                                lambda s, v=vectors: (np.array([1.0, 0.5, 0.2, 0.1]), v))
+            results.append(self._assert_product_level(m))
+        (pci, report), (pci_neg, report_neg) = results
+        pci_cls = pci[m.column_classes.first]
+        assert len(np.unique(pci_cls)) == len(pci_cls) - 2
+        assert pci_neg.tobytes() == pci.tobytes()
+        assert report_neg.pci_sign_flipped is not report.pci_sign_flipped
 
 
 def _longdouble_fitness(dense, steps):
