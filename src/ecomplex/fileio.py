@@ -50,14 +50,14 @@ _ENTRY_BLOCK = 1 << 16  # entry lines formatted per write
 _LINE_BLOCK = 1 << 12  # matrix label lines or table rows joined per write
 _SCAN_BLOCK = 1 << 20  # characters read at a time when counting lines
 _BLOCK_ROWS = 1 << 15  # CSV records tokenized per np.loadtxt call
+# Line breaks str.splitlines honours besides "\n"; reading in text mode
+# turns "\r\n" and "\r" into "\n".
+_OTHER_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 def sha256_file(path) -> str:
-    h = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            h.update(chunk)
-    return h.hexdigest()
+        return hashlib.file_digest(fh, "sha256").hexdigest()
 
 
 def _parse_value(text: str, line: int) -> float:
@@ -353,13 +353,25 @@ def _index_texts(count: int, end: bytes) -> np.ndarray:
     return np.strings.add(np.arange(count).astype(f"S{digits}"), end)
 
 
+def _breaks_line(text: str) -> bool:
+    return any(brk in text for brk in "\n\r" + _OTHER_BREAKS)
+
+
 def write_matrix(m, path) -> None:
     """Write an ExportMatrix (valued) or BinaryMatrix (binary) canonically.
 
     The matrix types hold their entries in range and in (i, j) order, so
     they are written as stored, a fixed block of label or entry lines at a time.
+    Raises ValueError, before the file is opened, when a label holds a line
+    break, which would end its label line early.
     """
     valued = isinstance(m, ExportMatrix)
+    for kind, labels in (("country", m.country_labels), ("product", m.product_labels)):
+        for start in range(0, len(labels), _LINE_BLOCK):  # joined a block at a time
+            block = labels[start:start + _LINE_BLOCK]
+            if _breaks_line("".join(block)):
+                label = next(filter(_breaks_line, block))
+                raise ValueError(f"{kind} label {label!r} holds a line break")
     # each line is "<i> <j>\n" or "<i> <j> <value>\n", as bytes built from per-index texts
     row_text = _index_texts(m.n_countries, b" ")
     col_text = _index_texts(m.n_products, b" " if valued else b"\n")
@@ -405,11 +417,6 @@ def _labels(lines, count: int, line: int, prefix: str) -> tuple[str, ...]:
             raise ParseError(f"expected a {prefix!r} label line", line + len(labels))
         labels.append(text[len(tag):].removesuffix("\n"))
     return tuple(labels)
-
-
-# Line breaks str.splitlines honours besides "\n"; reading in text mode
-# turns "\r\n" and "\r" into "\n".
-_OTHER_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 def _count_lines(path) -> int:

@@ -139,14 +139,12 @@ def _average_ranks(v, counts=None) -> np.ndarray:
         return np.full(v.shape, np.nan)
     order = np.argsort(v, kind="stable")
     ordered = v[order]
-    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    starts = np.flatnonzero(np.r_[v.size > 0, ordered[1:] != ordered[:-1]])
     ties = np.diff(np.r_[starts, v.size])
-    if counts is None:
-        before, size = starts, ties
-    else:  # positions before each tie group, and the positions it spans
-        w = np.asarray(counts, dtype=float)[order]
-        before = (np.cumsum(w) - w)[starts]
-        size = np.add.reduceat(w, starts)
+    w = (np.ones(v.size) if counts is None else np.asarray(counts, dtype=float))[order]
+    # positions before each tie group, and the positions it spans
+    before = (np.cumsum(w) - w)[starts]
+    size = np.add.reduceat(w, starts)
     ranks = np.empty(v.size)
     ranks[order] = np.repeat(before + (size + 1) / 2, ties)
     return ranks
@@ -170,12 +168,13 @@ def _spearman(a, b, counts=None) -> float:
     return _pearson(_average_ranks(a, counts), _average_ranks(b, counts), counts)
 
 
-def _flip(v: np.ndarray, ref: np.ndarray, sign: int) -> bool:
+def _flip(v: np.ndarray, ref: np.ndarray, sign: int, counts=None) -> bool:
     """Whether v must be negated to co-rank (sign 1) or counter-rank
     (sign -1) with ref: by the Spearman correlation, on an exact tie by
     the Pearson correlation, and when that is 0 too so that the first
-    nonzero component of v is positive."""
-    corr = _spearman(v, ref) or _pearson(v, ref)
+    nonzero component of v is positive. With counts, pair k counts
+    counts[k] times in both correlations."""
+    corr = _spearman(v, ref, counts) or _pearson(v, ref, counts)
     if corr != 0:
         return sign * corr < 0
     return bool(v[np.flatnonzero(v)[0]] < 0)
@@ -200,12 +199,13 @@ def eci_pci(m: BinaryMatrix) -> tuple[np.ndarray, np.ndarray, EigenReport]:
     well, the first nonzero component is made positive, so the solver's
     arbitrary eigenvector sign never decides.
 
-    PCI's sign is decided per column class, from ranks in which each class
-    counts once per product. That is the product-level decision exactly
-    while the rank sums are exact, below about 2e5 products; past that it
-    can differ only when the correlation is within rounding of 0. Only
-    PCI itself is expanded to products, so the call allocates about two
-    product-sized arrays.
+    PCI is oriented, and checked for constancy, on the column classes, each
+    counted once per product. The first-component step is the products'
+    exactly (classes are numbered by their first product); the Spearman step
+    is too while the rank sums are exact, below about 2e5 products. Past
+    that, or for the Pearson step in floating point, the decision can differ
+    only when the correlation is within rounding of 0. Only PCI itself is
+    expanded to products, so the call allocates about two product-sized arrays.
     """
     n_c, n_p = m.n_countries, m.n_products
     if n_c < 3 or n_p < 3:
@@ -252,15 +252,10 @@ def eci_pci(m: BinaryMatrix) -> tuple[np.ndarray, np.ndarray, EigenReport]:
     # once per class. pci, expanded to products, is the one product-sized
     # result, standardized and oriented in place.
     p_cls = np.divide(cls.matrix, u_cls[None, :], out=a).T @ c_raw
-    pci = p_cls[cls.inverse]
-    if np.allclose(p_cls, pci.mean()):  # the products' values, once each
+    if np.allclose(p_cls, p_cls @ cls.counts / n_p):  # against the products' mean
         raise DegenerateVector("product-side eigenvector is constant")
-    _standardize_in_place(pci)
-    # the sign from the classes, each counted once per product (the
-    # products' Spearman correlation, as the docstring says); on an exact
-    # 0, _flip reads the products
-    corr = _spearman(pci[cls.first], u_cls, cls.counts)
-    flip_p = corr > 0 if corr != 0 else _flip(pci, m.ubiquity, -1)
+    pci = _standardize_in_place(p_cls[cls.inverse])
+    flip_p = _flip(pci[cls.first], u_cls, -1, cls.counts)
     if flip_p:
         np.negative(pci, out=pci)
 
@@ -287,10 +282,10 @@ def fitness_class_iterations(m: BinaryMatrix):
     mat, cnt, n_p = cls.matrix, cls.counts, m.n_products
     c = np.ones(m.n_countries)
     p = np.ones(len(cnt))  # one value per class
-    weighted = cnt * p
-    p_mean = weighted.sum() / n_p
-    yield c / c.mean(), p / p_mean
     while True:
+        weighted = cnt * p
+        p_mean = weighted.sum() / n_p
+        yield c / c.mean(), p / p_mean
         c_new = (mat @ weighted) / p_mean
         p_new = 1.0 / (c.mean() * ((1.0 / c) @ mat))
         if np.any(c_new < _FLOOR) or np.any(p_new < _FLOOR):
@@ -298,9 +293,6 @@ def fitness_class_iterations(m: BinaryMatrix):
                 "an iterate fell below the positivity floor (1e-300)"
             )
         c, p = c_new, p_new
-        weighted = cnt * p
-        p_mean = weighted.sum() / n_p
-        yield c / c.mean(), p / p_mean
 
 
 def fitness_complexity(

@@ -222,6 +222,24 @@ class TestCanonicalMatrixFile:
         assert back.country_labels == ("United States", "New Zealand")
         assert back.product_labels == ("machine tools", "frozen fish")
 
+    @pytest.mark.parametrize("brk", list("\n\r" + fileio._OTHER_BREAKS))
+    @pytest.mark.parametrize("kind", ["country", "product"])
+    @pytest.mark.parametrize("valued", [False, True])
+    def test_label_with_a_line_break_is_refused(self, tmp_path, monkeypatch, brk, kind, valued):
+        """A label holding a line break would split its line, so read_matrix
+        would reject the file; it is refused before the file is opened."""
+        monkeypatch.setattr(fileio, "_LINE_BLOCK", 2)  # the label in the second block
+        labels = {"country": ["a", "b", "c", "d"], "product": ["w", "x", "y", "z"]}
+        labels[kind][3] = f"bad{brk}label"
+        matrix_type = ExportMatrix if valued else BinaryMatrix
+        m = matrix_type.from_dense(np.eye(4), country_labels=labels["country"],
+                                   product_labels=labels["product"])
+        path = tmp_path / "m.txt"
+        with pytest.raises(ValueError) as info:
+            write_matrix(m, path)
+        assert str(info.value) == f"{kind} label {labels[kind][3]!r} holds a line break"
+        assert not path.exists()
+
     def test_expected_layout(self, tmp_path):
         m = BinaryMatrix.from_coordinates(("x", "y"), ("q",), np.array([0, 1]), np.array([0, 0]))
         path = tmp_path / "m.txt"

@@ -162,6 +162,11 @@ class TestAverageRanks:
         want = _spearman(np.repeat(a, repeats), np.repeat(b, repeats))
         assert got == want or (np.isnan(got) and np.isnan(want))
 
+    @pytest.mark.parametrize("counts", [None, np.array([])])
+    def test_empty_input_gives_empty_ranks(self, counts):
+        ranks = _average_ranks(np.array([]), counts)
+        assert ranks.shape == (0,) and ranks.dtype == float
+
 
 class TestEciPci:
     def test_nested_ordering_and_values(self, nested3):
@@ -262,6 +267,25 @@ class TestEciPci:
         for sign in (1, -1):
             assert not _flip(tied, ref, sign) and _flip(-tied, ref, sign)
         assert _flip(np.array([0.0, -1.0, 1.0, 0.0]), np.ones(4), 1)  # a constant ref
+
+    def test_constant_product_vector_raises(self, monkeypatch):
+        # countries 0 and 1, and 2 and 3, make equally many products and get
+        # opposite values of the second vector, so each class, {0, 1},
+        # {2, 3} or {0, 1, 2, 3}, averages its countries' values to 0
+        columns = {(0, 1): 3, (2, 3): 2, (0, 1, 2, 3): 4}
+        dense = np.zeros((4, sum(columns.values())))
+        j = 0
+        for countries, copies in columns.items():
+            dense[list(countries), j:j + copies] = 1
+            j += copies
+        m = BinaryMatrix.from_dense(dense)
+        assert len(m.column_classes.first) == 3
+        vectors = np.eye(4)
+        vectors[:, 1] = [0.3, -0.3, 0.8, -0.8]
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda s: (np.array([1.0, 0.5, 0.2, 0.1]), vectors))
+        with pytest.raises(DegenerateVector, match="^product-side eigenvector is constant$"):
+            eci_pci(m)
 
     def test_sign_by_spearman_computes_no_pearson(self, monkeypatch):
         """The Pearson correlation of v itself is formed only on a Spearman
