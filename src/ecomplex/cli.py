@@ -69,16 +69,11 @@ def _out_dir(args) -> Path:
 def _load_binary(args) -> BinaryMatrix:
     mat = fileio.read_matrix(args.matrix)
     if isinstance(mat, ExportMatrix):
-        if args.filter == "rca":
-            bm = rca_binarize(mat, args.rca_threshold)
-        else:
-            bm = binarize(mat)
-    else:
-        if args.filter == "rca":
-            raise ParseError("the rca filter needs a valued matrix file; "
-                             "this one is already binary")
-        bm = mat
-    return prune_degenerate(bm)
+        mat = rca_binarize(mat, args.rca_threshold) if args.filter == "rca" else binarize(mat)
+    elif args.filter == "rca":
+        raise ParseError("the rca filter needs a valued matrix file; "
+                         "this one is already binary")
+    return prune_degenerate(mat)
 
 
 def cmd_ingest(args) -> int:

@@ -33,7 +33,7 @@ from typing import NoReturn
 import numpy as np
 
 from .errors import DegenerateInput, EmptyMatrix, NegativeValue, ParseError
-from .matrix import BinaryMatrix, ExportMatrix
+from .matrix import BinaryMatrix, ExportMatrix, _first_repeat
 from .validation import IncomePanel
 
 __all__ = [
@@ -48,7 +48,7 @@ __all__ = [
 
 _ENTRY_BLOCK = 1 << 16  # entry lines formatted per write
 _LINE_BLOCK = 1 << 12  # matrix label lines or table rows joined per write
-_SCAN_BLOCK = 1 << 20  # characters read at a time when counting lines
+_SCAN_BLOCK = 1 << 18  # characters read at a time when counting lines
 _BLOCK_ROWS = 1 << 15  # CSV records tokenized per np.loadtxt call
 # Line breaks str.splitlines honours besides "\n"; reading in text mode
 # turns "\r\n" and "\r" into "\n".
@@ -395,8 +395,11 @@ def write_matrix(m, path) -> None:
             fh.write(text[text != 0])
 
 
-def _header(line: str) -> tuple[int, int, int]:
-    """The counts of a "countries=<n> products=<m> entries=<z>" line."""
+def _header(line: str, found: int) -> tuple[int, int, int]:
+    """The counts n, m, z of a "countries=<n> products=<m> entries=<z>"
+    line, the first of a file of ``found`` lines, 1 + n + m + z of them."""
+    if not found:
+        raise ParseError("empty file", 1)
     try:
         fields = dict(part.split("=", 1) for part in line.split())
         counts = int(fields["countries"]), int(fields["products"]), int(fields["entries"])
@@ -404,6 +407,8 @@ def _header(line: str) -> tuple[int, int, int]:
         counts = (-1,)
     if min(counts) < 0:
         raise ParseError("malformed header", 1)
+    if found != 1 + sum(counts):
+        raise ParseError(f"expected {1 + sum(counts)} lines per header, found {found}", 1)
     return counts
 
 
@@ -454,16 +459,18 @@ def read_matrix(path):
     """Read a canonical matrix file back; returns ExportMatrix when the
     entry lines carry values, BinaryMatrix otherwise.
 
-    Only the header and label lines become strings. numpy parses the
-    entry block once, straight from the file; one pass checks that the
-    rows do not decrease, and the matrix constructor checks the row
-    offsets searched from them (which a row outside the matrix breaks),
-    the columns and the values. When any of these rejects the file, its
-    lines are checked one by one in file order to report the first fault
-    at its line: a repeated label, then for each entry line field count,
-    indices, range, order, value. Lines end in "\\n", "\\r\\n" or "\\r";
-    another break that ``str.splitlines`` honours ends a line in error
-    line numbers, and a file holding one is rejected at it.
+    Only the header and label lines become strings, and the labels are read
+    once numpy has parsed the entry block from the file into one table; a
+    binary file's columns then move to the front of the table's own buffer,
+    which is shrunk to them. One pass checks that the rows do not decrease,
+    and the matrix constructor checks the row offsets searched from them
+    (which a row outside the matrix breaks), the columns and the values.
+    When any of these rejects the file, its lines are checked one by one in
+    file order to report the first fault at its line: a repeated label, then
+    for each entry line field count, indices, range, order, value. Lines end
+    in "\\n", "\\r\\n" or "\\r"; another break that ``str.splitlines``
+    honours ends a line in error line numbers, and a file holding one is
+    rejected at it.
     """
     try:
         return _read_matrix(path)
@@ -475,15 +482,9 @@ def read_matrix(path):
 
 def _read_matrix(path):
     found = _count_lines(path)
-    if not found:
-        raise ParseError("empty file", 1)
     with open(path, encoding="utf-8") as fh:  # reads "\r\n" and "\r" as "\n"
-        n, m, z = _header(fh.readline())
-        if found != 1 + n + m + z:
-            raise ParseError(f"expected {1 + n + m + z} lines per header, found {found}", 1)
-        countries = _labels(fh, n, 2, "c")
-        products = _labels(fh, m, 2 + n, "p")
-        valued = len(fh.readline().split()) == 3
+        n, m, z = _header(fh.readline(), found)
+        valued = len(next(islice(fh, n + m, None), "").split()) == 3  # the first entry line
     # int32 index fields, as the matrix stores its columns, so that a token such as "1.0"
     # is not an index; a wider index is a parse failure
     dtype = [("i", np.int32), ("j", np.int32)] + ([("v", float)] if valued else [])
@@ -496,16 +497,33 @@ def _read_matrix(path):
         table = None
     if table is None or len(table) != z:
         raise ParseError("entry block does not parse")
-    rows = table["i"]
-    if np.any(rows[1:] < rows[:-1]):
+    table = np.require(table, requirements="O")  # owns its buffer, which may be resized below
+    if np.any(table["i"][1:] < table["i"][:-1]):
         raise ParseError("entries must be sorted by (i, j) without repeats")
     # int32 keys, so that the int32 rows are searched as they are, with no wider copy
-    offsets = np.searchsorted(rows, np.arange(n + 1, dtype=np.int32))
-    entries = [table["j"].astype(np.int32)] + ([table["v"].astype(float)] if valued else [])
-    del table, rows  # one copy of the entries from here on
+    offsets = np.searchsorted(table["i"], np.arange(n + 1, dtype=np.int32))
+    with open(path, encoding="utf-8") as fh:  # labels last: a file rejected above never held them
+        fh.readline()
+        countries, products = _labels(fh, n, 2, "c"), _labels(fh, m, 2 + n, "p")
+    entries = ([table["j"].astype(np.int32), table["v"].astype(float)] if valued
+               else [_front_columns(table)])
+    del table  # one copy of the entries from here on
     for array in (offsets, *entries):  # handed over, so the constructor stores them uncopied
         array.flags.writeable = False
     return (ExportMatrix if valued else BinaryMatrix)(countries, products, offsets, *entries)
+
+
+def _front_columns(table: np.ndarray) -> np.ndarray:
+    """The j field of a binary entry table that owns its buffer, moved to
+    the front of it in doubling chunks, each read from past its own end so
+    that numpy needs no temporary; the buffer is then shrunk to them."""
+    z, flat = len(table), table.view(np.int32)  # i0 j0 i1 j1 ...
+    for k in range(z.bit_length()):  # columns a..b-1, read from flat[2a + 1:2b], past b
+        a, b = (1 << k) - 1, min((2 << k) - 1, z)
+        flat[a:b] = flat[2 * a + 1:2 * b:2]
+    del flat  # no view of the table is left, so its buffer may be resized in place
+    table.resize((z + 1) // 2, refcheck=False)
+    return table.view(np.int32)[:z]
 
 
 def _number(kind, token: str):
@@ -527,21 +545,15 @@ def _raise_first_fault(path) -> None:
     once to count its lines and once to check them."""
     with open(path, encoding="utf-8") as fh:
         found = sum(map(len, _text_lines(fh)))
-    if not found:
-        raise ParseError("empty file", 1)
     with open(path, encoding="utf-8") as fh:
         lines = chain.from_iterable(_text_lines(fh))
-        n, m, z = _header(next(lines))
-        if found != 1 + n + m + z:
-            raise ParseError(f"expected {1 + n + m + z} lines per header, found {found}", 1)
+        n, m, z = _header(next(lines, ""), found)
         start = 2  # physical line of the block's first line
         for kind, prefix, count in (("country", "c", n), ("product", "p", m)):
             labels = _labels(lines, count, start, prefix)
-            seen: set[str] = set()
-            for lineno, label in enumerate(labels, start):
-                if label in seen:
-                    raise ParseError(f"duplicate {kind} label {label!r}", lineno)
-                seen.add(label)
+            repeat = _first_repeat(labels)
+            if repeat >= 0:
+                raise ParseError(f"duplicate {kind} label {labels[repeat]!r}", start + repeat)
             start += count
 
         width, prev = 0, (-1, -1)  # width: 3 when the first entry line has three fields, else 2

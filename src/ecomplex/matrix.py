@@ -29,19 +29,31 @@ __all__ = [
 ]
 
 
+def _first_repeat(labels) -> int:
+    """The position of the first label equal to an earlier one, or -1.
+    The labels' hash() values are sorted, and real labels are compared
+    only where two hashes collide, so no label-sized hash table is built."""
+    hashes = np.fromiter(map(hash, labels), np.int64, len(labels))
+    hashes.sort()
+    shared, first = set(hashes[1:][hashes[1:] == hashes[:-1]].tolist()), {}
+    # first: each label of a shared hash, at the position where it first came
+    return next((k for k, label in enumerate(labels if shared else ())
+                 if hash(label) in shared and first.setdefault(label, k) != k), -1)
+
+
 @dataclass(frozen=True)
 class _CoordinateMatrix:
     """Country and product labels plus the entries as row offsets and
     columns: country i's entries are ``cols[offsets[i]:offsets[i + 1]]``.
 
     Construction enforces the invariant every consumer relies on: labels
-    are unique, the offsets rise from 0 to the entry count, and each
-    row's columns lie inside the matrix and increase strictly. It never
-    sorts; ``from_coordinates`` does. The offsets are stored as ``intp``,
-    since the entry count may pass 2**31, and the columns as 32-bit
-    integers, after their range is checked on the array as given, so no
-    column wraps. The stored arrays are read-only and shared with no
-    array the caller can still write to.
+    are unique (``_first_repeat``, with no label-sized set), the offsets
+    rise from 0 to the entry count, and each row's columns lie inside the
+    matrix and increase strictly. It never sorts; ``from_coordinates``
+    does. The offsets are stored as ``intp``, since the entry count may
+    pass 2**31, and the columns as 32-bit integers, after their range is
+    checked on the array as given, so no column wraps. The stored arrays
+    are read-only and shared with no array the caller can still write to.
     """
 
     country_labels: tuple[str, ...]
@@ -54,7 +66,7 @@ class _CoordinateMatrix:
 
     def __post_init__(self):
         for kind, labels in (("country", self.country_labels), ("product", self.product_labels)):
-            if len(set(labels)) != len(labels):
+            if _first_repeat(labels) >= 0:
                 raise ValueError(f"duplicate {kind} labels")
         for name, dtype in self._array_dtypes.items():
             given = getattr(self, name)

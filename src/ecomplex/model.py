@@ -216,13 +216,19 @@ def _build_world(params: ModelParams, s_arr, maxidx_arr, labels) -> SyntheticWor
     )
 
 
+_LABEL_ROWS = 1 << 12  # subset rows formatted per block by _hex_labels
+
+
 def _hex_labels(words: np.ndarray, rows: np.ndarray) -> list[str]:
     """Product labels "p<hex mask>" of the given rows of a subset bit block
-    (word w holding techs 64w+1..64w+64, lowest word first)."""
-    width = 16 * words.shape[1]
-    # highest word first and big-endian, so each row reads as its mask in hex
-    text = words[rows, ::-1].astype(">u8").tobytes().hex()
-    return ["p" + (text[k:k + width].lstrip("0") or "0") for k in range(0, len(text), width)]
+    (word w holding techs 64w+1..64w+64, lowest word first), _LABEL_ROWS
+    rows at a time, so no world-sized copy, bytes or hex text is held."""
+    width, labels = 16 * words.shape[1], []
+    for start in range(0, len(rows), _LABEL_ROWS):
+        # highest word first and big-endian, so each row reads as its mask in hex
+        text = words[rows[start:start + _LABEL_ROWS], ::-1].astype(">u8").tobytes().hex()
+        labels += ["p" + (text[k:k + width].lstrip("0") or "0") for k in range(0, len(text), width)]
+    return labels
 
 
 def _distinct_products(words: np.ndarray, top: np.ndarray,

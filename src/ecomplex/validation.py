@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import Collinear, DegenerateInput, JoinEmpty
-from .matrix import BinaryMatrix
+from .matrix import BinaryMatrix, _first_repeat
 from .metrics import CountryMetrics, ProductMetrics, _attempt, _average_ranks, _spearman
 
 __all__ = [
@@ -49,7 +49,7 @@ class IncomePanel:
     natural_rents: np.ndarray
 
     def __post_init__(self):
-        if len(set(self.country_labels)) != len(self.country_labels):
+        if _first_repeat(self.country_labels) >= 0:
             raise ValueError("duplicate country labels")
         n = len(self.country_labels)
         if len(self.gdp) != n or len(self.natural_rents) != n:

@@ -1,6 +1,6 @@
 """Shared fixtures: the nested 3x3 matrix and a random-matrix factory,
-plus a tracemalloc peak probe and per-entry and per-product views that
-only tests need."""
+plus a tracemalloc peak probe, per-entry and per-product views and a
+label type of one shared hash that only tests need."""
 
 import tracemalloc
 
@@ -13,6 +13,14 @@ from ecomplex import BinaryMatrix, EmptyMatrix, fitness_class_iterations, prune_
 def entries(m) -> frozenset[tuple[int, int]]:
     """The matrix's (i, j) entries as a set."""
     return frozenset(zip(m.rows.tolist(), m.cols.tolist()))
+
+
+class SameHash(str):
+    """A label whose hash is every other SameHash label's, so label checks
+    must compare the labels themselves."""
+
+    def __hash__(self):
+        return 7
 
 
 def fitness_iterations(m: BinaryMatrix):

@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -388,6 +389,20 @@ class TestMatrixErrorLines:
         assert main(["metrics", str(p), "--out-dir", str(tmp_path / "out")]) == 65
         assert f"line {line}: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("earlier", [0, 4_321])
+    def test_label_repeated_thousands_of_lines_later(self, tmp_path, capsys, earlier):
+        """Labels are compared by sorted hashes, not in file order: a repeat
+        is still named at its own line, however far its first copy."""
+        labels = [f"q{j}" for j in range(5_000)] + [f"q{earlier}", "q0"]
+        p = write(tmp_path / "m.txt", f"countries=1 products={len(labels)} entries=1\nc x\n"
+                  + "".join(f"p {label}\n" for label in labels) + "0 0\n")
+        message = f"line 5003: duplicate product label 'q{earlier}'"  # product 5,000's line
+        with pytest.raises(ParseError, match=f"^{message}$") as info:
+            read_matrix(p)
+        assert info.value.line == 5_003
+        assert main(["metrics", str(p), "--out-dir", str(tmp_path / "out")]) == 65
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("block, line, message", [
         (["-1 0", "0 1", "1 1"], 6, r"entry \(-1, 0\) out of range"),
         (["0 0", "0 1", "2 1"], 8, r"entry \(2, 1\) out of range"),
@@ -653,6 +668,64 @@ def _sparse_matrix(n_entries: int, valued: bool, n: int = 100, m: int = 10_000):
     return BinaryMatrix.from_coordinates(*labels, rows, cols)
 
 
+class TestBinaryColumnsInPlace:
+    """A binary file's columns are moved to the front of the parsed
+    table's own buffer, which is then shrunk to them."""
+
+    @pytest.mark.parametrize("z", [0, 1, 2, 3, 5, 7, 8, 9, 255, 256, 257, 4095, 4096, 4097,
+                                   65_535, 65_536, 65_537])
+    def test_round_trip(self, tmp_path, z):
+        m = _sparse_matrix(z, valued=False, n=7, m=20_000)
+        path = tmp_path / "m.txt"
+        write_matrix(m, path)
+        back = read_matrix(path)
+        assert back.offsets.tolist() == m.offsets.tolist()
+        assert back.cols.tobytes() == m.cols.tobytes()
+        write_matrix(back, tmp_path / "again.txt")
+        assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
+        cols = back.cols
+        assert cols.dtype == np.int32 and cols.flags.c_contiguous and not cols.flags.writeable
+        assert cols.base.nbytes <= 8 * ((z + 1) // 2)
+
+    def test_columns_move_with_no_temporary(self):
+        """Each chunk is read from past its own end, so numpy copies none
+        through a temporary, and shrinking the table frees half of it."""
+        z = 100_001
+        tracemalloc.start()
+        try:
+            table = np.zeros(z, dtype=[("i", np.int32), ("j", np.int32)])
+            table["i"], table["j"] = -1, np.arange(z)
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            cols = fileio._front_columns(table)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cols.tolist() == list(range(z))
+        assert peak - before < 4096  # a temporary for the last chunk would be 138 KB
+        assert before - after > 4 * z - 4096  # the shrink frees the half that held rows
+
+    def test_a_table_sharing_its_buffer_is_read_the_same(self, tmp_path, monkeypatch):
+        """A parsed table that does not own its data is copied to one
+        that does, on the same path, so resizing it frees no one's buffer."""
+        m = _sparse_matrix(1_001, valued=False)
+        write_matrix(m, tmp_path / "m.txt")
+        loadtxt, wide = np.loadtxt, []
+
+        def loadtxt_view(*args, **kwargs):  # the table as a view of a wider array
+            table = loadtxt(*args, **kwargs)
+            wide.append(np.zeros(len(table) + 1, table.dtype))
+            wide[0][1:] = table
+            return wide[0][1:]
+
+        monkeypatch.setattr(np, "loadtxt", loadtxt_view)
+        back = read_matrix(tmp_path / "m.txt")
+        assert back.offsets.tolist() == m.offsets.tolist()
+        assert back.cols.tobytes() == m.cols.tobytes()
+        assert back.cols.base.flags.owndata and back.cols.base.nbytes <= 8 * 501
+        assert not np.shares_memory(back.cols, wide[0])
+
+
 class TestMatrixFileMemory:
     """The matrix file is written a block at a time, read into one copy
     of the entry arrays, and searched for a fault a line at a time."""
@@ -670,11 +743,12 @@ class TestMatrixFileMemory:
         write_matrix(_sparse_matrix(200_000, valued), tmp_path / "m.txt")
         back = []
         peak = traced_peak(lambda: back.append(read_matrix(tmp_path / "m.txt")))
-        # the parsed table, with int32 indices, and the int32 columns (and values) copied
-        # from it: about 2.05x (3.9x valued) 8 bytes per entry; 2.4x (4.4x) with intp
-        # columns, and about 11x when the whole text, a copy of the entry block and
-        # per-check arrays were held
-        assert peak < (4.2 if valued else 2.25) * 8 * back[0].n_entries
+        # the parsed table, with int32 indices, and the labels: about 1.5x 8 bytes per entry
+        # (3.9x valued, whose columns and values are copied out of the table). 2.05x when
+        # the binary columns were copied out too and lines were counted 1M characters at
+        # a time, 2.4x (4.4x) with intp columns, and about 11x when the whole text, a copy
+        # of the entry block and per-check arrays were held
+        assert peak < (4.2 if valued else 1.65) * 8 * back[0].n_entries
 
     def test_label_write_peak_is_below_the_label_text(self, tmp_path):
         labels = tuple(f"product-{j:053d}" for j in range(200_000))

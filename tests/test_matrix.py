@@ -2,7 +2,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from conftest import entries, traced_peak
+from conftest import SameHash, entries, traced_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
@@ -272,6 +272,43 @@ def test_duplicate_labels_rejected():
         BinaryMatrix.from_dense([[1, 1], [1, 1]], country_labels=("A", "A"))
     with pytest.raises(ValueError):
         ExportMatrix.from_dense([[1.0, 2.0]], product_labels=("x", "x"))
+
+
+class TestFirstRepeat:
+    """The one duplicate-label rule: the labels' hashes are sorted, and
+    labels are compared only where two hashes collide."""
+
+    @pytest.mark.parametrize("labels, first", [
+        ((), -1), (("a",), -1), (("a", "b"), -1), (("a", "a"), 1),
+        (("a", "b", "a", "b"), 2), (("a", "b", "b", "a"), 2),
+        (tuple(map(SameHash, "abcde")), -1), (tuple(map(SameHash, "abcbe")), 3),
+    ])
+    def test_first_repeated_position(self, labels, first):
+        assert matrix._first_repeat(labels) == first
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_agrees_with_a_set_scan(self, seed):
+        rng = np.random.default_rng(seed)
+        labels = tuple(f"L{k}" for k in rng.integers(0, 400, rng.integers(0, 300)))
+        seen, first = set(), -1
+        for k, label in enumerate(labels):  # the reference: one set, in label order
+            if label in seen:
+                first = k
+                break
+            seen.add(label)
+        assert matrix._first_repeat(labels) == first
+
+    def test_distinct_labels_of_one_hash_are_kept(self):
+        labels = tuple(map(SameHash, "abcde"))
+        m = BinaryMatrix.from_dense(np.eye(5), country_labels=labels, product_labels=labels)
+        assert m.country_labels == m.product_labels == labels
+
+    @pytest.mark.parametrize("earlier", [0, 4_321])
+    def test_a_repeat_is_found_however_far_its_first_copy(self, earlier):
+        labels = tuple(f"p{j}" for j in range(5_000)) + (f"p{earlier}", "p0")
+        assert matrix._first_repeat(labels) == 5_000
+        with pytest.raises(ValueError, match="^duplicate product labels$"):
+            BinaryMatrix.from_coordinates(("a",), labels, [0], [0])
 
 
 def test_export_matrix_rejects_nonpositive_values():

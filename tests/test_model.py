@@ -248,10 +248,10 @@ class TestSimulator:
                                                                 seed=1)))
         m = worlds[0].matrix
         assert m.offsets.shape == (m.n_countries + 1,) and m.offsets[-1] == m.n_entries
-        # about 2.7x 8 bytes per entry; 3.5x with intp columns and the subset bit block
-        # held through the build, 4.5x when the builder repeated each country's index
-        # per entry
-        assert peak < 3.0 * 8 * m.n_entries
+        # about 1.75x 8 bytes per entry; 2.7x when the labels were cut from one hex text of
+        # every product, 3.5x with intp columns and the subset bit block held through the
+        # build, 4.5x when the builder repeated each country's index per entry
+        assert peak < 2.0 * 8 * m.n_entries
 
     def test_mean_diversification_tracks_closed_form(self):
         params = ModelParams(tau=0.3, K=8)

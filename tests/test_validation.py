@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from conftest import SameHash
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -272,6 +273,13 @@ class TestJoinPanel:
             IncomePanel(("A", "B"), np.array([1.0, -2.0]), np.array([0.0, 0.0]))
         with pytest.raises(ValueError):
             IncomePanel(("A", "B"), np.array([1.0, 2.0]), np.array([0.0, -0.1]))
+
+    def test_panel_labels_checked_by_the_matrix_rule(self):
+        """Distinct labels that share a hash are kept; a repeat is not."""
+        labels = tuple(map(SameHash, "ABC"))
+        assert IncomePanel(labels, np.ones(3), np.zeros(3)).country_labels == labels
+        with pytest.raises(ValueError, match="^duplicate country labels$"):
+            IncomePanel(labels + (SameHash("B"),), np.ones(4), np.zeros(4))
 
     @pytest.mark.parametrize("gdp, rents", [
         ([1.0, np.nan], [0.0, 0.0]),
